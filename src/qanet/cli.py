@@ -24,7 +24,8 @@ from .evaluation import evaluate
 from .model import (init_model_params, model_forward, model_loss,
                     predict_spans, span_text)
 from .tensor import backward, no_grad
-from .trainer import load_checkpoint, train, use_ema, zero_grads
+from .trainer import (checkpoint_seed, load_checkpoint, train, use_ema,
+                      zero_grads)
 
 
 def _echo_config(config: RunConfig, source: str) -> None:
@@ -105,9 +106,12 @@ def _cmd_train(args) -> int:
                                  max_answer_len=config.model.max_answer_len)
         ratio = MixRatio(config.augment.mix_orig, config.augment.mix_fr,
                          config.augment.mix_de)
+        # train() takes its seed from a resumed checkpoint; so must the
+        # sampler, or the resumed run draws a different example stream.
+        seed = checkpoint_seed(args.resume) if args.resume else config.seed
         sampler = mixed_sampler(
             [examples, pool(paths.augmented_fr), pool(paths.augmented_de)],
-            ratio, seed=config.seed)
+            ratio, seed=seed)
 
     os.makedirs(paths.out_dir, exist_ok=True)
     with open(os.path.join(paths.out_dir, "config.json"), "w",

@@ -239,10 +239,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    @property
-    def char_size(self) -> int:
-        return len(self.chars)
-
     def add_word(self, word: str) -> int:
         idx = self._word_ids.get(word)
         if idx is None:

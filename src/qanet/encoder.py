@@ -16,9 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import (
-    DimensionMismatch, Tensor, add, concat, depthwise_separable_conv1d,
-    dropout_apply, dropout_mask, layernorm, matmul, multiply, relu,
-    scalar_scale, slice_axis, softmax, swap_last_axes,
+    DimensionMismatch, Tensor, add, depthwise_separable_conv1d, dropout_apply,
+    dropout_mask, layernorm, matmul, multiply, relu, scaled_dot_attention,
 )
 
 MASK_BIAS = 1e30  # additive penalty that underflows to exactly zero weight
@@ -105,40 +104,23 @@ class AttentionParams:
     out_b: Tensor
 
 
-def attention_mask_bias(mask: np.ndarray) -> Tensor:
-    """Additive key-mask bias: 0 on real positions, -1e30 on padding."""
-    bias = (np.asarray(mask, dtype=np.float64) - 1.0) * MASK_BIAS
-    return Tensor(bias[..., None, :])  # broadcast over query positions
-
-
 def multi_head_self_attention(x: Tensor, params: AttentionParams,
                               num_heads: int, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product self-attention over the last-but-one axis.
+    """Multi-head scaled dot-product self-attention over the last-but-one axis.
 
-    ``x`` is (..., n, d). Padded keys (mask 0) receive a -1e30 logit bias,
+    ``x`` is (..., n, d). The q/k/v projections feed one
+    :func:`~qanet.tensor.scaled_dot_attention` op, whose tape record keeps
+    only the (..., heads, n, n) attention probabilities, and an output
+    projection follows. Padded keys (mask 0) receive a -1e30 logit bias,
     which underflows to exactly zero attention weight after the softmax.
     """
-    d = x.shape[-1]
-    if d % num_heads:
-        raise DimensionMismatch(f"dim {d} not divisible by {num_heads} heads")
-    head_dim = d // num_heads
-    scale = 1.0 / math.sqrt(head_dim)
     q = add(matmul(x, params.query_w), params.query_b)
     k = add(matmul(x, params.key_w), params.key_b)
     v = add(matmul(x, params.value_w), params.value_b)
-    bias = attention_mask_bias(mask) if mask is not None else None
-    heads = []
-    for h in range(num_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh = slice_axis(q, -1, lo, hi)
-        kh = slice_axis(k, -1, lo, hi)
-        vh = slice_axis(v, -1, lo, hi)
-        logits = scalar_scale(matmul(qh, swap_last_axes(kh)), scale)
-        if bias is not None:
-            logits = add(logits, bias)
-        weights = softmax(logits, axis=-1)
-        heads.append(matmul(weights, vh))
-    merged = concat(heads, axis=-1)
+    key_bias = None
+    if mask is not None:
+        key_bias = (np.asarray(mask, dtype=np.float64) - 1.0) * MASK_BIAS
+    merged = scaled_dot_attention(q, k, v, num_heads, key_bias)
     return add(matmul(merged, params.out_w), params.out_b)
 
 

@@ -7,6 +7,11 @@ scalar loss in reverse topological order and accumulates gradients into
 every ``requires_grad`` ancestor. Repeated calls accumulate until grads are
 zeroed.
 
+A record keeps what its backward rule reads, usually the operands. The fused
+:func:`scaled_dot_attention` keeps only its attention probabilities beside
+its inputs, one (..., heads, n, m) array, and derives the softmax gradient
+from them; logits and per-head slices are never stored.
+
 The engine itself is deterministic: dropout masks are drawn by callers from
 an explicit seeded generator and applied with :func:`dropout_apply`. A graph
 must stay on a single thread; independent graphs on separate threads are
@@ -27,9 +32,10 @@ __all__ = [
     "Tensor", "Tape", "backward", "no_grad",
     "add", "subtract", "multiply", "scalar_scale", "matmul",
     "relu", "sigmoid", "log", "clamp_min", "softmax", "layernorm",
-    "concat", "reshape", "swap_last_axes", "slice_axis", "reduce_sum",
+    "concat", "reshape", "swap_last_axes", "reduce_sum",
     "max_over_axis", "embedding_lookup", "gather_last", "dropout_apply",
-    "depthwise_separable_conv1d", "dropout_mask", "as_array",
+    "depthwise_separable_conv1d", "scaled_dot_attention", "dropout_mask",
+    "as_array",
     "DimensionMismatch", "AxisOutOfRange", "EvenKernel", "NotScalar",
     "DetachedTensor", "IdOutOfRange",
 ]
@@ -438,26 +444,6 @@ def swap_last_axes(x) -> Tensor:
                    lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
-    x = _as_tensor(x)
-    ax = _normalize_axis(axis, x.ndim)
-    size = x.shape[ax]
-    if not 0 <= start <= stop <= size:
-        raise AxisOutOfRange(f"slice [{start}:{stop}] outside axis of size {size}")
-    sl = [slice(None)] * x.ndim
-    sl[ax] = slice(start, stop)
-    sl = tuple(sl)
-    out = x.data[sl]
-    xshape = x.shape
-
-    def bwd(g):
-        gx = np.zeros(xshape)
-        gx[sl] = g
-        return (gx,)
-
-    return _result("slice_axis", (x,), out, bwd)
-
-
 def reduce_sum(x) -> Tensor:
     x = _as_tensor(x)
     out = x.data.sum()
@@ -596,3 +582,62 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias) -> Tensor:
 
     return _result("depthwise_separable_conv1d",
                    (x, depth_kernel, point_kernel, bias), out, bwd)
+
+
+def scaled_dot_attention(q, k, v, num_heads: int, key_bias=None) -> Tensor:
+    """Multi-head scaled dot-product attention with every head in one op.
+
+    ``q`` is (..., n, d); ``k`` and ``v`` are (..., m, d). The features split
+    into ``num_heads`` contiguous heads of width dh = d / num_heads, each head
+    computes ``softmax(q kᵀ / sqrt(dh) + key_bias) v``, and the heads merge
+    back to (..., n, d). ``key_bias`` is an optional plain array that
+    broadcasts to (..., m) and is added to every logit of its key; -1e30
+    gives a key exactly zero weight.
+
+    The tape keeps only the (..., h, n, m) probabilities ``P`` beside the
+    inputs; the backward works from ``P`` alone through
+    ``dS = P * (dP - sum(dP * P)) / sqrt(dh)``.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (q.ndim < 2 or k.shape != v.shape or k.ndim != q.ndim
+            or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1]):
+        raise DimensionMismatch(
+            f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    d = q.shape[-1]
+    if d % num_heads:
+        raise DimensionMismatch(f"dim {d} not divisible by {num_heads} heads")
+    head_dim = d // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+
+    def split(a):  # (..., n, d) -> (..., h, n, dh)
+        return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, head_dim)), -2, -3)
+
+    def merge(a):  # (..., h, n, dh) -> (..., n, d)
+        return np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], d))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ np.swapaxes(kh, -1, -2)
+    probs *= scale
+    if key_bias is not None:
+        try:
+            probs += np.asarray(key_bias, dtype=np.float64)[..., None, None, :]
+        except ValueError:
+            raise DimensionMismatch(
+                f"attention: key bias {np.shape(key_bias)} vs keys {k.shape}") from None
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = merge(probs @ vh)
+
+    def bwd(g):
+        gh = split(g)
+        g_v = np.swapaxes(probs, -1, -2) @ gh
+        g_s = gh @ np.swapaxes(vh, -1, -2)
+        g_s -= (g_s * probs).sum(axis=-1, keepdims=True)
+        g_s *= probs
+        g_s *= scale
+        g_q = g_s @ kh
+        g_k = np.swapaxes(np.swapaxes(qh, -1, -2) @ g_s, -1, -2)
+        return merge(g_q), merge(g_k), merge(g_v)
+
+    return _result("scaled_dot_attention", (q, k, v), out, bwd)

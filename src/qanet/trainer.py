@@ -187,6 +187,12 @@ def save_checkpoint(path: str, params: ModelParams, state: TrainState,
     os.replace(tmp, path)
 
 
+def checkpoint_seed(path: str) -> int:
+    """The run seed stored in a checkpoint's header; no tensors are read."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline().decode("utf-8"))["seed"]
+
+
 def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))

@@ -24,12 +24,14 @@ from qanet.evaluation import (evaluate, exact_match_score, f1_score,
                               metric_max_over_ground_truths)
 from qanet.model import ModelConfig, init_model_params, model_loss
 from qanet.span import SpanHeadParams, dp_span_inference, span_distributions
+import qanet.tensor
 from qanet.tensor import (Tensor, add, backward, clamp_min, concat,
                           depthwise_separable_conv1d, dropout_apply,
                           dropout_mask, embedding_lookup, gather_last,
                           layernorm, log, matmul, max_over_axis, multiply,
-                          reduce_sum, relu, reshape, scalar_scale, sigmoid,
-                          slice_axis, softmax, subtract, swap_last_axes)
+                          reduce_sum, relu, reshape, scalar_scale,
+                          scaled_dot_attention, sigmoid, softmax, subtract,
+                          swap_last_axes)
 from qanet.trainer import (OptimizerConfig, adam_step, ema_update,
                            evaluate_model, init_train_state, load_checkpoint,
                            lr_schedule, train, zero_grads)
@@ -52,8 +54,16 @@ def _verdict(num: int, label: str, body) -> None:
 # 1. Gradient gate
 
 
+# Public names of qanet.tensor that record no tape op of their own.
+_NOT_DIFFERENTIABLE = {"backward", "no_grad", "dropout_mask", "as_array"}
+
+
 def _op_sweep(rng):
-    """Finite-difference check for every differentiable operation."""
+    """Finite-difference check for every differentiable operation.
+
+    Case names are ``op`` or ``op:variant``; every public function of
+    qanet.tensor outside _NOT_DIFFERENTIABLE must own at least one case.
+    """
     cases = []
 
     a = rng.standard_normal((2, 3, 4))
@@ -78,7 +88,7 @@ def _op_sweep(rng):
     b1 = rng.standard_normal((2, 3, 4))
     b2 = rng.standard_normal((2, 4, 5))
     wb = rng.standard_normal((2, 3, 5))
-    cases.append(("matmul_batched", [b1, b2],
+    cases.append(("matmul:batched", [b1, b2],
                   lambda ts: weighted_sum_loss(matmul(ts[0], ts[1]), wb)))
 
     # Keep kinked ops away from their kinks by more than the FD step.
@@ -93,9 +103,9 @@ def _op_sweep(rng):
     positive = np.abs(rng.standard_normal((3, 4))) + 0.5
     cases.append(("log", [positive],
                   lambda ts: weighted_sum_loss(log(ts[0]), w2)))
-    cases.append(("softmax_last", [a.copy()],
+    cases.append(("softmax:last", [a.copy()],
                   lambda ts: weighted_sum_loss(softmax(ts[0], -1), w)))
-    cases.append(("softmax_mid", [a.copy()],
+    cases.append(("softmax:mid", [a.copy()],
                   lambda ts: weighted_sum_loss(softmax(ts[0], -2), w)))
     gain = rng.standard_normal(4)
     bias = rng.standard_normal(4)
@@ -112,10 +122,6 @@ def _op_sweep(rng):
     wt = rng.standard_normal((2, 4, 3))
     cases.append(("swap_last_axes", [a.copy()],
                   lambda ts: weighted_sum_loss(swap_last_axes(ts[0]), wt)))
-    s = rng.standard_normal((2, 5, 3))
-    ws = rng.standard_normal((2, 3, 3))
-    cases.append(("slice_axis", [s],
-                  lambda ts: weighted_sum_loss(slice_axis(ts[0], 1, 1, 4), ws)))
     cases.append(("reduce_sum", [c.copy()], lambda ts: reduce_sum(ts[0])))
     spread = (rng.permutation(24).astype(np.float64) * 0.1).reshape(2, 3, 4)
     wx = rng.standard_normal((2, 4))
@@ -139,10 +145,29 @@ def _op_sweep(rng):
     pk = rng.standard_normal((4, 3)) * 0.5
     cb = rng.standard_normal(3) * 0.1
     wcv = rng.standard_normal((2, 6, 3))
-    cases.append(("conv", [cx, dk, pk, cb],
+    cases.append(("depthwise_separable_conv1d", [cx, dk, pk, cb],
                   lambda ts: weighted_sum_loss(
                       depthwise_separable_conv1d(*ts), wcv)))
+    # Two heads of width 3; -1e30 key bias on padded keys.
+    qkv = [rng.standard_normal((2, 4, 6)) for _ in range(3)]
+    wa = rng.standard_normal((2, 4, 6))
+    padded = (np.array([[1, 1, 1, 0], [1, 1, 0, 0]]) - 1.0) * 1e30
+    cases.append(("scaled_dot_attention:batched_padded", qkv,
+                  lambda ts: weighted_sum_loss(
+                      scaled_dot_attention(*ts, 2, padded), wa)))
+    cases.append(("scaled_dot_attention:single", [a[0] for a in qkv],
+                  lambda ts: weighted_sum_loss(
+                      scaled_dot_attention(*ts, 2), wa[0])))
+    lone = (np.array([[1, 0, 0, 0], [1, 1, 1, 1]]) - 1.0) * 1e30
+    cases.append(("scaled_dot_attention:one_real_key", [a.copy() for a in qkv],
+                  lambda ts: weighted_sum_loss(
+                      scaled_dot_attention(*ts, 2, lone), wa)))
 
+    swept = {name.split(":")[0] for name, _, _ in cases}
+    ops = {name for name in qanet.tensor.__all__
+           if not isinstance(getattr(qanet.tensor, name), type)}
+    unswept = sorted(ops - _NOT_DIFFERENTIABLE - swept)
+    assert not unswept, f"differentiable ops without a sweep case: {unswept}"
     for name, arrays, fn in cases:
         worst = check_gradients(fn, arrays, tol=1e-4)
         assert worst < 1e-4, f"{name}: {worst:.2e}"

@@ -235,6 +235,32 @@ class TestTrainCommand:
         capsys.readouterr()
         assert logs[0] == logs[1]
 
+    def test_resume_with_pools_ignores_new_seed(self, trained, tmp_path,
+                                                capsys):
+        """The sampler on resume draws from the checkpoint's seed."""
+        pools = {"paths.augmented_fr": _dataset(tmp_path / "fr.json", n=4),
+                 "paths.augmented_de": _dataset(tmp_path / "de.json", n=3),
+                 "checkpoint_every": 1}
+
+        def run(name, steps, seed, resume=None):
+            out = str(tmp_path / name)
+            cfg = _config_file(tmp_path / f"{name}-{steps}.json",
+                               trained["data"], out,
+                               extra=dict(pools, **{"optimizer.total_steps": steps}))
+            argv = ["train", "--config", cfg, "--seed", seed]
+            if resume:
+                argv += ["--resume", resume]
+            assert main(argv) == 0
+            with open(f"{out}/metrics.jsonl", "rb") as fh:
+                return fh.read()
+
+        full = run("full", 4, "7")
+        run("split", 2, "7")
+        resumed = run("split", 4, "8",
+                      resume=str(tmp_path / "split" / "model.ckpt"))
+        capsys.readouterr()
+        assert resumed == full
+
     def test_env_var_config_fallback(self, trained, tmp_path, capsys,
                                      monkeypatch):
         out = str(tmp_path / "env-run")

@@ -111,6 +111,15 @@ class TestForwardValues:
         out = T.add(Tensor(np.ones((2, 3, 4))), Tensor(np.arange(4.0)))
         np.testing.assert_allclose(out.data[1, 2], [1, 2, 3, 4])
 
+    def test_scaled_dot_attention_shape_errors(self):
+        x = Tensor(np.ones((2, 4, 6)))
+        with pytest.raises(T.DimensionMismatch, match="heads"):
+            T.scaled_dot_attention(x, x, x, 4)
+        with pytest.raises(T.DimensionMismatch):
+            T.scaled_dot_attention(x, x, Tensor(np.ones((2, 3, 6))), 2)
+        with pytest.raises(T.DimensionMismatch, match="key bias"):
+            T.scaled_dot_attention(x, x, x, 2, np.zeros((2, 5)))
+
     def test_finite_outputs_on_finite_inputs(self):
         x = rand(6, 8, scale=50.0)
         outs = [
@@ -269,16 +278,15 @@ class TestGradientGate:
                 lambda ts: weighted_sum_loss(T.layernorm(ts[0], ts[1], ts[2]), w),
                 [x, gain, bias], tol=1e-6)
 
-    def test_concat_reshape_swap_slice(self):
+    def test_concat_reshape_swap(self):
         for rng in instance_rngs(self.N, 109):
             a = rng.standard_normal((3, 2))
             b = rng.standard_normal((3, 4))
-            w = rng.standard_normal((2, 3, 3))
+            w = rng.standard_normal((2, 6, 3))
 
             def loss(ts):
                 cat = T.concat([ts[0], ts[1]], axis=1)         # (3, 6)
-                cut = T.slice_axis(cat, 1, 1, 4)               # (3, 3)
-                cube = T.reshape(T.concat([cut, cut], axis=0), (2, 3, 3))
+                cube = T.reshape(T.concat([cat, cat], axis=0), (2, 3, 6))
                 return weighted_sum_loss(T.swap_last_axes(cube), w)
 
             check_gradients(loss, [a, b], tol=1e-6)
@@ -328,6 +336,20 @@ class TestGradientGate:
                 lambda ts: weighted_sum_loss(
                     T.depthwise_separable_conv1d(ts[0], ts[1], ts[2], ts[3]), w),
                 [x, dk, pk, b], tol=1e-6)
+
+    def test_scaled_dot_attention(self):
+        for rng in instance_rngs(self.N, 115):
+            q = rng.standard_normal((2, 4, 6))
+            k = rng.standard_normal((2, 3, 6))
+            v = rng.standard_normal((2, 3, 6))
+            real = rng.random((2, 3)) < 0.6
+            real[:, 0] = True  # every row keeps at least one key
+            key_bias = np.where(real, 0.0, -1e30)
+            w = rng.standard_normal((2, 4, 6))
+            check_gradients(
+                lambda ts: weighted_sum_loss(
+                    T.scaled_dot_attention(ts[0], ts[1], ts[2], 3, key_bias), w),
+                [q, k, v], tol=1e-6)
 
     def test_composite_chain(self):
         # layernorm(conv(x W)) squeezed through softmax: mixed second derivatives.
