@@ -15,9 +15,9 @@ import time
 import numpy as np
 
 from qanet.data import Vocabulary, example_from_raw
-from qanet.model import ModelConfig
-from qanet.trainer import (OptimizerConfig, evaluate_model, load_checkpoint,
-                           train)
+from qanet.evaluation import evaluate
+from qanet.model import ModelConfig, predict_all
+from qanet.trainer import OptimizerConfig, load_checkpoint, train
 
 
 def synthetic_dataset(count=50, vocab_size=200, seed=60):
@@ -67,7 +67,8 @@ def main():
     elapsed = time.monotonic() - t0
 
     params, _, _, _, _ = load_checkpoint(result.checkpoint_path)
-    scores, predictions = evaluate_model(params, config, examples, vocab)
+    predictions = predict_all(params, config, examples, vocab)
+    scores = evaluate(predictions, examples)
     print(f"steps={result.steps_run} wall={elapsed:.1f}s "
           f"EM={scores.exact_match:.1f} F1={scores.f1:.1f}")
     for ex in examples[:3]:

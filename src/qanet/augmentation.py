@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import re
 import time
+import urllib.error
+import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .data import QaExample, example_from_raw, tokenize
 
@@ -57,23 +58,33 @@ class HttpTranslator:
                   direction: str) -> list[list[str]]:
         if direction not in ("forward", "back"):
             raise ValueError(f"unknown direction {direction!r}")
-        payload = {"texts": list(texts), "beam": beam, "direction": direction}
+        payload = json.dumps({"texts": list(texts), "beam": beam,
+                              "direction": direction}).encode("utf-8")
+        request = urllib.request.Request(
+            self.base_url + "/translate", data=payload,
+            headers={"Content-Type": "application/json"})
         last = None
         for attempt in range(self.retries + 1):
+            # urlopen raises HTTPError, a URLError, on any non-2xx status. A
+            # server hanging up unanswered raises RemoteDisconnected, a
+            # ConnectionError that urllib leaves unwrapped.
             try:
-                resp = requests.post(self.base_url + "/translate",
-                                     json=payload, timeout=self.timeout)
-            except (requests.ConnectionError, requests.Timeout) as err:
+                with urllib.request.urlopen(request,
+                                            timeout=self.timeout) as resp:
+                    raw = resp.read()
+            except urllib.error.HTTPError as err:
+                err.close()
+                raise TranslatorProtocolError(
+                    f"status {err.code} from {self.base_url}") from None
+            except (urllib.error.URLError, TimeoutError,
+                    ConnectionError) as err:
                 last = err
                 if attempt < self.retries:
                     time.sleep(self.backoff)
                 continue
-            if resp.status_code != 200:
-                raise TranslatorProtocolError(
-                    f"status {resp.status_code} from {self.base_url}")
             try:
-                body = resp.json()
-            except ValueError as err:
+                body = json.loads(raw.decode("utf-8"))
+            except ValueError as err:  # bad UTF-8 or bad JSON
                 raise TranslatorProtocolError(f"unparseable reply: {err}")
             return _check_reply(body, len(texts), beam)
         raise TranslatorUnavailable(
@@ -92,26 +103,6 @@ def _check_reply(body, n_texts: int, beam: int) -> list[list[str]]:
                 or not all(isinstance(s, str) for s in inner):
             raise TranslatorProtocolError("malformed translation list")
     return outer
-
-
-class ScriptedTranslator:
-    """Offline endpoint that replays a fixed (direction, text) -> list map.
-
-    Texts absent from the script fall back to identity, which makes the
-    default instance a pure identity translator.
-    """
-
-    def __init__(self, script: dict[tuple[str, str], list[str]] | None = None):
-        self.script = dict(script or {})
-        self.calls = []
-
-    def translate(self, texts, beam, direction):
-        self.calls.append((tuple(texts), beam, direction))
-        out = []
-        for text in texts:
-            hits = self.script.get((direction, text), [text])
-            out.append(list(hits[:beam]))
-        return out
 
 
 _SYNONYMS = {

@@ -21,8 +21,7 @@ from .config import RunConfig, from_flat, parse_override, resolve_config, to_fla
 from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
 from .evaluation import evaluate
-from .model import (init_model_params, model_forward, model_loss,
-                    predict_spans, span_text)
+from .model import init_model_params, model_forward, model_loss, predict_all
 from .tensor import backward, no_grad
 from .trainer import (checkpoint_seed, load_checkpoint, train, use_ema,
                       zero_grads)
@@ -55,17 +54,6 @@ def _random_word_matrix(vocab: Vocabulary, dim: int, seed: int) -> np.ndarray:
     return matrix
 
 
-def _predict_all(params, model_config, examples, vocab,
-                 batch_size: int = 32) -> dict[str, str]:
-    out = {}
-    for lo in range(0, len(examples), batch_size):
-        chunk = examples[lo:lo + batch_size]
-        batch = build_batch(chunk, vocab, char_limit=model_config.char_limit)
-        for ex, pred in zip(chunk, predict_spans(params, model_config, batch)):
-            out[ex.id] = span_text(ex, pred.start, pred.end)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -78,7 +66,9 @@ def _cmd_train(args) -> int:
     examples = parse_qa_json(paths.train_data, split="train",
                              max_context_len=config.model.max_context_len,
                              max_answer_len=config.model.max_answer_len)
-    if paths.vectors:
+    if args.resume:
+        vocab = matrix = None  # train() takes both from the checkpoint
+    elif paths.vectors:
         vocab, matrix = load_word_vectors(paths.vectors,
                                           config.model.word_dim,
                                           seed=config.seed)
@@ -136,8 +126,8 @@ def _cmd_predict(args) -> int:
                              max_context_len=model_config.max_context_len,
                              max_answer_len=model_config.max_answer_len)
     with use_ema(params, state):
-        predictions = _predict_all(params, model_config, examples, vocab,
-                                   batch_size=args.batch_size)
+        predictions = predict_all(params, model_config, examples, vocab,
+                                  batch_size=args.batch_size)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(predictions, fh, ensure_ascii=False, indent=2)
     print(json.dumps({"predictions": len(predictions), "path": args.out}))

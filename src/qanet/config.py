@@ -28,8 +28,6 @@ class AugmentationConfig:
     k: int = 5
     threshold: float = 0.5
     copies: int = 1
-    translator_url: str = ""
-    mock: bool = False
     mix_orig: float = 3.0
     mix_fr: float = 1.0
     mix_de: float = 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import CqAttentionParams, cq_attention_forward, init_cq_attention
-from .data import Batch, QaExample
+from .data import Batch, QaExample, Vocabulary, build_batch
 from .embedding import EmbeddingParams, embed, init_embedding_params
 from .encoder import EncoderBlockConfig, EncoderStackParams, encoder_stack_forward, init_encoder_stack
 from .span import (
@@ -171,3 +171,15 @@ def span_text(example: QaExample, start: int, end: int) -> str:
     lo = example.char_offsets[start][0]
     hi = example.char_offsets[end][1]
     return example.context_text[lo:hi]
+
+
+def predict_all(params: ModelParams, config: ModelConfig, examples,
+                vocab: Vocabulary, batch_size: int = 32) -> dict[str, str]:
+    """Predicted answer text for every example, keyed by example id."""
+    out = {}
+    for lo in range(0, len(examples), batch_size):
+        chunk = examples[lo:lo + batch_size]
+        batch = build_batch(chunk, vocab, char_limit=config.char_limit)
+        for ex, pred in zip(chunk, predict_spans(params, config, batch)):
+            out[ex.id] = span_text(ex, pred.start, pred.end)
+    return out

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "Tensor", "Tape", "backward", "no_grad",
+    "Tensor", "backward", "no_grad",
     "add", "subtract", "multiply", "scalar_scale", "matmul",
     "relu", "sigmoid", "log", "clamp_min", "softmax", "layernorm",
     "concat", "reshape", "swap_last_axes", "reduce_sum",
@@ -116,9 +116,6 @@ class Tensor:
             else:
                 self.grad[...] = 0.0
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -164,38 +161,6 @@ class TapeOp:
         self.backward_fn = backward_fn
 
 
-class Tape:
-    """Operations reachable from a root tensor, in topological order.
-
-    Every operation's inputs are produced by earlier entries, so replaying
-    ``ops`` in reverse propagates adjoints correctly.
-    """
-
-    def __init__(self, ops):
-        self.ops = ops
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        ops: list[TapeOp] = []
-        done: set[int] = set()
-        stack: list[tuple[TapeOp, bool]] = []
-        if root.op is not None:
-            stack.append((root.op, False))
-        while stack:
-            op, ready = stack.pop()
-            if op.out_id in done:
-                continue
-            if ready:
-                done.add(op.out_id)
-                ops.append(op)
-            else:
-                stack.append((op, True))
-                for t in op.inputs:
-                    if t.op is not None and t.op.out_id not in done:
-                        stack.append((t.op, False))
-        return cls(ops)
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(ancestor) into every requires_grad ancestor."""
     if loss.data.size != 1:
@@ -206,9 +171,26 @@ def backward(loss: Tensor) -> None:
             return
         raise DetachedTensor("loss has no recorded operations")
 
-    tape = Tape.trace(loss)
+    # Depth-first post-order: every op lands after the ops making its inputs,
+    # so the reverse replay sees each adjoint complete before it is used.
+    order: list[TapeOp] = []
+    done: set[int] = set()
+    stack: list[tuple[TapeOp, bool]] = [(loss.op, False)]
+    while stack:
+        op, ready = stack.pop()
+        if op.out_id in done:
+            continue
+        if ready:
+            done.add(op.out_id)
+            order.append(op)
+        else:
+            stack.append((op, True))
+            for t in op.inputs:
+                if t.op is not None and t.op.out_id not in done:
+                    stack.append((t.op, False))
+
     adjoints: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for op in reversed(tape.ops):
+    for op in reversed(order):
         grad_out = adjoints.pop(op.out_id, None)
         if grad_out is None:
             continue

@@ -20,7 +20,7 @@ from .data import Vocabulary, build_batch, make_batches
 from .evaluation import evaluate
 from .model import (
     ModelConfig, ModelParams, init_model_params, model_loss, named_parameters,
-    named_tensors, predict_spans, span_text,
+    named_tensors, predict_all,
 )
 from .tensor import backward
 
@@ -254,18 +254,6 @@ def _epoch_batches(examples, vocab, model_config, opt_config, seed, epoch):
                         char_limit=model_config.char_limit)
 
 
-def evaluate_model(params: ModelParams, model_config: ModelConfig, examples,
-                   vocab: Vocabulary, batch_size: int = 32):
-    """Greedy span predictions and official metrics for a whole dataset."""
-    predictions = {}
-    for lo in range(0, len(examples), batch_size):
-        chunk = examples[lo:lo + batch_size]
-        batch = build_batch(chunk, vocab, char_limit=model_config.char_limit)
-        for ex, pred in zip(chunk, predict_spans(params, model_config, batch)):
-            predictions[ex.id] = span_text(ex, pred.start, pred.end)
-    return evaluate(predictions, examples), predictions
-
-
 @dataclass
 class TrainResult:
     checkpoint_path: str
@@ -274,7 +262,7 @@ class TrainResult:
     records: list
 
 
-def train(examples, vocab: Vocabulary, word_matrix: np.ndarray | None,
+def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
           model_config: ModelConfig, opt_config: OptimizerConfig, seed: int,
           out_dir: str, dev_examples=None, eval_every: int = 0,
           checkpoint_every: int = 0, log_every: int = 1,
@@ -283,7 +271,9 @@ def train(examples, vocab: Vocabulary, word_matrix: np.ndarray | None,
 
     ``sampler`` (optional) is an infinite example stream that replaces the
     per-epoch shuffling; it is fast-forwarded on resume so the two paths
-    stay step-for-step deterministic.
+    stay step-for-step deterministic. On resume the vocabulary, weights and
+    seed come from ``resume_from`` (``vocab`` and ``word_matrix`` are not
+    read) and the metrics log is cut back to the checkpoint's step.
     """
     if not examples and sampler is None:
         raise ValueError("empty training set")
@@ -326,9 +316,16 @@ def train(examples, vocab: Vocabulary, word_matrix: np.ndarray | None,
         batches = probe if epoch == 0 else _epoch_batches(
             examples, vocab, model_config, opt_config, seed, epoch)
 
+    kept = []
+    if resume_from and os.path.exists(metrics_path):
+        # Records past the checkpoint (written before a crash, or by a run
+        # that went further) are about to be written again.
+        with open(metrics_path, encoding="utf-8") as fh:
+            kept = [line for line in fh
+                    if json.loads(line)["step"] <= state.step]
     records = []
-    log_fh = open(metrics_path, "a" if resume_from else "w",
-                  encoding="utf-8")
+    log_fh = open(metrics_path, "w", encoding="utf-8")
+    log_fh.writelines(kept)
 
     def emit(record):
         records.append(record)
@@ -365,9 +362,10 @@ def train(examples, vocab: Vocabulary, word_matrix: np.ndarray | None,
                 emit({"step": step, "loss": float(loss.data), "lr": lr})
             if eval_every and dev_examples and step % eval_every == 0:
                 with use_ema(params, state):
-                    result, _ = evaluate_model(params, model_config,
-                                               dev_examples, vocab,
-                                               opt_config.batch_size)
+                    predictions = predict_all(params, model_config,
+                                              dev_examples, vocab,
+                                              opt_config.batch_size)
+                result = evaluate(predictions, dev_examples)
                 emit({"step": step, "dev_em": result.exact_match,
                       "dev_f1": result.f1})
             if checkpoint_every and step % checkpoint_every == 0:

@@ -13,16 +13,17 @@ from test_cli import TINY_MODEL, _config_file, _dataset
 from test_evaluation import HAND_SCORED
 from test_trainer import scalar_box
 from gradcheck import check_gradients, relative_error, weighted_sum_loss
+from translators import ScriptedTranslator
 
 from qanet.attention import TrilinearWeights, context_query_attention
-from qanet.augmentation import (ScriptedTranslator, extract_answer,
-                                mixed_sampler, paraphrase_sentence, MixRatio)
+from qanet.augmentation import (extract_answer, mixed_sampler,
+                                paraphrase_sentence, MixRatio)
 from qanet.cli import main
 from qanet.data import (Vocabulary, build_batch, example_from_raw, tokenize)
 from qanet.encoder import residual_sublayer, survival_probability
 from qanet.evaluation import (evaluate, exact_match_score, f1_score,
                               metric_max_over_ground_truths)
-from qanet.model import ModelConfig, init_model_params, model_loss
+from qanet.model import ModelConfig, init_model_params, model_loss, predict_all
 from qanet.span import SpanHeadParams, dp_span_inference, span_distributions
 import qanet.tensor
 from qanet.tensor import (Tensor, add, backward, clamp_min, concat,
@@ -33,8 +34,8 @@ from qanet.tensor import (Tensor, add, backward, clamp_min, concat,
                           scaled_dot_attention, sigmoid, softmax, subtract,
                           swap_last_axes)
 from qanet.trainer import (OptimizerConfig, adam_step, ema_update,
-                           evaluate_model, init_train_state, load_checkpoint,
-                           lr_schedule, train, zero_grads)
+                           init_train_state, load_checkpoint, lr_schedule,
+                           train, zero_grads)
 from qanet.model import named_parameters
 
 
@@ -384,7 +385,8 @@ def test_06_overfit_synthetic(tmp_path):
         result = train(examples, vocab, matrix, config, opt, seed=1,
                        out_dir=str(tmp_path / "overfit"), log_every=100)
         params, _, _, _, _ = load_checkpoint(result.checkpoint_path)
-        scores, _ = evaluate_model(params, config, examples, vocab)
+        scores = evaluate(predict_all(params, config, examples, vocab),
+                          examples)
         elapsed = time.monotonic() - t0
         assert elapsed <= 300.0, f"overfit run took {elapsed:.0f}s"
         assert scores.exact_match >= 95.0, \

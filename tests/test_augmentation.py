@@ -2,6 +2,7 @@
 import json
 import socket
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -14,7 +15,6 @@ from qanet.augmentation import (
     HttpTranslator,
     MixRatio,
     RuleTranslator,
-    ScriptedTranslator,
     TranslatorProtocolError,
     TranslatorUnavailable,
     augment_examples,
@@ -27,6 +27,7 @@ from qanet.augmentation import (
     write_squad_json,
 )
 from qanet.data import example_from_raw, parse_qa_json
+from translators import ScriptedTranslator
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +310,8 @@ class TestRuleTranslator:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    rejected = 0  # hits on /reject
+
     def log_message(self, *args):
         pass
 
@@ -327,11 +330,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, "<html>not json</html>")
         elif self.path == "/missing/translate":
             self._reply(200, json.dumps({"result": "nope"}))
+        elif self.path == "/reject/translate":
+            _Handler.rejected += 1
+            self._reply(400, "bad request")
+        elif self.path == "/latin1/translate":
+            self._reply(200, json.dumps({"translations": [["é"]]},
+                                        ensure_ascii=False),
+                        encoding="latin-1")
         else:
             self._reply(500, "boom")
 
-    def _reply(self, status, text):
-        data = text.encode("utf-8")
+    def _reply(self, status, text, encoding="utf-8"):
+        data = text.encode(encoding)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -346,6 +356,46 @@ def http_port():
     thread.start()
     yield server.server_address[1]
     server.shutdown()
+    server.server_close()
+
+
+@contextmanager
+def _raw_server(handle):
+    """A bare TCP listener passing each accepted socket to ``handle``.
+
+    Yields the port and the list of accepted sockets, one per client
+    attempt.
+    """
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    listener.settimeout(0.05)
+    accepted, stop = [], threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            accepted.append(conn)
+            handle(conn)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], accepted
+    finally:
+        stop.set()
+        thread.join()
+        listener.close()
+        for conn in accepted:
+            conn.close()
+
+
+def _hang_up(conn):
+    conn.recv(65536)
+    conn.close()
 
 
 class TestHttpTranslator:
@@ -387,6 +437,35 @@ class TestHttpTranslator:
         t = HttpTranslator(f"http://127.0.0.1:{dead_port}", timeout=0.25,
                            retries=1, backoff=0.0)
         with pytest.raises(TranslatorUnavailable):
+            t.translate(["a"], 2, "forward")
+
+    def test_silent_server_is_retried_then_unavailable(self):
+        with _raw_server(lambda conn: None) as (port, accepted):
+            t = HttpTranslator(f"http://127.0.0.1:{port}", timeout=0.2,
+                               retries=2, backoff=0.0)
+            with pytest.raises(TranslatorUnavailable):
+                t.translate(["a"], 2, "forward")
+            assert len(accepted) == 3
+
+    def test_hang_up_is_retried_then_unavailable(self):
+        with _raw_server(_hang_up) as (port, accepted):
+            t = HttpTranslator(f"http://127.0.0.1:{port}", timeout=2.0,
+                               retries=2, backoff=0.0)
+            with pytest.raises(TranslatorUnavailable):
+                t.translate(["a"], 2, "forward")
+            assert len(accepted) == 3
+
+    def test_client_error_is_not_retried(self, http_port):
+        t = HttpTranslator(f"http://127.0.0.1:{http_port}/reject",
+                           retries=2, backoff=0.0)
+        before = _Handler.rejected
+        with pytest.raises(TranslatorProtocolError, match="400"):
+            t.translate(["a"], 2, "forward")
+        assert _Handler.rejected - before == 1
+
+    def test_bad_utf8_is_protocol_error(self, http_port):
+        t = HttpTranslator(f"http://127.0.0.1:{http_port}/latin1", retries=0)
+        with pytest.raises(TranslatorProtocolError):
             t.translate(["a"], 2, "forward")
 
     def test_bad_direction_rejected_client_side(self, http_port):

@@ -1,6 +1,9 @@
 """Config plumbing and end-to-end command-line flows on tiny fixtures."""
 import json
+import os
 import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,9 @@ from qanet.config import (
     to_flat,
 )
 from qanet.data import parse_qa_json
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
 
 TINY_MODEL = {
     "model.hidden_dim": 16, "model.num_heads": 2, "model.word_dim": 8,
@@ -122,6 +128,14 @@ class TestConfig:
         with pytest.raises(UnknownConfigKey, match="turbo"):
             from_flat({"turbo": True})
 
+    def test_endpoint_keys_rejected(self):
+        # qanet augment takes its endpoint from --translator-url or --mock
+        # only, so config keys naming one would be silently ignored.
+        for key, value in (("augment.translator_url", "http://x"),
+                           ("augment.mock", True)):
+            with pytest.raises(UnknownConfigKey, match=key):
+                from_flat({key: value})
+
     def test_bad_value_names_section(self):
         with pytest.raises(ValueError, match="optimizer"):
             from_flat({"optimizer.beta1": 1.5})
@@ -140,7 +154,8 @@ class TestConfig:
         assert parse_override("model.hidden_dim=64") == ("model.hidden_dim", 64)
         assert parse_override("paths.out_dir=runs/x") == ("paths.out_dir",
                                                           "runs/x")
-        assert parse_override("augment.mock=true") == ("augment.mock", True)
+        assert parse_override("augment.threshold=0.25") == \
+            ("augment.threshold", 0.25)
         with pytest.raises(ValueError):
             parse_override("no-equals-sign")
 
@@ -258,6 +273,62 @@ class TestTrainCommand:
         run("split", 2, "7")
         resumed = run("split", 4, "8",
                       resume=str(tmp_path / "split" / "model.ckpt"))
+        capsys.readouterr()
+        assert resumed == full
+
+    def test_resume_drops_records_past_checkpoint(self, trained, tmp_path,
+                                                  capsys):
+        """A resume from an older checkpoint rewrites the later records."""
+        extra = {"paths.dev_data": trained["data"], "eval_every": 2}
+
+        def run(name, steps, resume=None):
+            out = str(tmp_path / name)
+            cfg = _config_file(tmp_path / f"{name}-{steps}.json",
+                               trained["data"], out,
+                               extra=dict(extra, **{"optimizer.total_steps": steps}))
+            argv = ["train", "--config", cfg]
+            if resume:
+                argv += ["--resume", resume]
+            assert main(argv) == 0
+            with open(f"{out}/metrics.jsonl", "rb") as fh:
+                return fh.read()
+
+        full = run("full", 4)
+        run("split", 2)
+        ckpt = tmp_path / "split" / "model.ckpt"
+        older = tmp_path / "step2.ckpt"
+        older.write_bytes(ckpt.read_bytes())
+        run("split", 3, resume=str(ckpt))
+        resumed = run("split", 4, resume=str(older))
+        capsys.readouterr()
+        assert resumed == full
+
+    def test_resume_skips_vector_file(self, trained, tmp_path, capsys):
+        """Vocabulary and vectors come from the checkpoint on resume."""
+        vectors = tmp_path / "vectors.txt"
+        words = ["the", "big", "house", "was", "painted", "red", "blue"]
+        rows = np.random.default_rng(5).standard_normal((len(words), 8))
+        vectors.write_text("".join(
+            w + " " + " ".join(f"{v:.6f}" for v in row) + "\n"
+            for w, row in zip(words, rows)), encoding="utf-8")
+
+        def run(name, steps, resume=None):
+            out = str(tmp_path / name)
+            cfg = _config_file(tmp_path / f"{name}-{steps}.json",
+                               trained["data"], out,
+                               extra={"paths.vectors": str(vectors),
+                                      "optimizer.total_steps": steps})
+            argv = ["train", "--config", cfg]
+            if resume:
+                argv += ["--resume", resume]
+            assert main(argv) == 0
+            with open(f"{out}/metrics.jsonl", "rb") as fh:
+                return fh.read()
+
+        full = run("full", 4)
+        run("split", 2)
+        vectors.unlink()
+        resumed = run("split", 4, resume=str(tmp_path / "split" / "model.ckpt"))
         capsys.readouterr()
         assert resumed == full
 
@@ -429,12 +500,38 @@ class TestAugmentCommand:
         assert code != 0
         assert "mutually exclusive" in captured.err
 
+    def test_mock_config_key_exits_nonzero(self, tmp_path, capsys):
+        data = _dataset(tmp_path / "data.json", n=1)
+        code = main(["augment", "--data", data, "--set", "augment.mock=true",
+                     "--out", str(tmp_path / "a.json")])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "unknown config key 'augment.mock'" in captured.err
+
     def test_neither_endpoint_choice(self, tmp_path, capsys):
         data = _dataset(tmp_path / "data.json", n=1)
         code = main(["augment", "--data", data,
                      "--out", str(tmp_path / "a.json")])
         captured = capsys.readouterr()
         assert code != 0
+
+
+class TestDependencies:
+    def test_cli_imports_only_stdlib_and_numpy(self):
+        probe = ("import sys\n"
+                 "before = set(sys.modules)\n"
+                 "import qanet.cli\n"
+                 "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       SRC_DIR, os.environ.get("PYTHONPATH", "")])))
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout.split()
+        assert "qanet.cli" in loaded
+        outside = sorted({name.partition(".")[0] for name in loaded}
+                         - set(sys.stdlib_module_names) - {"numpy", "qanet"})
+        assert outside == []
 
 
 class TestBenchCommand:
