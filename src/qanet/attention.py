@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import MASK_BIAS, glorot
+from .encoder import glorot
 from .tensor import (
     DimensionMismatch, Tensor, add, concat, matmul, multiply, reshape,
     softmax, swap_last_axes,
@@ -71,21 +71,6 @@ def trilinear_similarity(C: Tensor, Q: Tensor, weights: TrilinearWeights) -> Ten
     return add(add(c_term, q_term), cross)
 
 
-def masked_softmax(logits: Tensor, mask: np.ndarray | None, axis: int) -> Tensor:
-    """Softmax with masked slots forced to exactly zero probability.
-
-    ``mask`` holds 1.0 at usable slots and 0.0 elsewhere, broadcastable to
-    ``logits``. The additive bias is large enough that masked terms
-    underflow to zero inside the softmax; the final multiply pins them to
-    an exact 0.0 even when a whole slice is masked.
-    """
-    if mask is None:
-        return softmax(logits, axis=axis)
-    mask = np.asarray(mask, dtype=np.float64)
-    shifted = add(logits, Tensor((mask - 1.0) * MASK_BIAS))
-    return multiply(softmax(shifted, axis=axis), Tensor(mask))
-
-
 def c2q_attention(S_row: Tensor, Q: Tensor) -> Tensor:
     if S_row.shape[-1] != Q.shape[-2]:
         raise DimensionMismatch(
@@ -122,8 +107,8 @@ def context_query_attention(context: Tensor, query: Tensor,
     S = trilinear_similarity(context, query, weights)
     q_mask = None if question_mask is None else np.asarray(question_mask)[..., None, :]
     c_mask = None if context_mask is None else np.asarray(context_mask)[..., :, None]
-    S_row = masked_softmax(S, q_mask, axis=-1)
-    S_col = masked_softmax(S, c_mask, axis=-2)
+    S_row = softmax(S, axis=-1, mask=q_mask)
+    S_col = softmax(S, axis=-2, mask=c_mask)
     A = c2q_attention(S_row, query)
     B = q2c_attention(S_row, S_col, context)
     return AttentionMatrices(S=S, S_row=S_row, S_col=S_col, A=A, B=B)

@@ -23,7 +23,7 @@ from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
 from .evaluation import evaluate
 from .model import init_model_params, model_forward, model_loss, predict_all
 from .tensor import backward, no_grad
-from .trainer import (checkpoint_seed, load_checkpoint, train, use_ema,
+from .trainer import (check_resume_config, load_checkpoint, train, use_ema,
                       zero_grads)
 
 
@@ -63,6 +63,12 @@ def _cmd_train(args) -> int:
     paths = config.paths
     if not paths.train_data:
         raise ValueError("paths.train_data is required for training")
+    # On resume the seed comes from the checkpoint, for train() and the
+    # sampler alike, and differing settings fail before out_dir is written.
+    seed = config.seed
+    if args.resume:
+        seed = check_resume_config(args.resume, config.model,
+                                   config.optimizer)["seed"]
     examples = parse_qa_json(paths.train_data, split="train",
                              max_context_len=config.model.max_context_len,
                              max_answer_len=config.model.max_answer_len)
@@ -96,9 +102,6 @@ def _cmd_train(args) -> int:
                                  max_answer_len=config.model.max_answer_len)
         ratio = MixRatio(config.augment.mix_orig, config.augment.mix_fr,
                          config.augment.mix_de)
-        # train() takes its seed from a resumed checkpoint; so must the
-        # sampler, or the resumed run draws a different example stream.
-        seed = checkpoint_seed(args.resume) if args.resume else config.seed
         sampler = mixed_sampler(
             [examples, pool(paths.augmented_fr), pool(paths.augmented_de)],
             ratio, seed=seed)

@@ -123,6 +123,12 @@ def _covering_token(offsets: list[tuple[int, int]], char_pos: int) -> int:
     raise UnalignableAnswer(f"no token covers char {char_pos}")
 
 
+def _answer_span(offsets, answer_text: str, answer_start: int) -> tuple[int, int]:
+    """Token span covering the answer's first and last characters."""
+    return (_covering_token(offsets, answer_start),
+            _covering_token(offsets, answer_start + len(answer_text) - 1))
+
+
 def example_from_raw(example_id: str, context: str, question: str,
                      answer_text: str, answer_start: int,
                      gold_answers: list[str] | None = None) -> QaExample:
@@ -131,8 +137,6 @@ def example_from_raw(example_id: str, context: str, question: str,
         raise MissingField("answer text")
     ctx_tokens = tokenize(context)
     offsets = [(t.start, t.end) for t in ctx_tokens]
-    start_tok = _covering_token(offsets, answer_start)
-    end_tok = _covering_token(offsets, answer_start + len(answer_text) - 1)
     ex = QaExample(
         id=example_id,
         context_text=context,
@@ -141,7 +145,7 @@ def example_from_raw(example_id: str, context: str, question: str,
         question_text=question,
         question_tokens=[t.text for t in tokenize(question)],
         answer_text=answer_text,
-        answer_span=(start_tok, end_tok),
+        answer_span=_answer_span(offsets, answer_text, answer_start),
         gold_answers=list(gold_answers) if gold_answers else [answer_text],
     )
     ex.validate()
@@ -197,18 +201,13 @@ def parse_qa_json(path, split: str = "train",
                 if split == "train":
                     if not answer_text:
                         raise MissingField("answer text")
-                    s = _covering_token(offsets, answer_start)
-                    e = _covering_token(offsets, answer_start + len(answer_text) - 1)
-                    if e - s + 1 > max_answer_len:
+                    span = _answer_span(offsets, answer_text, answer_start)
+                    if span[1] - span[0] + 1 > max_answer_len:
                         continue
-                    span = (s, e)
                 else:
-                    span = None
                     try:
-                        if answer_text:
-                            s = _covering_token(offsets, answer_start)
-                            e = _covering_token(offsets, answer_start + len(answer_text) - 1)
-                            span = (s, e)
+                        span = (_answer_span(offsets, answer_text, answer_start)
+                                if answer_text else None)
                     except UnalignableAnswer:
                         span = None
                 ex = QaExample(

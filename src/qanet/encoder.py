@@ -20,9 +20,6 @@ from .tensor import (
     dropout_mask, layernorm, matmul, multiply, relu, scaled_dot_attention,
 )
 
-MASK_BIAS = 1e30  # additive penalty that underflows to exactly zero weight
-
-
 class OddDimension(ValueError):
     """Sinusoidal position features need an even feature dimension."""
 
@@ -111,16 +108,13 @@ def multi_head_self_attention(x: Tensor, params: AttentionParams,
     ``x`` is (..., n, d). The q/k/v projections feed one
     :func:`~qanet.tensor.scaled_dot_attention` op, whose tape record keeps
     only the (..., heads, n, n) attention probabilities, and an output
-    projection follows. Padded keys (mask 0) receive a -1e30 logit bias,
-    which underflows to exactly zero attention weight after the softmax.
+    projection follows. ``mask`` (1.0 real, 0.0 padding) is the key mask:
+    padded keys get exactly zero attention weight.
     """
     q = add(matmul(x, params.query_w), params.query_b)
     k = add(matmul(x, params.key_w), params.key_b)
     v = add(matmul(x, params.value_w), params.value_b)
-    key_bias = None
-    if mask is not None:
-        key_bias = (np.asarray(mask, dtype=np.float64) - 1.0) * MASK_BIAS
-    merged = scaled_dot_attention(q, k, v, num_heads, key_bias)
+    merged = scaled_dot_attention(q, k, v, num_heads, mask)
     return add(matmul(merged, params.out_w), params.out_b)
 
 
@@ -172,6 +166,12 @@ def _ln_pair(dim: int) -> tuple[Tensor, Tensor]:
             Tensor(np.zeros(dim), requires_grad=True))
 
 
+def _dense_pair(rng, dim: int) -> tuple[Tensor, Tensor]:
+    """Glorot (dim, dim) weight and zero bias."""
+    return (Tensor(glorot(rng, dim, dim), requires_grad=True),
+            Tensor(np.zeros(dim), requires_grad=True))
+
+
 def init_encoder_stack(config: EncoderBlockConfig, rng) -> EncoderStackParams:
     d, k = config.hidden_dim, config.kernel_size
     blocks = []
@@ -184,26 +184,11 @@ def init_encoder_stack(config: EncoderBlockConfig, rng) -> EncoderStackParams:
                 depth_kernel=Tensor(glorot(rng, k, 1, (k, d)), requires_grad=True),
                 point_kernel=Tensor(glorot(rng, d, d), requires_grad=True),
                 bias=Tensor(np.zeros(d), requires_grad=True)))
-        g, b = _ln_pair(d)
-
-        def proj():
-            return (Tensor(glorot(rng, d, d), requires_grad=True),
-                    Tensor(np.zeros(d), requires_grad=True))
-
-        qw, qb = proj()
-        kw, kb = proj()
-        vw, vb = proj()
-        ow, ob = proj()
-        attn = AttentionParams(query_w=qw, query_b=qb, key_w=kw, key_b=kb,
-                               value_w=vw, value_b=vb, out_w=ow, out_b=ob)
-        attention = AttentionSublayerParams(ln_gain=g, ln_bias=b, attention=attn)
-        g, b = _ln_pair(d)
-        ffn = FeedForwardSublayerParams(
-            ln_gain=g, ln_bias=b,
-            inner_w=Tensor(glorot(rng, d, d), requires_grad=True),
-            inner_b=Tensor(np.zeros(d), requires_grad=True),
-            outer_w=Tensor(glorot(rng, d, d), requires_grad=True),
-            outer_b=Tensor(np.zeros(d), requires_grad=True))
+        # Query, key, value and output projections, drawn in field order.
+        attn = AttentionParams(*(t for _ in range(4) for t in _dense_pair(rng, d)))
+        attention = AttentionSublayerParams(*_ln_pair(d), attention=attn)
+        ffn = FeedForwardSublayerParams(*_ln_pair(d), *_dense_pair(rng, d),
+                                        *_dense_pair(rng, d))
         blocks.append(EncoderBlockParams(convs=convs, attention=attention,
                                          feed_forward=ffn))
     return EncoderStackParams(blocks=blocks)

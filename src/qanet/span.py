@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import masked_softmax
 from .encoder import glorot
 from .tensor import (
     DimensionMismatch, Tensor, add, clamp_min, concat, gather_last, log,
-    matmul, reduce_sum, reshape, scalar_scale,
+    matmul, reduce_sum, reshape, scalar_scale, softmax,
 )
 
 PROB_FLOOR = 1e-30
@@ -72,8 +71,8 @@ def span_distributions(M0: Tensor, M1: Tensor, M2: Tensor, W1: Tensor,
     if not (M0.shape == M1.shape == M2.shape):
         raise DimensionMismatch(
             f"encoder outputs differ: {M0.shape}, {M1.shape}, {M2.shape}")
-    p1 = masked_softmax(_logits(M0, M1, W1), mask, axis=-1)
-    p2 = masked_softmax(_logits(M0, M2, W2), mask, axis=-1)
+    p1 = softmax(_logits(M0, M1, W1), axis=-1, mask=mask)
+    p2 = softmax(_logits(M0, M2, W2), axis=-1, mask=mask)
     return SpanDistributions(p1=p1, p2=p2, mask=mask)
 
 

@@ -7,10 +7,12 @@ scalar loss in reverse topological order and accumulates gradients into
 every ``requires_grad`` ancestor. Repeated calls accumulate until grads are
 zeroed.
 
-A record keeps what its backward rule reads, usually the operands. The fused
-:func:`scaled_dot_attention` keeps only its attention probabilities beside
-its inputs, one (..., heads, n, m) array, and derives the softmax gradient
-from them; logits and per-head slices are never stored.
+A record keeps what its backward rule reads, usually the operands. There is
+one masked softmax, whose kernels :func:`softmax` and the fused
+:func:`scaled_dot_attention` share: a 0/1 mask gives slots exactly zero
+weight, and each op keeps only its probabilities (for attention one
+(..., heads, n, m) array beside the inputs) to derive the softmax gradient;
+logits and per-head slices are never stored.
 
 The engine itself is deterministic: dropout masks are drawn by callers from
 an explicit seeded generator and applied with :func:`dropout_apply`. A graph
@@ -104,11 +106,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise NotScalar(f"item() on shape {self.shape}")
-        return float(self.data.reshape(()))
-
     def zero_grad(self) -> None:
         if self.requires_grad:
             if self.grad is None:
@@ -119,33 +116,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Thin operator sugar over the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_scale(self, float(other))
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scalar_scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class TapeOp:
@@ -336,18 +306,47 @@ def clamp_min(x, floor: float) -> Tensor:
     return _result("clamp_min", (x,), out, lambda g: (g * above,))
 
 
-def softmax(x, axis: int = -1) -> Tensor:
+_MASK_PENALTY = 1e30  # added to masked logits; their exp underflows to exactly 0
+
+
+def _softmax_forward(z: np.ndarray, axis: int, mask) -> np.ndarray:
+    """Overwrite ``z`` with its softmax along ``axis``.
+
+    ``mask`` is None or a 0/1 array broadcasting to ``z``; slots with mask 0
+    get exactly zero weight. A slice with no usable slot, found from the
+    small mask rather than from ``z``, is pinned to zeros, not left uniform.
+    """
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        mask = mask.reshape((1,) * (z.ndim - mask.ndim) + mask.shape)
+        try:
+            z += (mask - 1.0) * _MASK_PENALTY
+        except ValueError:
+            raise DimensionMismatch(f"mask {mask.shape} vs {z.shape}") from None
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    if mask is not None:
+        empty = ~np.any(mask, axis=axis, keepdims=True)
+        if empty.any():
+            np.copyto(z, 0.0, where=empty)
+    return z
+
+
+def _softmax_backward(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """Overwrite ``g``, the gradient at softmax output ``p``, with the input's."""
+    g -= (g * p).sum(axis=axis, keepdims=True)
+    g *= p
+    return g
+
+
+def softmax(x, axis: int = -1, mask=None) -> Tensor:
+    """Softmax along ``axis``; a 0/1 ``mask`` broadcasting to ``x`` zeroes slots."""
     x = _as_tensor(x)
     ax = _normalize_axis(axis, x.ndim)
-    shifted = x.data - x.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
-
-    def bwd(g):
-        inner = (g * out).sum(axis=ax, keepdims=True)
-        return (out * (g - inner),)
-
-    return _result("softmax", (x,), out, bwd)
+    out = _softmax_forward(x.data.copy(), ax, mask)
+    return _result("softmax", (x,), out,
+                   lambda g: (_softmax_backward(g.copy(), out, ax),))
 
 
 _LAYERNORM_EPS = 1e-6
@@ -566,17 +565,18 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias) -> Tensor:
                    (x, depth_kernel, point_kernel, bias), out, bwd)
 
 
-def scaled_dot_attention(q, k, v, num_heads: int, key_bias=None) -> Tensor:
+def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
     """Multi-head scaled dot-product attention with every head in one op.
 
     ``q`` is (..., n, d); ``k`` and ``v`` are (..., m, d). The features split
     into ``num_heads`` contiguous heads of width dh = d / num_heads, each head
-    computes ``softmax(q kᵀ / sqrt(dh) + key_bias) v``, and the heads merge
-    back to (..., n, d). ``key_bias`` is an optional plain array that
-    broadcasts to (..., m) and is added to every logit of its key; -1e30
-    gives a key exactly zero weight.
+    computes ``softmax(q kᵀ / sqrt(dh)) v`` over the keys, and the heads
+    merge back to (..., n, d). ``key_mask`` is an optional 0/1 array that
+    broadcasts to (..., m); a key with mask 0 gets exactly zero weight, and
+    a query with no usable key attends to nothing and outputs zeros.
 
-    The tape keeps only the (..., h, n, m) probabilities ``P`` beside the
+    The logits are softmaxed in place by the kernel :func:`softmax` uses, and
+    the tape keeps only the (..., h, n, m) probabilities ``P`` beside the
     inputs; the backward works from ``P`` alone through
     ``dS = P * (dP - sum(dP * P)) / sqrt(dh)``.
     """
@@ -598,25 +598,17 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_bias=None) -> Tensor:
         return np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], d))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    probs = qh @ np.swapaxes(kh, -1, -2)
-    probs *= scale
-    if key_bias is not None:
-        try:
-            probs += np.asarray(key_bias, dtype=np.float64)[..., None, None, :]
-        except ValueError:
-            raise DimensionMismatch(
-                f"attention: key bias {np.shape(key_bias)} vs keys {k.shape}") from None
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    logits = qh @ np.swapaxes(kh, -1, -2)
+    logits *= scale
+    if key_mask is not None:  # (..., m) -> (..., 1, 1, m) against (..., h, n, m)
+        key_mask = np.asarray(key_mask, dtype=np.float64)[..., None, None, :]
+    probs = _softmax_forward(logits, -1, key_mask)
     out = merge(probs @ vh)
 
     def bwd(g):
         gh = split(g)
         g_v = np.swapaxes(probs, -1, -2) @ gh
-        g_s = gh @ np.swapaxes(vh, -1, -2)
-        g_s -= (g_s * probs).sum(axis=-1, keepdims=True)
-        g_s *= probs
+        g_s = _softmax_backward(gh @ np.swapaxes(vh, -1, -2), probs, -1)
         g_s *= scale
         g_q = g_s @ kh
         g_k = np.swapaxes(np.swapaxes(qh, -1, -2) @ g_s, -1, -2)

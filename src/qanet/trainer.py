@@ -40,6 +40,14 @@ class CheckpointShapeMismatch(ValueError):
     """A stored tensor does not fit the model being restored."""
 
 
+class ConfigMismatch(ValueError):
+    """A resumed run's settings differ from those stored in its checkpoint."""
+
+
+class NonFiniteStep(FloatingPointError):
+    """A training step produced an infinite or NaN loss or gradient."""
+
+
 @dataclass
 class OptimizerConfig:
     beta1: float = 0.8
@@ -187,10 +195,35 @@ def save_checkpoint(path: str, params: ModelParams, state: TrainState,
     os.replace(tmp, path)
 
 
-def checkpoint_seed(path: str) -> int:
-    """The run seed stored in a checkpoint's header; no tensors are read."""
+def check_resume_config(path: str, model_config: ModelConfig,
+                        opt_config: OptimizerConfig) -> dict:
+    """Checkpoint ``path``'s header, once the run's settings match it.
+
+    Every model and optimizer setting but ``optimizer.total_steps`` is baked
+    into the stored weights and moments; any difference raises
+    :class:`ConfigMismatch` naming each key with both values.
+    """
     with open(path, "rb") as fh:
-        return json.loads(fh.readline().decode("utf-8"))["seed"]
+        header = json.loads(fh.readline().decode("utf-8"))
+    differ = []
+    for section, ours in (("model", model_config), ("optimizer", opt_config)):
+        stored = header[f"{section}_config"]
+        differ += [f"{section}.{key} (checkpoint {stored[key]!r}, run {value!r})"
+                   for key, value in asdict(ours).items()
+                   if key != "total_steps" and value != stored[key]]
+    if differ:
+        raise ConfigMismatch(f"settings differ from checkpoint {path}: "
+                             + ", ".join(differ))
+    return header
+
+
+def check_finite(step: int, loss, params) -> None:
+    """Raise :class:`NonFiniteStep` on an inf/NaN loss or gradient."""
+    bad = [name for name, t in named_parameters(params)
+           if t.grad is not None and not np.isfinite(t.grad).all()]
+    if bad or not np.isfinite(loss.data):
+        raise NonFiniteStep(f"step {step}: loss {float(loss.data)}, first "
+                            f"non-finite gradient in {bad[0] if bad else 'none'}")
 
 
 def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -273,24 +306,19 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
     per-epoch shuffling; it is fast-forwarded on resume so the two paths
     stay step-for-step deterministic. On resume the vocabulary, weights and
     seed come from ``resume_from`` (``vocab`` and ``word_matrix`` are not
-    read) and the metrics log is cut back to the checkpoint's step.
+    read), every other setting must match the checkpoint's, and the metrics
+    log is cut back to the checkpoint's step. A non-finite loss or gradient
+    stops the run before that step's update, log record or checkpoint.
     """
     if not examples and sampler is None:
         raise ValueError("empty training set")
-    os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     checkpoint_path = os.path.join(out_dir, "model.ckpt")
 
     if resume_from:
-        params, state, model_config, stored_opt, vocab = load_checkpoint(resume_from)
+        check_resume_config(resume_from, model_config, opt_config)
+        params, state, _, _, vocab = load_checkpoint(resume_from)
         seed = state.seed
-        # The caller may extend total_steps; every other optimizer field is
-        # baked into the stored moments and must match.
-        ours, theirs = asdict(opt_config), asdict(stored_opt)
-        ours.pop("total_steps")
-        theirs.pop("total_steps")
-        if ours != theirs:
-            raise ValueError("optimizer settings differ from checkpoint")
     else:
         if word_matrix is None:
             raise ValueError("word vectors required when starting fresh")
@@ -316,6 +344,7 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
         batches = probe if epoch == 0 else _epoch_batches(
             examples, vocab, model_config, opt_config, seed, epoch)
 
+    os.makedirs(out_dir, exist_ok=True)
     kept = []
     if resume_from and os.path.exists(metrics_path):
         # Records past the checkpoint (written before a crash, or by a run
@@ -354,6 +383,7 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
             loss, _ = model_loss(params, model_config, batch,
                                  train_mode=True, rng=step_rng)
             backward(loss)
+            check_finite(step, loss, params)
             lr = adam_step(params, state, opt_config)
             ema_update(state, params, opt_config.ema_decay)
 

@@ -108,6 +108,15 @@ def _op_sweep(rng):
                   lambda ts: weighted_sum_loss(softmax(ts[0], -1), w)))
     cases.append(("softmax:mid", [a.copy()],
                   lambda ts: weighted_sum_loss(softmax(ts[0], -2), w)))
+    # 0/1 masks with one wholly masked slice: zero weight, zero gradient.
+    last_mask = np.array([[[1, 0, 1, 1]], [[0, 0, 0, 0]]], dtype=np.float64)
+    cases.append(("softmax:masked_last", [a.copy()],
+                  lambda ts: weighted_sum_loss(
+                      softmax(ts[0], -1, mask=last_mask), w)))
+    mid_mask = np.array([[1, 1, 0], [0, 1, 0]], dtype=np.float64)[:, :, None]
+    cases.append(("softmax:masked_mid", [a.copy()],
+                  lambda ts: weighted_sum_loss(
+                      softmax(ts[0], -2, mask=mid_mask), w)))
     gain = rng.standard_normal(4)
     bias = rng.standard_normal(4)
     cases.append(("layernorm", [a.copy(), gain, bias],
@@ -149,17 +158,17 @@ def _op_sweep(rng):
     cases.append(("depthwise_separable_conv1d", [cx, dk, pk, cb],
                   lambda ts: weighted_sum_loss(
                       depthwise_separable_conv1d(*ts), wcv)))
-    # Two heads of width 3; -1e30 key bias on padded keys.
+    # Two heads of width 3; key mask 0 on padded keys.
     qkv = [rng.standard_normal((2, 4, 6)) for _ in range(3)]
     wa = rng.standard_normal((2, 4, 6))
-    padded = (np.array([[1, 1, 1, 0], [1, 1, 0, 0]]) - 1.0) * 1e30
+    padded = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
     cases.append(("scaled_dot_attention:batched_padded", qkv,
                   lambda ts: weighted_sum_loss(
                       scaled_dot_attention(*ts, 2, padded), wa)))
     cases.append(("scaled_dot_attention:single", [a[0] for a in qkv],
                   lambda ts: weighted_sum_loss(
                       scaled_dot_attention(*ts, 2), wa[0])))
-    lone = (np.array([[1, 0, 0, 0], [1, 1, 1, 1]]) - 1.0) * 1e30
+    lone = np.array([[1, 0, 0, 0], [1, 1, 1, 1]], dtype=np.float64)
     cases.append(("scaled_dot_attention:one_real_key", [a.copy() for a in qkv],
                   lambda ts: weighted_sum_loss(
                       scaled_dot_attention(*ts, 2, lone), wa)))
@@ -488,7 +497,8 @@ def test_10_determinism_and_resume(tmp_path):
             assert main(argv) == 0, name
             with open(f"{out}/metrics.jsonl", encoding="utf-8") as fh:
                 records = [json.loads(line) for line in fh]
-            ckpt = open(f"{out}/model.ckpt", "rb").read()
+            with open(f"{out}/model.ckpt", "rb") as fh:
+                ckpt = fh.read()
             return records, ckpt
 
         rec_a, ckpt_a = run("full-a", 6)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from qanet.attention import (
     AttentionMatrices, CqAttentionParams, TrilinearWeights, c2q_attention,
     context_query_attention, cq_attention_forward, fuse, init_cq_attention,
-    masked_softmax, q2c_attention, trilinear_similarity,
+    q2c_attention, trilinear_similarity,
 )
-from qanet.tensor import DimensionMismatch, Tensor, no_grad
+from qanet.tensor import (
+    DimensionMismatch, Tensor, add, backward, multiply, no_grad, softmax,
+)
 
 from gradcheck import check_gradients, weighted_sum_loss
 
@@ -117,8 +119,8 @@ class TestAttentionHops:
         rng = np.random.default_rng(7)
         C = rng.standard_normal((3, 4))
         S = Tensor(np.eye(3) * 50.0)
-        S_row = masked_softmax(S, None, axis=-1)
-        S_col = masked_softmax(S, None, axis=-2)
+        S_row = softmax(S, axis=-1)
+        S_col = softmax(S, axis=-2)
         B = q2c_attention(S_row, S_col, Tensor(C)).data
         np.testing.assert_allclose(B, C, atol=1e-9)
 
@@ -221,9 +223,75 @@ class TestMasking:
         S = trilinear_similarity(Tensor(C), Tensor(Q), w)
         shifted = Tensor(S.data + 7.5)
         for axis, mask in ((-1, q_mask[:, None, :]), (-2, c_mask[:, :, None])):
-            a = masked_softmax(S, mask, axis=axis).data
-            b = masked_softmax(shifted, mask, axis=axis).data
+            a = softmax(S, axis=axis, mask=mask).data
+            b = softmax(shifted, axis=axis, mask=mask).data
             np.testing.assert_allclose(a, b, atol=1e-9)
+
+
+def reference_masked_softmax(logits, mask, axis):
+    """The three-op chain the fused masked softmax replaced: the oracle.
+
+    Masked logits get a -1e30 bias, a plain softmax runs, and a multiply by
+    the mask pins masked slots (and wholly masked slices) to exact zeros.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    shifted = add(logits, Tensor((mask - 1.0) * 1e30))
+    return multiply(softmax(shifted, axis=axis), Tensor(mask))
+
+
+class TestMaskedSoftmaxMatchesChain:
+    """``softmax(x, axis, mask)`` against the three-op reference chain."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_values_and_gradients_equal(self, axis, seed):
+        rng = np.random.default_rng(100 + seed)
+        x = rng.standard_normal((3, 6, 5)) * 4.0
+        mask_shape = (3, 1, 5) if axis == -1 else (3, 6, 1)
+        mask = (rng.random(mask_shape) < 0.6).astype(np.float64)
+        usable = np.moveaxis(mask, axis, 0)
+        usable[0] = 1.0  # every slice keeps a usable slot
+        w = rng.standard_normal(x.shape)
+
+        def run(attend):
+            t = Tensor(x.copy(), requires_grad=True)
+            out = attend(t)
+            backward(weighted_sum_loss(out, w))
+            return out.data, t.grad
+
+        fused = run(lambda t: softmax(t, axis=axis, mask=mask))
+        chain = run(lambda t: reference_masked_softmax(t, mask, axis))
+        assert fused[0].tobytes() == chain[0].tobytes()
+        assert fused[1].tobytes() == chain[1].tobytes()
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_fully_masked_slice_is_zero(self, axis):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+        mask = np.ones((2, 1, 3) if axis == -1 else (2, 4, 1))
+        mask[1] = 0.0  # the second batch entry has no usable slot
+        out = softmax(x, axis=axis, mask=mask)
+        backward(weighted_sum_loss(out, rng.standard_normal(x.shape)))
+        np.testing.assert_array_equal(out.data[1], np.zeros((4, 3)))
+        np.testing.assert_array_equal(x.grad[1], np.zeros((4, 3)))
+        np.testing.assert_allclose(out.data[0].sum(axis=axis), 1.0, atol=1e-12)
+        assert np.all(x.grad[0] != 0.0)
+
+    def test_mask_that_does_not_broadcast_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            softmax(Tensor(np.zeros((2, 3))), axis=-1, mask=np.ones(4))
+        with pytest.raises(DimensionMismatch):
+            softmax(Tensor(np.zeros(3)), axis=-1, mask=np.ones((2, 3)))
+
+    def test_empty_question_gives_zero_row_attention(self):
+        C, Q = np.ones((2, 4, 3)), np.ones((2, 2, 3))
+        q_mask = np.array([[1.0, 1.0], [0.0, 0.0]])
+        out = context_query_attention(Tensor(C), Tensor(Q),
+                                      rand_weights(3, np.random.default_rng(2)),
+                                      np.ones((2, 4)), q_mask)
+        np.testing.assert_array_equal(out.S_row.data[1], np.zeros((4, 2)))
+        np.testing.assert_array_equal(out.A.data[1], np.zeros((4, 3)))
+        assert np.all(np.isfinite(out.B.data))
 
 
 class TestForward:

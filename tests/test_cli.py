@@ -332,6 +332,24 @@ class TestTrainCommand:
         capsys.readouterr()
         assert resumed == full
 
+    def test_resume_with_other_model_config_fails_untouched(self, trained,
+                                                           tmp_path, capsys):
+        """A resume may not swap the checkpoint's model settings in silently."""
+        out = tmp_path / "run"
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
+                           extra={"optimizer.total_steps": 2})
+        assert main(["train", "--config", cfg]) == 0
+        names = ("model.ckpt", "metrics.jsonl", "config.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        capsys.readouterr()
+        code = main(["train", "--config", cfg, "--set", "model.hidden_dim=32",
+                     "--set", "optimizer.total_steps=4",
+                     "--resume", str(out / "model.ckpt")])
+        err = capsys.readouterr().err
+        assert code != 0
+        assert "model.hidden_dim (checkpoint 16, run 32)" in err
+        assert {name: (out / name).read_bytes() for name in names} == before
+
     def test_env_var_config_fallback(self, trained, tmp_path, capsys,
                                      monkeypatch):
         out = str(tmp_path / "env-run")
@@ -365,7 +383,8 @@ class TestPredictEvaluateCommands:
         assert outs[0] == outs[1]
 
     def test_corrupt_checkpoint_names_tensor(self, trained, tmp_path, capsys):
-        raw = open(trained["checkpoint"], "rb").read()
+        with open(trained["checkpoint"], "rb") as fh:
+            raw = fh.read()
         split_at = raw.index(b"\n")
         header = json.loads(raw[:split_at].decode("utf-8"))
         grown = 0

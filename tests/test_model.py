@@ -17,7 +17,7 @@ TOY = dict(hidden_dim=16, num_heads=2, word_dim=8, char_dim=6, char_limit=4,
            dropout=0.0, word_dropout=0.0, char_dropout=0.0, survival_end=1.0)
 
 
-def toy_setup(seed=0, n_examples=3):
+def toy_setup(seed=0, n_examples=3, empty_question=False):
     config = ModelConfig(**TOY)
     rng = np.random.default_rng(seed)
     vocab = Vocabulary()
@@ -33,6 +33,8 @@ def toy_setup(seed=0, n_examples=3):
         context = " ".join(ctx_words)
         # One out-of-vocabulary question word so the UNK vector trains.
         question = " ".join(words[j] for j in range(2)) + " zyx"
+        if empty_question and i == 0:
+            question = ""
         examples.append(example_from_raw(
             f"ex{i}", context, question, ctx_words[s],
             len(" ".join(ctx_words[:s])) + (1 if s else 0)))
@@ -113,6 +115,17 @@ class TestMaskingEndToEnd:
         poked.context_chars[pad_rows] = 3
         loss_b, _ = model_loss(params, config, batch)
         assert loss_a.data == loss_b.data
+
+    def test_empty_question_gives_finite_loss_and_gradients(self):
+        # No real question token: every attention over the question has no
+        # usable slot and must give zero weights, not NaN.
+        config, params, batch = toy_setup(seed=7, empty_question=True)
+        assert not batch.question_mask[0].any()
+        loss, _ = model_loss(params, config, batch)
+        assert np.isfinite(loss.data)
+        backward(loss)
+        for name, t in named_parameters(params):
+            assert np.all(np.isfinite(t.grad)), name
 
     def test_predictions_respect_mask_and_window(self):
         config, params, batch = toy_setup(seed=4)

@@ -117,8 +117,21 @@ class TestForwardValues:
             T.scaled_dot_attention(x, x, x, 4)
         with pytest.raises(T.DimensionMismatch):
             T.scaled_dot_attention(x, x, Tensor(np.ones((2, 3, 6))), 2)
-        with pytest.raises(T.DimensionMismatch, match="key bias"):
+        with pytest.raises(T.DimensionMismatch, match="mask"):
             T.scaled_dot_attention(x, x, x, 2, np.zeros((2, 5)))
+
+    def test_scaled_dot_attention_fully_masked_query_is_zero(self):
+        rng = np.random.default_rng(21)
+        qkv = [Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
+               for _ in range(3)]
+        key_mask = np.array([[1.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        out = T.scaled_dot_attention(*qkv, 2, key_mask)
+        backward(weighted_sum_loss(out, rng.standard_normal((2, 4, 6))))
+        np.testing.assert_array_equal(out.data[1], np.zeros((4, 6)))
+        for t in qkv:
+            np.testing.assert_array_equal(t.grad[1], np.zeros((4, 6)))
+            assert np.any(t.grad[0] != 0.0)
+        assert np.all(qkv[1].grad[0, 2] == 0.0)  # the masked key
 
     def test_finite_outputs_on_finite_inputs(self):
         x = rand(6, 8, scale=50.0)
@@ -338,13 +351,12 @@ class TestGradientGate:
             q = rng.standard_normal((2, 4, 6))
             k = rng.standard_normal((2, 3, 6))
             v = rng.standard_normal((2, 3, 6))
-            real = rng.random((2, 3)) < 0.6
-            real[:, 0] = True  # every row keeps at least one key
-            key_bias = np.where(real, 0.0, -1e30)
+            key_mask = (rng.random((2, 3)) < 0.6).astype(np.float64)
+            key_mask[:, 0] = 1.0  # every row keeps at least one key
             w = rng.standard_normal((2, 4, 6))
             check_gradients(
                 lambda ts: weighted_sum_loss(
-                    T.scaled_dot_attention(ts[0], ts[1], ts[2], 3, key_bias), w),
+                    T.scaled_dot_attention(ts[0], ts[1], ts[2], 3, key_mask), w),
                 [q, k, v], tol=1e-6)
 
     def test_composite_chain(self):

@@ -10,10 +10,12 @@ import pytest
 from qanet.data import Vocabulary, example_from_raw
 from qanet.model import ModelConfig, named_parameters
 from qanet.tensor import Tensor, add
+import qanet.trainer
 from qanet.trainer import (
-    CheckpointShapeMismatch, MissingGradient, OptimizerConfig, adam_step,
-    config_fingerprint, ema_update, init_train_state, load_checkpoint,
-    lr_schedule, read_checkpoint, save_checkpoint, train, use_ema,
+    CheckpointShapeMismatch, ConfigMismatch, MissingGradient, NonFiniteStep,
+    OptimizerConfig, adam_step, check_finite, config_fingerprint, ema_update,
+    init_train_state, load_checkpoint, lr_schedule, read_checkpoint,
+    save_checkpoint, train, use_ema,
 )
 
 TOY = dict(hidden_dim=16, num_heads=2, word_dim=8, char_dim=6, char_limit=4,
@@ -280,6 +282,49 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             self.run(tmp_path, "bad", opt=short_opt(target_lr=0.5),
                      resume_from=part.checkpoint_path)
+
+    def test_resume_rejects_changed_model_naming_each_key(self, tmp_path):
+        part = self.run(tmp_path, "part", opt=short_opt(total_steps=3))
+        examples, vocab, matrix = tiny_dataset()
+        other = ModelConfig(**{**TOY, "hidden_dim": 32, "dropout": 0.0})
+        bad_dir = os.path.join(tmp_path, "bad")
+        with pytest.raises(ConfigMismatch) as err:
+            train(examples, vocab, matrix, other, short_opt(), seed=5,
+                  out_dir=bad_dir, resume_from=part.checkpoint_path)
+        assert "model.hidden_dim (checkpoint 16, run 32)" in str(err.value)
+        assert "model.dropout (checkpoint 0.1, run 0.0)" in str(err.value)
+        assert not os.path.exists(bad_dir)
+
+    def test_non_finite_gradient_stops_before_update(self, tmp_path,
+                                                     monkeypatch):
+        ckpt = os.path.join(tmp_path, "nan", "model.ckpt")
+        real_loss = qanet.trainer.model_loss
+        calls, saved = [], []
+
+        def poisoned(params, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                with open(ckpt, "rb") as fh:
+                    saved.append(fh.read())  # written after step 2
+                # Grads are zeroed before the loss; backward adds onto this.
+                params.span.w2.grad[1] = np.nan
+            return real_loss(params, *args, **kwargs)
+
+        monkeypatch.setattr(qanet.trainer, "model_loss", poisoned)
+        with pytest.raises(NonFiniteStep, match=r"step 3: .* span\.w2$"):
+            self.run(tmp_path, "nan", checkpoint_every=1)
+        with open(ckpt, "rb") as fh:
+            assert fh.read() == saved[0]
+        assert read_checkpoint(ckpt)[0]["step"] == 2
+        with open(os.path.join(tmp_path, "nan", "metrics.jsonl"),
+                  encoding="utf-8") as fh:
+            assert [json.loads(line)["step"] for line in fh] == [1, 2]
+
+    def test_non_finite_loss_named(self):
+        box = scalar_box()
+        with pytest.raises(NonFiniteStep, match="step 4: loss inf"):
+            check_finite(4, Tensor(np.inf), box)
+        check_finite(4, Tensor(1.0), box)
 
     def test_frozen_word_rows_bitwise_stable(self, tmp_path):
         examples, vocab, matrix = tiny_dataset()
