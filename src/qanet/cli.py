@@ -170,14 +170,12 @@ def _parse_endpoint_flags(urls, mock: bool):
 
 def _cmd_augment(args) -> int:
     config = _resolved_config(args)
-    k = args.k if args.k is not None else config.augment.k
-    threshold = (args.threshold if args.threshold is not None
-                 else config.augment.threshold)
     endpoints = _parse_endpoint_flags(args.translator_url, args.mock)
     examples = parse_qa_json(args.data, split="train",
                              max_context_len=config.model.max_context_len,
                              max_answer_len=config.model.max_answer_len)
-    pools = augment_examples(examples, endpoints, k=k, threshold=threshold,
+    pools = augment_examples(examples, endpoints, k=config.augment.k,
+                             threshold=config.augment.threshold,
                              seed=config.seed, copies=config.augment.copies)
     combined = []
     for tag in sorted(pools):
@@ -302,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "optional tag names the pool, default fr)")
     p.add_argument("--mock", action="store_true",
                    help="use the built-in deterministic translator")
-    p.add_argument("--k", type=int, help="beam width both directions")
-    p.add_argument("--threshold", type=float,
-                   help="answer survival score floor")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment)
 

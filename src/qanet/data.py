@@ -169,7 +169,7 @@ def parse_qa_json(path, split: str = "train",
     listed answer becomes the label. Eval split: nothing is discarded;
     contexts are truncated to ``max_context_len`` tokens, the label span is
     kept only if it survives truncation, and every answer string is kept
-    for scoring.
+    for scoring. A question with no token is rejected, naming its id.
     """
     if split not in ("train", "eval"):
         raise ValueError(f"unknown split {split!r}")
@@ -190,6 +190,11 @@ def parse_qa_json(path, split: str = "train",
             offsets = [(t.start, t.end) for t in kept]
             texts = [t.text for t in kept]
             for qa in _get(paragraph, "qas"):
+                qid = _get(qa, "id")
+                question = _get(qa, "question")
+                question_tokens = [t.text for t in tokenize(question)]
+                if not question_tokens:
+                    raise ValueError(f"{qid}: question has no token")
                 answers = _get(qa, "answers")
                 if not answers:
                     raise MissingField("answers")
@@ -211,12 +216,12 @@ def parse_qa_json(path, split: str = "train",
                     except UnalignableAnswer:
                         span = None
                 ex = QaExample(
-                    id=_get(qa, "id"),
+                    id=qid,
                     context_text=context,
                     context_tokens=texts,
                     char_offsets=offsets,
-                    question_text=_get(qa, "question"),
-                    question_tokens=[t.text for t in tokenize(_get(qa, "question"))],
+                    question_text=question,
+                    question_tokens=question_tokens,
                     answer_text=answer_text,
                     answer_span=span,
                     gold_answers=golds,
@@ -345,7 +350,8 @@ def build_batch(examples: list[QaExample], vocab: Vocabulary,
     if not examples:
         raise EmptyDataset("empty batch")
     n = max(len(ex.context_tokens) for ex in examples)
-    m = max(len(ex.question_tokens) for ex in examples)
+    # At least one masked slot, so a batch of empty questions keeps its axis.
+    m = max(1, max(len(ex.question_tokens) for ex in examples))
     b = len(examples)
     ctx = np.zeros((b, n), dtype=np.int64)
     ctx_ch = np.zeros((b, n, char_limit), dtype=np.int64)

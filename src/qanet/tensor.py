@@ -4,8 +4,9 @@ Values are stored as row-major 64-bit numpy arrays. Every operation computes
 its result eagerly and, when any input requires gradients, hangs a tape
 record off the output. ``backward`` walks the records reachable from a
 scalar loss in reverse topological order and accumulates gradients into
-every ``requires_grad`` ancestor. Repeated calls accumulate until grads are
-zeroed.
+the leaves only: ``requires_grad`` tensors no op produced. The adjoints of
+op outputs live only while ``backward`` runs, so an output's ``.grad``
+stays None. Repeated calls accumulate until the leaves' grads are zeroed.
 
 A record keeps what its backward rule reads, usually the operands. There is
 one masked softmax, whose kernels :func:`softmax` and the fused
@@ -21,10 +22,8 @@ fine.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import threading
-import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -67,7 +66,6 @@ class IdOutOfRange(IndexError):
     """Lookup index outside the table."""
 
 
-_node_ids = itertools.count()
 _local = threading.local()
 
 
@@ -89,13 +87,12 @@ def no_grad():
 class Tensor:
     """A float64 array plus optional gradient buffer and tape linkage."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "op", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self.node_id = next(_node_ids)
         self.op = None  # TapeOp that produced this tensor, if any
 
     @property
@@ -106,33 +103,24 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def zero_grad(self) -> None:
-        if self.requires_grad:
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            else:
-                self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
 
 class TapeOp:
-    """One recorded operation: inputs, output id and its backward rule."""
+    """One recorded operation: its inputs and its backward rule."""
 
-    __slots__ = ("name", "inputs", "out_id", "out_ref", "backward_fn")
+    __slots__ = ("name", "inputs", "backward_fn")
 
-    def __init__(self, name, inputs, out, backward_fn):
+    def __init__(self, name, inputs, backward_fn):
         self.name = name
         self.inputs = tuple(inputs)
-        self.out_id = out.node_id
-        self.out_ref = weakref.ref(out)
         self.backward_fn = backward_fn
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(ancestor) into every requires_grad ancestor."""
+    """Accumulate d(loss)/d(leaf) into requires_grad leaves, and only them."""
     if loss.data.size != 1:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
     if loss.op is None:
@@ -143,39 +131,36 @@ def backward(loss: Tensor) -> None:
 
     # Depth-first post-order: every op lands after the ops making its inputs,
     # so the reverse replay sees each adjoint complete before it is used.
+    # An op's output is keyed by id(op); the graph keeps every op alive.
     order: list[TapeOp] = []
     done: set[int] = set()
     stack: list[tuple[TapeOp, bool]] = [(loss.op, False)]
     while stack:
         op, ready = stack.pop()
-        if op.out_id in done:
+        if id(op) in done:
             continue
         if ready:
-            done.add(op.out_id)
+            done.add(id(op))
             order.append(op)
         else:
             stack.append((op, True))
             for t in op.inputs:
-                if t.op is not None and t.op.out_id not in done:
+                if t.op is not None and id(t.op) not in done:
                     stack.append((t.op, False))
 
-    adjoints: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    adjoints: dict[int, np.ndarray] = {id(loss.op): np.ones_like(loss.data)}
     for op in reversed(order):
-        grad_out = adjoints.pop(op.out_id, None)
+        grad_out = adjoints.pop(id(op), None)
         if grad_out is None:
             continue
-        out_t = op.out_ref()
-        if out_t is not None and out_t.requires_grad:
-            out_t.grad = grad_out if out_t.grad is None else out_t.grad + grad_out
         for t, g in zip(op.inputs, op.backward_fn(grad_out)):
             if g is None or not t.requires_grad:
                 continue
             if t.op is None:
-                # Leaf: deposit straight into the grad buffer.
                 t.grad = g.copy() if t.grad is None else t.grad + g
             else:
-                held = adjoints.get(t.node_id)
-                adjoints[t.node_id] = g if held is None else held + g
+                held = adjoints.get(id(t.op))
+                adjoints[id(t.op)] = g if held is None else held + g
 
 
 def as_array(x) -> np.ndarray:
@@ -189,8 +174,8 @@ def _as_tensor(x) -> Tensor:
 def _result(name, inputs, out_data, backward_fn) -> Tensor:
     out = Tensor(out_data)
     if _grad_enabled() and any(t.requires_grad for t in inputs):
-        out.requires_grad = True  # grad buffer is filled lazily by backward
-        out.op = TapeOp(name, inputs, out, backward_fn)
+        out.requires_grad = True  # an op output's grad stays None
+        out.op = TapeOp(name, inputs, backward_fn)
     return out
 
 

@@ -281,10 +281,41 @@ def _derived_seed(seed: int, lane: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, lane, index]).generate_state(1)[0])
 
 
-def _epoch_batches(examples, vocab, model_config, opt_config, seed, epoch):
-    return make_batches(examples, vocab, batch_size=opt_config.batch_size,
-                        seed=_derived_seed(seed, _LANE_EPOCH, epoch),
-                        char_limit=model_config.char_limit)
+def _batch_stream(examples, vocab, model_config, opt_config, seed, sampler,
+                  skip):
+    """Training batches in run order, starting ``skip`` steps in.
+
+    With a ``sampler`` each batch is its next ``batch_size`` draws; without
+    one, every epoch reshuffles ``examples`` into fresh ``make_batches``.
+    """
+    size, limit = opt_config.batch_size, model_config.char_limit
+    if sampler is not None:
+        for _ in range(skip * size):
+            next(sampler)
+        while True:
+            yield build_batch([next(sampler) for _ in range(size)], vocab,
+                              char_limit=limit)
+    epoch, cursor = divmod(skip, math.ceil(len(examples) / size))
+    while True:
+        yield from make_batches(
+            examples, vocab, batch_size=size,
+            seed=_derived_seed(seed, _LANE_EPOCH, epoch),
+            char_limit=limit)[cursor:]
+        epoch, cursor = epoch + 1, 0
+
+
+def _train_step(params, state, model_config, opt_config, batch, seed):
+    """One update on ``batch``; returns (loss, lr). Its graph dies on return."""
+    step = state.step + 1
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, _LANE_DROPOUT, step]))
+    zero_grads(params)
+    loss, _ = model_loss(params, model_config, batch, train_mode=True, rng=rng)
+    backward(loss)
+    check_finite(step, loss, params)
+    lr = adam_step(params, state, opt_config)
+    ema_update(state, params, opt_config.ema_decay)
+    return float(loss.data), lr
 
 
 @dataclass
@@ -327,22 +358,8 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
             np.random.default_rng(np.random.SeedSequence([seed, _LANE_INIT])))
         state = init_train_state(params, seed)
 
-    if sampler is not None:
-        for _ in range(state.step * opt_config.batch_size):
-            next(sampler)
-
-    batches = []
-    cursor = 0
-    epoch = 0
-    if sampler is None:
-        # Fast-forward the epoch structure to the resume point.
-        probe = _epoch_batches(examples, vocab, model_config, opt_config,
-                               seed, 0)
-        per_epoch = len(probe)
-        epoch = state.step // per_epoch
-        cursor = state.step % per_epoch
-        batches = probe if epoch == 0 else _epoch_batches(
-            examples, vocab, model_config, opt_config, seed, epoch)
+    batches = _batch_stream(examples, vocab, model_config, opt_config, seed,
+                            sampler, state.step)
 
     os.makedirs(out_dir, exist_ok=True)
     kept = []
@@ -363,33 +380,12 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
 
     try:
         while state.step < opt_config.total_steps:
-            step = state.step + 1
-            if sampler is not None:
-                chunk = [next(sampler) for _ in range(opt_config.batch_size)]
-                batch = build_batch(chunk, vocab,
-                                    char_limit=model_config.char_limit)
-            else:
-                if cursor >= len(batches):
-                    epoch += 1
-                    batches = _epoch_batches(examples, vocab, model_config,
-                                             opt_config, seed, epoch)
-                    cursor = 0
-                batch = batches[cursor]
-                cursor += 1
-
-            step_rng = np.random.default_rng(
-                np.random.SeedSequence([seed, _LANE_DROPOUT, step]))
-            zero_grads(params)
-            loss, _ = model_loss(params, model_config, batch,
-                                 train_mode=True, rng=step_rng)
-            backward(loss)
-            check_finite(step, loss, params)
-            lr = adam_step(params, state, opt_config)
-            ema_update(state, params, opt_config.ema_decay)
-
+            loss, lr = _train_step(params, state, model_config, opt_config,
+                                   next(batches), seed)
+            step = state.step
             if log_every and (step % log_every == 0
                               or step == opt_config.total_steps):
-                emit({"step": step, "loss": float(loss.data), "lr": lr})
+                emit({"step": step, "loss": loss, "lr": lr})
             if eval_every and dev_examples and step % eval_every == 0:
                 with use_ema(params, state):
                     predictions = predict_all(params, model_config,

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from qanet.augmentation import (RuleTranslator, augment_examples,
+                                 write_squad_json)
 from qanet.cli import main
 from qanet.config import (
     AugmentationConfig,
@@ -382,6 +384,20 @@ class TestPredictEvaluateCommands:
             outs.append(out.read_text(encoding="utf-8"))
         assert outs[0] == outs[1]
 
+    def test_predict_rejects_question_without_token(self, trained, tmp_path,
+                                                    capsys):
+        with open(trained["data"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["data"][0]["paragraphs"][1]["qas"][0]["question"] = " "
+        data = tmp_path / "blank.json"
+        data.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "preds.json"
+        code = main(["predict", "--checkpoint", trained["checkpoint"],
+                     "--data", str(data), "--out", str(out)])
+        assert code == 1
+        assert "q1a: question has no token" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_names_tensor(self, trained, tmp_path, capsys):
         with open(trained["checkpoint"], "rb") as fh:
             raw = fh.read()
@@ -497,6 +513,23 @@ class TestAugmentCommand:
         assert again
         assert all(ex.answer_text == "Department of Preparatory Studies"
                    for ex in again)
+
+    def test_set_k_and_threshold_match_direct_call(self, tmp_path, capsys):
+        data = _dataset(tmp_path / "data.json", n=3)
+        out = tmp_path / "aug.json"
+        code = main(["augment", "--data", data, "--mock", "--out", str(out),
+                     "--set", "augment.k=1", "--set", "augment.threshold=0.3"])
+        capsys.readouterr()
+        assert code == 0
+        defaults = RunConfig()
+        pools = augment_examples(
+            parse_qa_json(data, split="train"),
+            {"fr": RuleTranslator("fr"), "de": RuleTranslator("de")},
+            k=1, threshold=0.3, seed=defaults.seed,
+            copies=defaults.augment.copies)
+        direct = tmp_path / "direct.json"
+        write_squad_json(str(direct), pools["de"] + pools["fr"])
+        assert out.read_bytes() == direct.read_bytes()
 
     def test_unreachable_translator_exits_nonzero(self, tmp_path, capsys):
         with socket.socket() as s:

@@ -120,6 +120,14 @@ class TestParse:
         with pytest.raises(D.MissingField):
             D.parse_qa_json(path, split="train")
 
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    @pytest.mark.parametrize("question", ["", "  \n "])
+    def test_question_without_token_names_id(self, tmp_path, split, question):
+        path = write_squad(tmp_path, [simple_paragraph("the cat sat", [
+            qa("q1", "what sat?", "cat", 4), qa("q2", question, "cat", 4)])])
+        with pytest.raises(ValueError, match=r"^q2: question has no token$"):
+            D.parse_qa_json(path, split=split)
+
     def test_missing_context_raises(self, tmp_path):
         path = write_squad(tmp_path, [{"qas": []}])
         with pytest.raises(D.MissingField):

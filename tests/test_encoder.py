@@ -226,7 +226,7 @@ class TestFusedAttentionMatchesLoop:
 
         def run(attend):
             for t in leaves:
-                t.zero_grad()
+                t.grad[...] = 0.0
             out = attend(x, params, 8, mask)
             backward(weighted_sum_loss(out, w))
             return [out.data] + [t.grad.copy() for t in leaves]

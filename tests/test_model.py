@@ -127,6 +127,20 @@ class TestMaskingEndToEnd:
         for name, t in named_parameters(params):
             assert np.all(np.isfinite(t.grad)), name
 
+    def test_batch_of_empty_questions_gives_finite_loss_and_span(self):
+        # Every question is empty: the question axis keeps one masked slot.
+        config, params, batch = toy_setup(seed=7, n_examples=1,
+                                          empty_question=True)
+        assert batch.question_mask.shape == (1, 1)
+        assert not batch.question_mask.any()
+        loss, _ = model_loss(params, config, batch)
+        assert np.isfinite(loss.data)
+        backward(loss)
+        for name, t in named_parameters(params):
+            assert np.all(np.isfinite(t.grad)), name
+        (pred,) = predict_spans(params, config, batch)
+        assert 0 <= pred.start <= pred.end < int(batch.context_mask.sum())
+
     def test_predictions_respect_mask_and_window(self):
         config, params, batch = toy_setup(seed=4)
         preds = predict_spans(params, config, batch)

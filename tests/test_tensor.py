@@ -176,9 +176,17 @@ class TestTape:
         backward(loss)
         backward(loss)
         np.testing.assert_allclose(x.grad, [8.0])
-        x.zero_grad()
+        x.grad[...] = 0.0
         backward(loss)
         np.testing.assert_allclose(x.grad, [4.0])
+
+    def test_gradients_land_on_leaves_only(self):
+        x = Tensor(rand(3), requires_grad=True)
+        hidden = T.multiply(x, x)
+        loss = T.reduce_sum(hidden)
+        backward(loss)
+        assert hidden.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
     def test_no_grad_blocks_recording(self):
         x = Tensor(rand(2), requires_grad=True)

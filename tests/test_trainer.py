@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,6 +277,42 @@ class TestTrainLoop:
         with open(full.checkpoint_path, "rb") as f1, \
              open(resumed.checkpoint_path, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_resume_in_later_epoch_matches_uninterrupted(self, tmp_path):
+        # 18 examples at B=4 make five batches an epoch, the last one short,
+        # so step 7 resumes at the third batch of the second epoch.
+        examples, vocab, matrix = tiny_dataset(n=18)
+
+        def run(tag, steps, resume=None):
+            return train(examples, vocab, matrix, ModelConfig(**TOY),
+                         short_opt(total_steps=steps), seed=5,
+                         out_dir=os.path.join(tmp_path, tag),
+                         resume_from=resume)
+
+        full = run("full", 12)
+        part = run("part", 7)
+        resumed = run("part", 12, resume=part.checkpoint_path)
+        for name in ("metrics_path", "checkpoint_path"):
+            with open(getattr(full, name), "rb") as f1, \
+                 open(getattr(resumed, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+
+    def test_step_graph_freed_before_next_forward(self, tmp_path,
+                                                  monkeypatch):
+        real_loss = qanet.trainer.model_loss
+        first_p1, alive = [], []
+
+        def spy(*args, **kwargs):
+            if first_p1:
+                alive.append(first_p1[0]() is not None)
+            loss, dist = real_loss(*args, **kwargs)
+            if not first_p1:
+                first_p1.append(weakref.ref(dist.p1.data))
+            return loss, dist
+
+        monkeypatch.setattr(qanet.trainer, "model_loss", spy)
+        self.run(tmp_path, "spy", opt=short_opt(total_steps=2))
+        assert alive == [False]
 
     def test_resume_rejects_changed_optimizer(self, tmp_path):
         part = self.run(tmp_path, "part", opt=short_opt(total_steps=3))
