@@ -256,20 +256,22 @@ def _bigrams(s: str) -> Counter:
     return Counter(s[i:i + 2] for i in range(len(s) - 1))
 
 
-def _dice(a: str, b: str) -> float:
-    ba, bb = _bigrams(a), _bigrams(b)
-    total = sum(ba.values()) + sum(bb.values())
+def _dice(a: str, ga: Counter, b: str, gb: Counter) -> float:
+    """Bigram-multiset Dice of ``a`` and ``b`` from their bigram counts.
+
+    A string under 2 chars has no bigram, so it scores 0 against a longer
+    one and compares by equality with another short one.
+    """
+    total = max(len(a) - 1, 0) + max(len(b) - 1, 0)
     if total == 0:
         return 1.0 if a == b else 0.0
-    overlap = sum((ba & bb).values())
+    overlap = sum(min(ga[g], gb[g]) for g in ga.keys() & gb.keys())
     return 2.0 * overlap / total
 
 
 def char_2gram_score(w1: str, w2: str) -> float:
     """Bigram-multiset Dice; words shorter than 2 chars compare by equality."""
-    if len(w1) < 2 or len(w2) < 2:
-        return 1.0 if w1 == w2 else 0.0
-    return _dice(w1, w2)
+    return _dice(w1, _bigrams(w1), w2, _bigrams(w2))
 
 
 def extract_answer(words: list[str], answer_words: list[str],
@@ -286,18 +288,26 @@ def extract_answer(words: list[str], answer_words: list[str],
         raise ValueError("empty answer")
     if not words:
         return None
-    start_scores = [char_2gram_score(w, answer_words[0]) for w in words]
-    end_scores = [char_2gram_score(w, answer_words[-1]) for w in words]
-    starts = [i for i, s in enumerate(start_scores) if s == max(start_scores)]
-    ends = [i for i, s in enumerate(end_scores) if s == max(end_scores)]
+    first, last = answer_words[0], answer_words[-1]
+    first_grams, last_grams = _bigrams(first), _bigrams(last)
+    start_scores, end_scores = [], []
+    for w in words:
+        grams = _bigrams(w)
+        start_scores.append(_dice(w, grams, first, first_grams))
+        end_scores.append(_dice(w, grams, last, last_grams))
+    top_start, top_end = max(start_scores), max(end_scores)
+    starts = [i for i, s in enumerate(start_scores) if s == top_start]
+    ends = [i for i, s in enumerate(end_scores) if s == top_end]
     answer_text = " ".join(answer_words)
+    answer_grams = _bigrams(answer_text)
     best = None
     for s in starts:
         for e in ends:
             if s > e:
                 continue
             span = " ".join(words[s:e + 1])
-            key = (-_dice(span, answer_text), e - s, s)
+            key = (-_dice(span, _bigrams(span), answer_text, answer_grams),
+                   e - s, s)
             if best is None or key < best[0]:
                 best = (key, s, e, span)
     if best is None or -best[0][0] < threshold:
@@ -309,18 +319,44 @@ def extract_answer(words: list[str], answer_words: list[str],
 # Sentence and document paraphrasing
 
 
+def _translate(endpoint, texts: list[str], k: int,
+               direction: str) -> list[list[str]]:
+    """One request, refused unless it holds one reply per text: replies
+    are matched to texts by position."""
+    out = endpoint.translate(texts, k, direction)
+    if len(out) != len(texts):
+        raise TranslatorProtocolError(
+            f"expected {len(texts)} translation lists, got {len(out)}")
+    return out
+
+
+def paraphrase_sentences(sentences: list[str], endpoint,
+                         k: int = 5) -> list[list[str]]:
+    """Up to k*k round-trip candidates per sentence, deduplicated, original
+    excluded.
+
+    One forward request carries every sentence and one back request every
+    forward output, so the endpoint must translate each text of a request
+    independently of the others.
+    """
+    forwards = [inner[:k] for inner in
+                _translate(endpoint, sentences, k, "forward")]
+    flat = [text for inner in forwards for text in inner]
+    backs = iter(_translate(endpoint, flat, k, "back") if flat else [])
+    out = []
+    for sentence, inner in zip(sentences, forwards):
+        seen = {}
+        for _ in inner:
+            for candidate in next(backs)[:k]:
+                if candidate != sentence and candidate not in seen:
+                    seen[candidate] = None
+        out.append(list(seen))
+    return out
+
+
 def paraphrase_sentence(sentence: str, endpoint, k: int = 5) -> list[str]:
     """Up to k*k round-trip candidates, deduplicated, original excluded."""
-    forwards = endpoint.translate([sentence], k, "forward")[0][:k]
-    if not forwards:
-        return []
-    backs = endpoint.translate(forwards, k, "back")
-    seen = {}
-    for inner in backs:
-        for candidate in inner[:k]:
-            if candidate != sentence and candidate not in seen:
-                seen[candidate] = None
-    return list(seen)
+    return paraphrase_sentences([sentence], endpoint, k)[0]
 
 
 def _word_spans(text: str) -> list[tuple[int, int]]:
@@ -346,12 +382,13 @@ def paraphrase_document(example: QaExample, endpoint, k: int, rng,
     ans_lo, ans_hi = example.answer_char_range()
     answer_words = [t.text for t in tokenize(example.answer_text)]
 
+    per_sentence = paraphrase_sentences([s.text for s in sentences],
+                                        endpoint, k)
     pieces = []          # (text, answer_lo, answer_hi) with offsets local to text
     changed = False
-    for sent in sentences:
+    for sent, candidates in zip(sentences, per_sentence):
         holds_answer = sent.start <= ans_lo < sent.end
         crosses = holds_answer and ans_hi > sent.end
-        candidates = paraphrase_sentence(sent.text, endpoint, k)
         if holds_answer:
             if crosses:
                 replacement = None
@@ -448,21 +485,49 @@ def mixed_sampler(pools, ratio: MixRatio, seed: int):
     return stream()
 
 
+class _ParagraphMemo:
+    """Translator wrapper that sends each (direction, beam, text) once.
+
+    A request forwards only the texts not yet answered, each once.
+    ``augment_examples`` makes a fresh memo whenever the context changes,
+    so it holds at most one paragraph's round trips.
+    """
+
+    def __init__(self, endpoint):
+        self.endpoint = endpoint
+        self.replies = {}
+
+    def translate(self, texts, beam, direction):
+        missing = list(dict.fromkeys(
+            t for t in texts if (direction, beam, t) not in self.replies))
+        if missing:
+            replies = _translate(self.endpoint, missing, beam, direction)
+            for text, reply in zip(missing, replies):
+                self.replies[direction, beam, text] = reply
+        return [self.replies[direction, beam, t] for t in texts]
+
+
 def augment_examples(examples, endpoints: dict, k: int, threshold: float,
                      seed: int, copies: int = 1):
     """Paraphrase every example through every endpoint.
 
     ``endpoints`` maps a language tag (e.g. "fr") to a translator; emitted
     ids take the suffix "-{tag}-{i}" with i counting copies from 1. No-op
-    paraphrases (document unchanged) are skipped.
+    paraphrases (document unchanged) are skipped. Consecutive examples on
+    the same context (a paragraph's questions, and every copy) share one
+    forward and one back request per endpoint.
     """
     out = {tag: [] for tag in endpoints}
     for tag_index, (tag, endpoint) in enumerate(sorted(endpoints.items())):
+        context = memo = None
         for ex_index, example in enumerate(examples):
+            if example.context_text != context:
+                context = example.context_text
+                memo = _ParagraphMemo(endpoint)
             for copy in range(1, copies + 1):
                 rng = np.random.default_rng(np.random.SeedSequence(
                     [seed, 0xA06, tag_index, ex_index, copy]))
-                got = paraphrase_document(example, endpoint, k, rng,
+                got = paraphrase_document(example, memo, k, rng,
                                           threshold=threshold,
                                           new_id=f"{example.id}-{tag}-{copy}")
                 if got is not None and got is not example:

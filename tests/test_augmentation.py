@@ -1,4 +1,5 @@
 """Paraphrase pipeline: splitting, alignment, sampling, wire protocol."""
+import hashlib
 import json
 import socket
 import threading
@@ -318,7 +319,20 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         n = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(n))
-        if self.path == "/ok/translate":
+        if self.path.startswith("/rule/"):
+            # /rule/{language}/translate serves RuleTranslator over the wire
+            language = self.path.split("/")[2]
+            outs = RuleTranslator(language).translate(
+                body["texts"], body["beam"], body["direction"])
+            self._reply(200, json.dumps({"translations": outs}))
+        elif self.path == "/badback/translate":
+            # forward is well formed; back drops the last translation list
+            outs = RuleTranslator("fr").translate(
+                body["texts"], body["beam"], body["direction"])
+            if body["direction"] == "back":
+                outs = outs[:-1]
+            self._reply(200, json.dumps({"translations": outs}))
+        elif self.path == "/ok/translate":
             beam = body["beam"]
             outs = [[f"{t}|{d}{i}" for i in range(min(beam, 2))]
                     for t, d in zip(body["texts"],
@@ -687,3 +701,170 @@ class TestAugmentExamples:
         assert back[0].answer_text == pools["fr"][0].answer_text
         lo, hi = back[0].answer_char_range()
         assert back[0].context_text[lo:hi] == back[0].answer_text
+
+
+# ---------------------------------------------------------------------------
+# Request traffic and byte identity
+
+
+# Paragraphs with several questions each; the first context comes back at
+# the end, after another one, and the second repeats a sentence verbatim.
+_HOUSE = ("The big house on the hill was famous for its red roof. "
+          "A quick walk from the city center, it hosted the local team "
+          "every summer. Many people came to the show, and the team played "
+          "until late.")
+_DEPARTMENTS = ("All of the departments in the College of Science offer PhD "
+                "programs, except for the Department of Pre-Professional "
+                "Studies. The big team will start in March. The big team "
+                "will start in March.")
+_STADIUM = ("Construction will start in March. The new stadium can show "
+            "over forty thousand fans a single match.")
+_FIXTURE = [
+    (_HOUSE, [("What color was the roof?", "red"),
+              ("Who did the house host?", "the local team"),
+              ("Where was the house?", "on the hill")]),
+    (_DEPARTMENTS, [("Which department lacks a PhD program?",
+                     "Department of Pre-Professional Studies"),
+                    ("When will the team start?", "March")]),
+    (_STADIUM, [("When will construction start?", "March"),
+                ("How many fans fit?", "forty thousand"),
+                ("What spans two sentences?", "March. The new")]),
+    (_HOUSE, [("What was famous?", "The big house")]),
+]
+# sha256 of _write_fixture_augmented's output as a client sending one
+# request per sentence and direction wrote it. Batching and the memo change
+# only the traffic, so these bytes must not move.
+_FIXTURE_SHA256 = (
+    "e31a5c46fee8ac5a0783c7f21a737d431078f1b42c061e5cc44ced485a0ce620")
+
+
+def _fixture_examples(tmp_path):
+    doc = {"version": "1.1", "data": [{"title": "fixture", "paragraphs": [
+        {"context": context,
+         "qas": [{"id": f"p{p}q{q}", "question": question,
+                  "answers": [{"text": answer,
+                               "answer_start": context.index(answer)}]}
+                 for q, (question, answer) in enumerate(qas)]}
+        for p, (context, qas) in enumerate(_FIXTURE)]}]}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return parse_qa_json(str(path), split="train")
+
+
+def _write_fixture_augmented(tmp_path, endpoints):
+    pools = augment_examples(_fixture_examples(tmp_path), endpoints, k=3,
+                             threshold=0.5, seed=5, copies=2)
+    out = tmp_path / "augmented.json"
+    write_squad_json(str(out), [ex for tag in sorted(pools)
+                                for ex in pools[tag]])
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+class CountingTranslator:
+    """RuleTranslator that records every request it answers."""
+
+    def __init__(self, language="fr"):
+        self.inner = RuleTranslator(language)
+        self.requests = []  # (direction, texts) per call
+
+    def translate(self, texts, beam, direction):
+        self.requests.append((direction, list(texts)))
+        return self.inner.translate(texts, beam, direction)
+
+    def directions(self):
+        return [direction for direction, _ in self.requests]
+
+
+def _questions(context, n, prefix):
+    answer = context.split()[1]
+    return [example_from_raw(f"{prefix}{i}", context, f"Question {i}?",
+                             answer, context.index(answer))
+            for i in range(n)]
+
+
+class TestRequestTraffic:
+    def test_one_forward_and_one_back_per_paragraph(self):
+        endpoints = {"fr": CountingTranslator("fr"),
+                     "de": CountingTranslator("de")}
+        augment_examples(_questions(_HOUSE, 3, "a")
+                         + _questions(_STADIUM, 2, "b"),
+                         endpoints, k=3, threshold=0.5, seed=0)
+        for endpoint in endpoints.values():
+            assert endpoint.directions() == ["forward", "back"] * 2
+            forward_texts = endpoint.requests[0][1]
+            assert forward_texts == [s.text for s in split_sentences(_HOUSE)]
+
+    def test_later_questions_on_a_paragraph_send_nothing(self):
+        one, many = CountingTranslator(), CountingTranslator()
+        augment_examples(_questions(_HOUSE, 1, "a"), {"fr": one}, k=3,
+                         threshold=0.5, seed=0)
+        augment_examples(_questions(_HOUSE, 4, "a"), {"fr": many}, k=3,
+                         threshold=0.5, seed=0)
+        assert many.requests == one.requests
+        assert len(one.requests) == 2
+
+    def test_second_copy_sends_nothing(self):
+        endpoint = CountingTranslator()
+        augment_examples(_questions(_HOUSE, 1, "a"), {"fr": endpoint}, k=3,
+                         threshold=0.5, seed=0, copies=2)
+        assert endpoint.directions() == ["forward", "back"]
+
+    def test_memo_holds_one_paragraph(self):
+        endpoint = CountingTranslator()
+        examples = (_questions(_HOUSE, 1, "a") + _questions(_STADIUM, 1, "b")
+                    + _questions(_HOUSE, 1, "c"))
+        augment_examples(examples, {"fr": endpoint}, k=3, threshold=0.5,
+                         seed=0)
+        assert endpoint.directions() == ["forward", "back"] * 3
+        assert endpoint.requests[0] == endpoint.requests[4]
+
+    def test_repeated_sentence_sent_once(self):
+        endpoint = CountingTranslator()
+        augment_examples(_questions(_DEPARTMENTS, 1, "a"), {"fr": endpoint},
+                         k=3, threshold=0.5, seed=0)
+        (_, forward), (_, back) = endpoint.requests
+        repeated = "The big team will start in March."
+        assert forward.count(repeated) == 1
+        assert len(forward) == 2
+        assert len(back) == len(set(back))
+        assert sum(text.endswith(repeated) for text in back) == 3
+
+    def test_fixture_bytes_pinned(self, tmp_path):
+        endpoints = {"fr": RuleTranslator("fr"), "de": RuleTranslator("de")}
+        assert _write_fixture_augmented(tmp_path, endpoints) == _FIXTURE_SHA256
+
+    def test_http_writes_the_same_bytes(self, tmp_path, http_port):
+        base = f"http://127.0.0.1:{http_port}/rule"
+        endpoints = {tag: HttpTranslator(f"{base}/{tag}", retries=0)
+                     for tag in ("fr", "de")}
+        assert _write_fixture_augmented(tmp_path, endpoints) == _FIXTURE_SHA256
+
+
+class _BrokenBack:
+    """RuleTranslator whose back requests fail with ``error``, or answer
+    one translation list short when ``error`` is None."""
+
+    def __init__(self, error):
+        self.inner = RuleTranslator("fr")
+        self.error = error
+
+    def translate(self, texts, beam, direction):
+        out = self.inner.translate(texts, beam, direction)
+        if direction == "back":
+            if self.error is not None:
+                raise self.error
+            return out[:-1]
+        return out
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda port: HttpTranslator(f"http://127.0.0.1:{port}/badback",
+                                 retries=0), TranslatorProtocolError),
+    (lambda port: _BrokenBack(None), TranslatorProtocolError),
+    (lambda port: _BrokenBack(TranslatorUnavailable("gone")),
+     TranslatorUnavailable),
+], ids=["http-short-back", "short-back", "unavailable-back"])
+def test_batched_back_failure_propagates(make, error, http_port):
+    with pytest.raises(error):
+        augment_examples(_questions(_HOUSE, 2, "a"), {"fr": make(http_port)},
+                         k=3, threshold=0.5, seed=0)
