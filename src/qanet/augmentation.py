@@ -365,21 +365,24 @@ def _word_spans(text: str) -> list[tuple[int, int]]:
 
 
 def paraphrase_document(example: QaExample, endpoint, k: int, rng,
-                        threshold: float = 0.5, new_id: str | None = None,
-                        require_change: bool = False) -> QaExample | None:
+                        threshold: float = 0.5,
+                        new_id: str | None = None) -> QaExample | None:
     """Rebuild a document from per-sentence paraphrases, realigning the answer.
 
-    Sentences with no surviving candidate stay as they are. The
-    answer-bearing sentence additionally requires a realigned answer in any
-    replacement; with ``require_change`` set, failing that returns None
-    instead of keeping the original sentence.
+    The sentences the answer overlaps are paraphrased together, as one unit.
+    Sentences with no surviving candidate stay as they are; the answer's
+    unit additionally requires a realigned answer in any replacement.
     """
     if example.answer_span is None:
         return None
-    sentences = split_sentences(example.context_text)
-    if not sentences:
-        return None
     ans_lo, ans_hi = example.answer_char_range()
+    sentences = split_sentences(example.context_text)
+    overlap = [i for i, s in enumerate(sentences)
+               if s.start < ans_hi and ans_lo < s.end]
+    first, last = sentences[overlap[0]], sentences[overlap[-1]]
+    sentences[overlap[0]:overlap[-1] + 1] = [Sentence(
+        text=example.context_text[first.start:last.end],
+        start=first.start, end=last.end)]
     answer_words = [t.text for t in tokenize(example.answer_text)]
 
     per_sentence = paraphrase_sentences([s.text for s in sentences],
@@ -387,39 +390,27 @@ def paraphrase_document(example: QaExample, endpoint, k: int, rng,
     pieces = []          # (text, answer_lo, answer_hi) with offsets local to text
     changed = False
     for sent, candidates in zip(sentences, per_sentence):
-        holds_answer = sent.start <= ans_lo < sent.end
-        crosses = holds_answer and ans_hi > sent.end
-        if holds_answer:
-            if crosses:
-                replacement = None
-            else:
-                survivors = []
-                for cand in candidates:
-                    spans = _word_spans(cand)
-                    found = extract_answer([cand[a:b] for a, b in spans],
-                                           answer_words, threshold)
-                    if found is not None:
-                        s, e, _ = found
-                        survivors.append((cand, spans[s][0], spans[e][1]))
-                replacement = None
-                if survivors:
-                    replacement = survivors[int(rng.integers(len(survivors)))]
-            if replacement is None:
-                if require_change:
-                    return None
-                rel_lo = ans_lo - sent.start
-                rel_hi = ans_hi - sent.start
-                pieces.append((sent.text, rel_lo, rel_hi))
-            else:
-                pieces.append(replacement)
+        if sent.start == first.start:
+            survivors = []
+            for cand in candidates:
+                spans = _word_spans(cand)
+                found = extract_answer([cand[a:b] for a, b in spans],
+                                       answer_words, threshold)
+                if found is not None:
+                    s, e, _ = found
+                    survivors.append((cand, spans[s][0], spans[e][1]))
+            if survivors:
+                pieces.append(survivors[int(rng.integers(len(survivors)))])
                 changed = True
+            else:
+                pieces.append((sent.text, ans_lo - sent.start,
+                               ans_hi - sent.start))
+        elif candidates:
+            pick = candidates[int(rng.integers(len(candidates)))]
+            pieces.append((pick, None, None))
+            changed = True
         else:
-            if candidates:
-                pick = candidates[int(rng.integers(len(candidates)))]
-                pieces.append((pick, None, None))
-                changed = True
-            else:
-                pieces.append((sent.text, None, None))
+            pieces.append((sent.text, None, None))
 
     if not changed:
         return example

@@ -36,7 +36,6 @@ __all__ = [
     "concat", "reshape", "swap_last_axes", "reduce_sum",
     "max_over_axis", "embedding_lookup", "gather_last", "dropout_apply",
     "depthwise_separable_conv1d", "scaled_dot_attention", "dropout_mask",
-    "as_array",
     "DimensionMismatch", "AxisOutOfRange", "EvenKernel", "NotScalar",
     "DetachedTensor", "IdOutOfRange",
 ]
@@ -161,10 +160,6 @@ def backward(loss: Tensor) -> None:
             else:
                 held = adjoints.get(id(t.op))
                 adjoints[id(t.op)] = g if held is None else held + g
-
-
-def as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def _as_tensor(x) -> Tensor:

@@ -7,12 +7,12 @@ logs and checkpoint bytes included.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -152,14 +152,8 @@ def use_ema(params, state: TrainState):
             t.data = backup[n]
 
 
-def config_fingerprint(model_config: ModelConfig,
-                       opt_config: OptimizerConfig) -> str:
-    blob = json.dumps({"model": asdict(model_config),
-                       "optimizer": asdict(opt_config)}, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def _checkpoint_entries(params: ModelParams, state: TrainState):
+    """(name, array) for every stored tensor, in file order."""
     for name, tensor in named_tensors(params, trainable_only=False):
         yield "param." + name, tensor.data
     for group, table in (("adam_m", state.first_moment),
@@ -172,7 +166,12 @@ def _checkpoint_entries(params: ModelParams, state: TrainState):
 def save_checkpoint(path: str, params: ModelParams, state: TrainState,
                     model_config: ModelConfig, opt_config: OptimizerConfig,
                     vocab: Vocabulary) -> None:
-    """One JSON header line, then raw little-endian float64 blobs in order."""
+    """Write the one checkpoint format, atomically.
+
+    A JSON header line (version, step, seed, both configs, the vocabulary,
+    and each tensor's name and shape), then every array of
+    :func:`_checkpoint_entries` as raw little-endian float64, in that order.
+    """
     entries = list(_checkpoint_entries(params, state))
     header = {
         "version": CHECKPOINT_VERSION,
@@ -180,7 +179,6 @@ def save_checkpoint(path: str, params: ModelParams, state: TrainState,
         "seed": state.seed,
         "model_config": asdict(model_config),
         "optimizer_config": asdict(opt_config),
-        "config_hash": config_fingerprint(model_config, opt_config),
         "words": vocab.words,
         "chars": vocab.chars,
         "tensors": [{"name": n, "shape": list(a.shape), "dtype": "<f8"}
@@ -195,6 +193,14 @@ def save_checkpoint(path: str, params: ModelParams, state: TrainState,
     os.replace(tmp, path)
 
 
+def _read_header(fh) -> dict:
+    header = json.loads(fh.readline().decode("utf-8"))
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version "
+                         f"{header.get('version')!r} in {fh.name}")
+    return header
+
+
 def check_resume_config(path: str, model_config: ModelConfig,
                         opt_config: OptimizerConfig) -> dict:
     """Checkpoint ``path``'s header, once the run's settings match it.
@@ -204,7 +210,7 @@ def check_resume_config(path: str, model_config: ModelConfig,
     :class:`ConfigMismatch` naming each key with both values.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        header = _read_header(fh)
     differ = []
     for section, ours in (("model", model_config), ("optimizer", opt_config)):
         stored = header[f"{section}_config"]
@@ -226,54 +232,37 @@ def check_finite(step: int, loss, params) -> None:
                             f"non-finite gradient in {bad[0] if bad else 'none'}")
 
 
-def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
-        arrays = {}
-        for meta in header["tensors"]:
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"truncated checkpoint at {meta['name']}")
-            arrays[meta["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return header, arrays
-
-
 def load_checkpoint(path: str) -> tuple[ModelParams, TrainState, ModelConfig,
                                         OptimizerConfig, Vocabulary]:
-    """Rebuild model, optimizer state, and vocab from a checkpoint file."""
-    header, arrays = read_checkpoint(path)
-    model_config = ModelConfig(**header["model_config"])
-    opt_config = OptimizerConfig(**header["optimizer_config"])
-    vocab = Vocabulary.from_lists(header["words"], header["chars"])
-    placeholder = np.zeros((len(vocab.words), model_config.word_dim))
-    params = init_model_params(model_config, placeholder, len(vocab.chars),
-                               np.random.default_rng(0))
-    for name, tensor in named_tensors(params, trainable_only=False):
-        key = "param." + name
-        if key not in arrays:
-            raise CheckpointShapeMismatch(f"{name}: missing from checkpoint")
-        stored = arrays[key]
-        if stored.shape != tensor.data.shape:
-            raise CheckpointShapeMismatch(
-                f"{name}: checkpoint {stored.shape} vs model {tensor.data.shape}")
-        tensor.data = stored
-    state = TrainState(step=header["step"], seed=header["seed"],
-                       first_moment={}, second_moment={}, shadow={})
-    for group, table in (("adam_m", state.first_moment),
-                         ("adam_v", state.second_moment),
-                         ("ema", state.shadow)):
-        for name, tensor in named_parameters(params):
-            key = f"{group}.{name}"
-            if key not in arrays:
-                raise CheckpointShapeMismatch(f"{key}: missing from checkpoint")
-            if arrays[key].shape != tensor.data.shape:
+    """Rebuild model, optimizer state, and vocab from a checkpoint file.
+
+    The format is :func:`save_checkpoint`'s. The header's tensor list must
+    equal :func:`_checkpoint_entries`' names and shapes, in order; the first
+    difference raises :class:`CheckpointShapeMismatch` naming both sides.
+    """
+    with open(path, "rb") as fh:
+        header = _read_header(fh)
+        model_config = ModelConfig(**header["model_config"])
+        opt_config = OptimizerConfig(**header["optimizer_config"])
+        vocab = Vocabulary.from_lists(header["words"], header["chars"])
+        placeholder = np.zeros((len(vocab.words), model_config.word_dim))
+        params = init_model_params(model_config, placeholder, len(vocab.chars),
+                                   np.random.default_rng(0))
+        state = init_train_state(params, header["seed"])
+        state.step = header["step"]
+        entries = list(_checkpoint_entries(params, state))
+        stored = [f"{meta['name']} {tuple(meta['shape'])}"
+                  for meta in header["tensors"]]
+        wanted = [f"{name} {array.shape}" for name, array in entries]
+        for have, want in zip_longest(stored, wanted, fillvalue="nothing"):
+            if have != want:
                 raise CheckpointShapeMismatch(
-                    f"{key}: checkpoint {arrays[key].shape} vs model {tensor.data.shape}")
-            table[name] = arrays[key]
+                    f"{path}: checkpoint has {have} where the model has {want}")
+        for name, array in entries:
+            raw = fh.read(array.size * 8)
+            if len(raw) != array.size * 8:
+                raise ValueError(f"truncated checkpoint {path} at {name}")
+            array[...] = np.frombuffer(raw, dtype="<f8").reshape(array.shape)
     return params, state, model_config, opt_config, vocab
 
 

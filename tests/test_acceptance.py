@@ -56,7 +56,7 @@ def _verdict(num: int, label: str, body) -> None:
 
 
 # Public names of qanet.tensor that record no tape op of their own.
-_NOT_DIFFERENTIABLE = {"backward", "no_grad", "dropout_mask", "as_array"}
+_NOT_DIFFERENTIABLE = {"backward", "no_grad", "dropout_mask"}
 
 
 def _op_sweep(rng):

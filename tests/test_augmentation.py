@@ -535,14 +535,6 @@ class TestParaphraseDocument:
         assert "The large house" in got.context_text
         assert got.answer_text == "red"
 
-    def test_require_change_returns_none(self):
-        script = dict(_doc_script())
-        script[("back", "F1")] = ["The roof was blue."]
-        got = paraphrase_document(_doc_example(), ScriptedTranslator(script),
-                                  k=5, rng=np.random.default_rng(0),
-                                  require_change=True)
-        assert got is None
-
     def test_identity_endpoint_is_noop(self):
         ex = _doc_example()
         got = paraphrase_document(ex, ScriptedTranslator(), k=5,
@@ -556,13 +548,21 @@ class TestParaphraseDocument:
                                    rng=np.random.default_rng(0)) is None
 
     def test_cross_sentence_answer(self):
-        context = "The road led to a hill. Its roof was red."
+        """The sentences an answer spans travel as one unit, whole answer
+        included, and later sentences are still paraphrased."""
+        context = "The road led to a hill. Its roof was red. The big gate shut."
         ex = example_from_raw("x", context, "q?", "hill. Its roof",
                               context.index("hill"))
-        endpoint = ScriptedTranslator(_doc_script())
-        assert paraphrase_document(ex, endpoint, k=5,
-                                   rng=np.random.default_rng(0),
-                                   require_change=True) is None
+        endpoint = CountingTranslator("fr")
+        got = paraphrase_document(ex, endpoint, k=2,
+                                  rng=np.random.default_rng(0))
+        assert endpoint.requests[0] == (
+            "forward", ["The road led to a hill. Its roof was red.",
+                        "The big gate shut."])
+        assert got.answer_text == "hill. Its roof"
+        lo, hi = got.answer_char_range()
+        assert got.context_text[lo:hi] == "hill. Its roof"
+        assert got.context_text.endswith("The large gate shut.")
 
     def test_survivor_choice_is_uniformish(self):
         script = dict(_doc_script())
@@ -731,11 +731,11 @@ _FIXTURE = [
                 ("What spans two sentences?", "March. The new")]),
     (_HOUSE, [("What was famous?", "The big house")]),
 ]
-# sha256 of _write_fixture_augmented's output as a client sending one
-# request per sentence and direction wrote it. Batching and the memo change
-# only the traffic, so these bytes must not move.
+# sha256 of _write_fixture_augmented's output. Batching and the memo change
+# only the traffic, never these bytes. The p2q2 records answer "March. The
+# new" whole, because an answer's sentences are paraphrased as one unit.
 _FIXTURE_SHA256 = (
-    "e31a5c46fee8ac5a0783c7f21a737d431078f1b42c061e5cc44ced485a0ce620")
+    "539a64bbf83fe2c5e08c83aee39f335c368c6bba4c03650a392b86e3b7c754d8")
 
 
 def _fixture_examples(tmp_path):

@@ -352,6 +352,27 @@ class TestTrainCommand:
         assert "model.hidden_dim (checkpoint 16, run 32)" in err
         assert {name: (out / name).read_bytes() for name in names} == before
 
+    def test_resume_from_other_version_fails_untouched(self, trained,
+                                                       tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
+                           extra={"optimizer.total_steps": 2})
+        assert main(["train", "--config", cfg]) == 0
+        raw = (out / "model.ckpt").read_bytes()
+        split_at = raw.index(b"\n")
+        header = json.loads(raw[:split_at])
+        header["version"] = 2
+        future = tmp_path / "future.ckpt"
+        future.write_bytes(json.dumps(header).encode("utf-8") + raw[split_at:])
+        names = ("model.ckpt", "metrics.jsonl", "config.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        capsys.readouterr()
+        code = main(["train", "--config", cfg, "--set", "log_every=2",
+                     "--resume", str(future)])
+        assert code == 1
+        assert "unsupported checkpoint version" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in names} == before
+
     def test_env_var_config_fallback(self, trained, tmp_path, capsys,
                                      monkeypatch):
         out = str(tmp_path / "env-run")

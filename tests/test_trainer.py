@@ -14,9 +14,9 @@ from qanet.tensor import Tensor, add
 import qanet.trainer
 from qanet.trainer import (
     CheckpointShapeMismatch, ConfigMismatch, MissingGradient, NonFiniteStep,
-    OptimizerConfig, adam_step, check_finite, config_fingerprint, ema_update,
-    init_train_state, load_checkpoint, lr_schedule, read_checkpoint,
-    save_checkpoint, train, use_ema,
+    OptimizerConfig, adam_step, check_finite, check_resume_config, ema_update,
+    init_train_state, load_checkpoint, lr_schedule, save_checkpoint, train,
+    use_ema,
 )
 
 TOY = dict(hidden_dim=16, num_heads=2, word_dim=8, char_dim=6, char_limit=4,
@@ -225,22 +225,88 @@ class TestCheckpoint:
             load_checkpoint(grown)
         assert "span.w1" in str(err.value)
 
+    @staticmethod
+    def rewrite(path, edit):
+        """A copy of checkpoint ``path`` whose header and body went through
+        ``edit(header, body)``, which returns the new body."""
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            body = edit(header, fh.read())
+        out = path + ".edited"
+        with open(out, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + body)
+        return out
+
     def test_truncated_file_rejected(self, tmp_path):
         *_, path = self.roundtrip(tmp_path)
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        clipped = os.path.join(tmp_path, "clipped.ckpt")
-        with open(clipped, "wb") as fh:
-            fh.write(blob[:-100])
-        with pytest.raises(ValueError):
-            read_checkpoint(clipped)
+        clipped = {}
 
-    def test_fingerprint_tracks_config(self):
-        a = config_fingerprint(ModelConfig(**TOY), short_opt())
-        b = config_fingerprint(ModelConfig(**TOY), short_opt())
-        c = config_fingerprint(ModelConfig(**{**TOY, "hidden_dim": 32}),
-                               short_opt())
-        assert a == b != c
+        def clip(header, body):
+            # Keep half of the middle tensor's bytes and nothing after.
+            sizes = [8 * int(np.prod(m["shape"])) for m in header["tensors"]]
+            middle = len(sizes) // 2
+            clipped["name"] = header["tensors"][middle]["name"]
+            return body[:sum(sizes[:middle]) + sizes[middle] // 2]
+
+        bad = self.rewrite(path, clip)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(bad)
+        assert f"at {clipped['name']}" in str(err.value)
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        *_, path = self.roundtrip(tmp_path)
+
+        def add_tensor(header, body):
+            header["tensors"].append(
+                {"name": "param.extra", "shape": [3], "dtype": "<f8"})
+            return body + bytes(24)
+
+        with pytest.raises(CheckpointShapeMismatch) as err:
+            load_checkpoint(self.rewrite(path, add_tensor))
+        assert "param.extra" in str(err.value)
+
+    def test_swapped_tensors_rejected(self, tmp_path):
+        *_, path = self.roundtrip(tmp_path)
+        swapped = []
+
+        def swap(header, body):
+            metas = header["tensors"]
+            i, j = next((i, j) for i in range(len(metas))
+                        for j in range(i + 1, len(metas))
+                        if metas[i]["shape"] == metas[j]["shape"])
+            metas[i], metas[j] = metas[j], metas[i]
+            swapped.append(metas[i]["name"])
+            return body
+
+        with pytest.raises(CheckpointShapeMismatch) as err:
+            load_checkpoint(self.rewrite(path, swap))
+        assert swapped[0] in str(err.value)
+
+    def test_unknown_header_key_still_loads_bitwise(self, tmp_path):
+        """Older checkpoints carry a ``config_hash`` nothing reads."""
+        *_, path = self.roundtrip(tmp_path)
+
+        def add_key(header, body):
+            header["config_hash"] = "0" * 64
+            return body
+
+        again = os.path.join(tmp_path, "again.ckpt")
+        save_checkpoint(again, *load_checkpoint(self.rewrite(path, add_key)))
+        with open(path, "rb") as want, open(again, "rb") as got:
+            assert got.read() == want.read()
+
+    def test_unsupported_version_rejected_by_both_readers(self, tmp_path):
+        *_, path = self.roundtrip(tmp_path)
+
+        def bump(header, body):
+            header["version"] = 2
+            return body
+
+        bad = self.rewrite(path, bump)
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            load_checkpoint(bad)
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            check_resume_config(bad, ModelConfig(**TOY), short_opt())
 
 
 class TestTrainLoop:
@@ -352,7 +418,7 @@ class TestTrainLoop:
             self.run(tmp_path, "nan", checkpoint_every=1)
         with open(ckpt, "rb") as fh:
             assert fh.read() == saved[0]
-        assert read_checkpoint(ckpt)[0]["step"] == 2
+        assert load_checkpoint(ckpt)[1].step == 2
         with open(os.path.join(tmp_path, "nan", "metrics.jsonl"),
                   encoding="utf-8") as fh:
             assert [json.loads(line)["step"] for line in fh] == [1, 2]
