@@ -18,7 +18,7 @@ import numpy as np
 
 from .encoder import glorot
 from .tensor import (
-    DimensionMismatch, Tensor, add, concat, matmul, multiply, reshape,
+    DimensionMismatch, Tensor, add, concat, dense, matmul, multiply, reshape,
     softmax, swap_last_axes,
 )
 
@@ -122,4 +122,4 @@ def cq_attention_forward(context: Tensor, query: Tensor,
     m = context_query_attention(context, query, params.weights,
                                 context_mask, question_mask)
     fused = fuse(context, m.A, m.B)
-    return add(matmul(fused, params.proj_w), params.proj_b)
+    return dense(fused, params.proj_w, params.proj_b)

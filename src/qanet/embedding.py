@@ -15,9 +15,9 @@ import numpy as np
 
 from .data import UNK_ID
 from .tensor import (
-    Tensor, add, concat, depthwise_separable_conv1d, dropout_apply,
-    dropout_mask, embedding_lookup, matmul, max_over_axis, multiply, relu,
-    reshape, sigmoid, subtract,
+    Tensor, add, concat, dense, depthwise_separable_conv1d, dropout_apply,
+    dropout_mask, embedding_lookup, max_over_axis, multiply, relu, reshape,
+    sigmoid, subtract,
 )
 from .encoder import glorot
 
@@ -77,8 +77,8 @@ def init_embedding_params(word_matrix: np.ndarray, char_vocab_size: int,
 def highway(x: Tensor, layers: list[HighwayLayerParams]) -> Tensor:
     """y = g * T(x) + (1 - g) * x per layer, with sigmoid gates g."""
     for layer in layers:
-        transformed = relu(add(matmul(x, layer.transform_w), layer.transform_b))
-        gate = sigmoid(add(matmul(x, layer.gate_w), layer.gate_b))
+        transformed = relu(dense(x, layer.transform_w, layer.transform_b))
+        gate = sigmoid(dense(x, layer.gate_w, layer.gate_b))
         carried = multiply(subtract(Tensor(1.0), gate), x)
         x = add(multiply(gate, transformed), carried)
     return x
@@ -118,5 +118,5 @@ def embed(params: EmbeddingParams, word_ids: np.ndarray, char_ids: np.ndarray,
     pooled = reshape(pooled, lead + (char_dim,))
 
     fused = concat([words, pooled], axis=-1)
-    projected = add(matmul(fused, params.proj_w), params.proj_b)
+    projected = dense(fused, params.proj_w, params.proj_b)
     return highway(projected, params.highway)

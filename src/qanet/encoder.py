@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import (
-    DimensionMismatch, Tensor, add, depthwise_separable_conv1d, dropout_apply,
-    dropout_mask, layernorm, matmul, multiply, relu, scaled_dot_attention,
+    DimensionMismatch, Tensor, add, dense, depthwise_separable_conv1d,
+    dropout_apply, dropout_mask, layernorm, relu, scaled_dot_attention,
 )
 
 class OddDimension(ValueError):
@@ -111,11 +111,11 @@ def multi_head_self_attention(x: Tensor, params: AttentionParams,
     projection follows. ``mask`` (1.0 real, 0.0 padding) is the key mask:
     padded keys get exactly zero attention weight.
     """
-    q = add(matmul(x, params.query_w), params.query_b)
-    k = add(matmul(x, params.key_w), params.key_b)
-    v = add(matmul(x, params.value_w), params.value_b)
+    q = dense(x, params.query_w, params.query_b)
+    k = dense(x, params.key_w, params.key_b)
+    v = dense(x, params.value_w, params.value_b)
     merged = scaled_dot_attention(q, k, v, num_heads, mask)
-    return add(matmul(merged, params.out_w), params.out_b)
+    return dense(merged, params.out_w, params.out_b)
 
 
 @dataclass
@@ -214,7 +214,6 @@ def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
             f"{len(params.blocks)} blocks of parameters for {config.num_blocks}")
     length, d = x.shape[-2], x.shape[-1]
     signal = positional_encoding(length, d)
-    columns = Tensor(np.asarray(mask)[..., None]) if mask is not None else None
     total = config.total_sublayers
     index = 0
     for block in params.blocks:
@@ -224,11 +223,8 @@ def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
             p = survival_probability(index, total, config.survival_end)
 
             def conv_f(xn, conv=conv):
-                h = multiply(xn, columns) if columns is not None else xn
                 h = depthwise_separable_conv1d(
-                    h, conv.depth_kernel, conv.point_kernel, conv.bias)
-                if columns is not None:
-                    h = multiply(h, columns)
+                    xn, conv.depth_kernel, conv.point_kernel, conv.bias, mask)
                 return _maybe_dropout(h, config.dropout, train_mode, rng)
 
             x = residual_sublayer(x, conv_f, conv.ln_gain, conv.ln_bias,
@@ -249,8 +245,8 @@ def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
         ffn = block.feed_forward
 
         def ffn_f(xn, ffn=ffn):
-            h = relu(add(matmul(xn, ffn.inner_w), ffn.inner_b))
-            h = add(matmul(h, ffn.outer_w), ffn.outer_b)
+            h = relu(dense(xn, ffn.inner_w, ffn.inner_b))
+            h = dense(h, ffn.outer_w, ffn.outer_b)
             return _maybe_dropout(h, config.dropout, train_mode, rng)
 
         x = residual_sublayer(x, ffn_f, ffn.ln_gain, ffn.ln_bias,

@@ -8,12 +8,19 @@ the leaves only: ``requires_grad`` tensors no op produced. The adjoints of
 op outputs live only while ``backward`` runs, so an output's ``.grad``
 stays None. Repeated calls accumulate until the leaves' grads are zeroed.
 
-A record keeps what its backward rule reads, usually the operands. There is
-one masked softmax, whose kernels :func:`softmax` and the fused
-:func:`scaled_dot_attention` share: a 0/1 mask gives slots exactly zero
-weight, and each op keeps only its probabilities (for attention one
-(..., heads, n, m) array beside the inputs) to derive the softmax gradient;
-logits and per-head slices are never stored.
+A record keeps what its backward rule reads, usually the operands. Three
+ops do in one record what would otherwise be a chain of them:
+:func:`dense` is ``x @ w + b`` with the bias added in place;
+:func:`depthwise_separable_conv1d` takes an optional 0/1 position ``mask``
+and zeroes padded positions of its input and output itself; and
+:func:`scaled_dot_attention` runs every head at once. Masks in
+:func:`softmax` and attention give slots exactly zero weight, and a slice
+with no usable slot is zero throughout. Both ops keep only their
+probabilities (attention keeps one unnormalized (..., heads, n, m) array
+and its row scale beside the inputs and output), never logits or per-head
+slices. The attention backward uses ``rowsum(dP * P) == rowsum(dO * O)``
+(FlashAttention-2, arXiv 2307.08691), so its softmax term costs an (n, dh)
+product, not an (n, m) one.
 
 The engine itself is deterministic: dropout masks are drawn by callers from
 an explicit seeded generator and applied with :func:`dropout_apply`. A graph
@@ -31,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor", "backward", "no_grad",
-    "add", "subtract", "multiply", "scalar_scale", "matmul",
+    "add", "subtract", "multiply", "scalar_scale", "matmul", "dense",
     "relu", "sigmoid", "log", "clamp_min", "softmax", "layernorm",
     "concat", "reshape", "swap_last_axes", "reduce_sum",
     "max_over_axis", "embedding_lookup", "gather_last", "dropout_apply",
@@ -252,6 +259,28 @@ def matmul(a, b) -> Tensor:
     return _result("matmul", (a, b), out, bwd)
 
 
+def dense(x, w, b) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of ``x``, as one op.
+
+    ``x`` is (..., k), ``w`` (k, m) and ``b`` (m,). The bias is added in
+    place into the matmul's result, and the tape keeps ``x`` and ``w``.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+
+    def bwd(g):
+        gx = g @ wd.T
+        gw = _reduce_to(np.swapaxes(xd, -1, -2) @ g, wd.shape)
+        gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
+        return gx, gw, gb
+
+    return _result("dense", (x, w, b), out, bwd)
+
+
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
@@ -339,21 +368,23 @@ def layernorm(x, gain, bias) -> Tensor:
     if gain.shape != (dim,) or bias.shape != (dim,):
         raise DimensionMismatch(
             f"layernorm: gain {gain.shape} / bias {bias.shape} vs feature dim {dim}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / dim
     inv = 1.0 / np.sqrt(var + _LAYERNORM_EPS)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
     gd = gain.data
 
     def bwd(g):
-        dbias = g.reshape(-1, dim).sum(axis=0)
-        dgain = (g * xhat).reshape(-1, dim).sum(axis=0)
-        dxhat = g * gd
-        dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        g2 = g.reshape(-1, dim)
+        dbias = g2.sum(axis=0)
+        dgain = np.einsum("ni,ni->i", g2, xhat.reshape(-1, dim))
+        dx = g * gd
+        proj = np.einsum("...i,...i->...", dx, xhat)[..., None] / dim
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= xhat * proj
+        dx *= inv
         return dx, dgain, dbias
 
     return _result("layernorm", (x, gain, bias), out, bwd)
@@ -417,13 +448,13 @@ def max_over_axis(x, axis: int) -> Tensor:
     """Max along an axis; gradient flows to the first maximal element."""
     x = _as_tensor(x)
     ax = _normalize_axis(axis, x.ndim)
-    idx = x.data.argmax(axis=ax)  # argmax picks the first tie
-    out = np.take_along_axis(x.data, np.expand_dims(idx, ax), ax).squeeze(ax)
-    xshape = x.shape
+    xd = x.data
+    out = xd.max(axis=ax)
 
-    def bwd(g):
-        gx = np.zeros(xshape)
-        np.put_along_axis(gx, np.expand_dims(idx, ax), np.expand_dims(g, ax), ax)
+    def bwd(g):  # the argmax, which picks the first tie, only when it is needed
+        gx = np.zeros(xd.shape)
+        np.put_along_axis(gx, np.expand_dims(xd.argmax(axis=ax), ax),
+                          np.expand_dims(g, ax), ax)
         return (gx,)
 
     return _result("max_over_axis", (x,), out, bwd)
@@ -487,15 +518,22 @@ def dropout_mask(rng, shape, rate: float) -> np.ndarray:
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    mask = rng.random(shape)
+    np.less(mask, keep, out=mask)  # the uniform draws become 0.0 / 1.0 in place
+    mask /= keep
+    return mask
 
 
-def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias) -> Tensor:
+def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
+                               mask=None) -> Tensor:
     """Per-channel conv over positions, then a pointwise channel mix.
 
     ``x`` is (length, channels) or (batch, length, channels). The depth
     kernel is (width, channels), the point kernel (channels, out_channels),
     bias (out_channels,). Width must be odd; padding is 'same' with zeros.
+    ``mask`` is None or a 0/1 array that broadcasts to ``x`` without its
+    channel axis; positions with mask 0 are zeroed in the input, so they
+    feed nothing, and in the output.
     """
     x, depth_kernel = _as_tensor(x), _as_tensor(depth_kernel)
     point_kernel, bias = _as_tensor(point_kernel), _as_tensor(bias)
@@ -505,7 +543,7 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias) -> Tensor:
         xd = xd[None]
     if xd.ndim != 3:
         raise DimensionMismatch(f"conv input must be 2-D or 3-D, got {x.shape}")
-    _, length, channels = xd.shape
+    batch, length, channels = xd.shape
     if depth_kernel.ndim != 2 or depth_kernel.shape[1] != channels:
         raise DimensionMismatch(f"depth kernel {depth_kernel.shape} vs {channels} channels")
     width = depth_kernel.shape[0]
@@ -516,33 +554,97 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias) -> Tensor:
     out_channels = point_kernel.shape[1]
     if bias.shape != (out_channels,):
         raise DimensionMismatch(f"bias {bias.shape} vs {out_channels} out channels")
+    if mask is not None:
+        try:
+            mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), x.shape[:-1])
+        except ValueError:
+            raise DimensionMismatch(f"conv mask {np.shape(mask)} vs input {x.shape}") from None
+        mask = mask.reshape(batch, length, 1)
 
     pad = (width - 1) // 2
-    padded = np.zeros((xd.shape[0], length + width - 1, channels))
-    padded[:, pad:pad + length] = xd
+    padded = np.zeros((batch, length + width - 1, channels))
+    if mask is None:
+        padded[:, pad:pad + length] = xd
+    else:
+        np.multiply(xd, mask, out=padded[:, pad:pad + length])
     windows = sliding_window_view(padded, width, axis=1)  # (B, L, C, width)
     depth_out = np.einsum("blck,kc->blc", windows, depth_kernel.data)
-    out = depth_out @ point_kernel.data + bias.data
+    out = depth_out @ point_kernel.data
+    out += bias.data
+    if mask is not None:
+        out *= mask
     if squeeze:
         out = out[0]
     dk, pk = depth_kernel.data, point_kernel.data
 
     def bwd(g):
-        gg = g[None] if squeeze else g
-        g_bias = gg.sum(axis=(0, 1))
-        g_point = np.einsum("blc,ble->ce", depth_out, gg)
-        g_depth_out = gg @ pk.T
+        g2 = g.reshape(-1, out_channels)
+        if mask is not None:
+            g2 = g2 * mask.reshape(-1, 1)
+        g_bias = g2.sum(axis=0)
+        g_point = depth_out.reshape(-1, channels).T @ g2
+        g_depth_out = (g2 @ pk.T).reshape(batch, length, channels)
         g_dk = np.einsum("blck,blc->kc", windows, g_depth_out)
+        # x's gradient is g_depth_out convolved with the flipped kernel.
         g_padded = np.zeros_like(padded)
-        for j in range(width):
-            g_padded[:, j:j + length, :] += dk[j] * g_depth_out
-        gx = g_padded[:, pad:pad + length, :]
+        g_padded[:, pad:pad + length] = g_depth_out
+        gx = np.einsum("blck,kc->blc",
+                       sliding_window_view(g_padded, width, axis=1), dk[::-1])
+        if mask is not None:
+            gx *= mask
         if squeeze:
             gx = gx[0]
         return gx, g_dk, g_point, g_bias
 
     return _result("depthwise_separable_conv1d",
                    (x, depth_kernel, point_kernel, bias), out, bwd)
+
+
+def _with_columns(a: np.ndarray, *columns) -> np.ndarray:
+    """``a`` widened by one trailing column per entry of ``columns``."""
+    width = a.shape[-1]
+    out = np.empty(a.shape[:-1] + (width + len(columns),))
+    out[..., :width] = a
+    for i, column in enumerate(columns):
+        out[..., width + i] = column
+    return out
+
+
+def _attend(qs: np.ndarray, kh: np.ndarray, vh: np.ndarray, key_mask):
+    """Masked softmax attention per head, its probabilities left unnormalized.
+
+    ``qs`` (..., h, n, dh) holds the scaled queries, ``kh`` and ``vh`` (...,
+    h, m, dh) the keys and values. Returns the weights ``E`` (..., h, n, m),
+    ``inv`` (..., h, n, 1) with ``P = E * inv``, and ``P @ vh``.
+
+    The key penalty rides into the logit matmul as one extra column, [qs, 1]
+    · [k, penalty], and the row sums ride out of the ``E @ [v, 1]`` matmul as
+    one: past the max shift and the exp, no pass over an (n, m) array masks,
+    sums or normalizes it. A row with no usable key gets ``inv`` 0.
+    """
+    if key_mask is None:
+        weights = qs @ np.swapaxes(kh, -1, -2)
+        has_key = None
+    else:
+        mask = np.asarray(key_mask, dtype=np.float64)[..., None, :]  # (..., 1, m)
+        keys = kh.shape[:-1]  # (..., h, m)
+        try:
+            fits = np.broadcast_shapes(mask.shape, keys) == keys
+        except ValueError:
+            fits = False
+        if not fits:
+            raise DimensionMismatch(f"key mask {np.shape(key_mask)} vs keys "
+                                    f"{kh.shape[:-3] + kh.shape[-2:-1]}")
+        penalty = (mask - 1.0) * _MASK_PENALTY
+        weights = _with_columns(qs, 1.0) @ np.swapaxes(_with_columns(kh, penalty), -1, -2)
+        has_key = np.any(mask, axis=-1)[..., None, None]  # (..., 1, 1, 1)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    mixed = weights @ _with_columns(vh, 1.0)  # (..., h, n, dh + 1)
+    heads, inv = mixed[..., :-1], 1.0 / mixed[..., -1:]  # each row sum is at least 1
+    if has_key is not None:
+        inv *= has_key
+    return weights, inv, heads
 
 
 def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
@@ -555,10 +657,15 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
     broadcasts to (..., m); a key with mask 0 gets exactly zero weight, and
     a query with no usable key attends to nothing and outputs zeros.
 
-    The logits are softmaxed in place by the kernel :func:`softmax` uses, and
-    the tape keeps only the (..., h, n, m) probabilities ``P`` beside the
-    inputs; the backward works from ``P`` alone through
-    ``dS = P * (dP - sum(dP * P)) / sqrt(dh)``.
+    :func:`_attend` forms the probabilities as ``P = E * inv`` without a
+    pass of its own over the (n, m) logits to mask, sum or normalize them,
+    and the tape keeps only the (..., h, n, m) weights ``E`` and the
+    (..., h, n, 1) ``inv`` beside the inputs and the output ``O``. The
+    backward works from them through
+    ``dS = P * (dP - rowsum(dO * O))``, where ``rowsum(dO * O)`` equals the
+    softmax term ``rowsum(dP * P)`` at (..., h, n, dh) rather than (..., h,
+    n, m) cost. ``1/sqrt(dh)`` scales the (n, dh) arrays q, dq and dk,
+    never an (n, m) one.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim < 2 or k.shape != v.shape or k.ndim != q.ndim
@@ -574,24 +681,28 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
     def split(a):  # (..., n, d) -> (..., h, n, dh)
         return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, head_dim)), -2, -3)
 
-    def merge(a):  # (..., h, n, dh) -> (..., n, d)
-        return np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], d))
+    def merged_matmul(a, b):  # a @ b per head, written straight into (..., n, d)
+        out = np.empty(a.shape[:-3] + (a.shape[-2], d))
+        np.matmul(a, b, out=split(out))
+        return out
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    logits = qh @ np.swapaxes(kh, -1, -2)
-    logits *= scale
-    if key_mask is not None:  # (..., m) -> (..., 1, 1, m) against (..., h, n, m)
-        key_mask = np.asarray(key_mask, dtype=np.float64)[..., None, None, :]
-    probs = _softmax_forward(logits, -1, key_mask)
-    out = merge(probs @ vh)
+    weights, inv, heads = _attend(qh * scale, kh, vh, key_mask)  # scale (n, dh), not (n, m)
+    out = np.empty(q.shape)
+    np.multiply(heads, inv, out=split(out))
 
     def bwd(g):
-        gh = split(g)
-        g_v = np.swapaxes(probs, -1, -2) @ gh
-        g_s = _softmax_backward(gh @ np.swapaxes(vh, -1, -2), probs, -1)
-        g_s *= scale
-        g_q = g_s @ kh
-        g_k = np.swapaxes(np.swapaxes(qh, -1, -2) @ g_s, -1, -2)
-        return merge(g_q), merge(g_k), merge(g_v)
+        gh = split(g) * inv  # P = weights * inv, so inv moves onto the (n, dh) side
+        g_v = merged_matmul(np.swapaxes(weights, -1, -2), gh)
+        # rowsum(dP * P) == rowsum(dO * O), a per-head (n, dh) product; as an
+        # extra column it leaves the matmul already subtracted from dP.
+        rowsum = np.einsum("...nd,...nd->...n", gh, split(out))
+        g_s = _with_columns(gh, -rowsum) @ np.swapaxes(_with_columns(vh, 1.0), -1, -2)
+        g_s *= weights
+        g_q = merged_matmul(g_s, kh)
+        g_q *= scale
+        g_k = merged_matmul(np.swapaxes(g_s, -1, -2), qh)
+        g_k *= scale
+        return g_q, g_k, g_v
 
     return _result("scaled_dot_attention", (q, k, v), out, bwd)

@@ -181,15 +181,14 @@ def save_checkpoint(path: str, params: ModelParams, state: TrainState,
         "optimizer_config": asdict(opt_config),
         "words": vocab.words,
         "chars": vocab.chars,
-        "tensors": [{"name": n, "shape": list(a.shape), "dtype": "<f8"}
-                    for n, a in entries],
+        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in entries],
     }
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
         for _, a in entries:
-            fh.write(np.ascontiguousarray(a).astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
     os.replace(tmp, path)
 
 

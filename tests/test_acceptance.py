@@ -26,7 +26,7 @@ from qanet.evaluation import (evaluate, exact_match_score, f1_score,
 from qanet.model import ModelConfig, init_model_params, model_loss, predict_all
 from qanet.span import SpanHeadParams, dp_span_inference, span_distributions
 import qanet.tensor
-from qanet.tensor import (Tensor, add, backward, clamp_min, concat,
+from qanet.tensor import (Tensor, add, backward, clamp_min, concat, dense,
                           depthwise_separable_conv1d, dropout_apply,
                           dropout_mask, embedding_lookup, gather_last,
                           layernorm, log, matmul, max_over_axis, multiply,
@@ -172,6 +172,27 @@ def _op_sweep(rng):
     cases.append(("scaled_dot_attention:one_real_key", [a.copy() for a in qkv],
                   lambda ts: weighted_sum_loss(
                       scaled_dot_attention(*ts, 2, lone), wa)))
+    dx = rng.standard_normal((2, 3, 4))
+    dw = rng.standard_normal((4, 5))
+    db = rng.standard_normal(5)
+    wd = rng.standard_normal((2, 3, 5))
+    cases.append(("dense:batched", [dx, dw, db],
+                  lambda ts: weighted_sum_loss(dense(*ts), wd)))
+    cases.append(("dense:single", [dx[0], dw.copy(), db.copy()],
+                  lambda ts: weighted_sum_loss(dense(*ts), wd[0])))
+    # A padded batch whose first row has no padding, then one padded row alone.
+    mx = rng.standard_normal((3, 6, 4))
+    rows = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0],
+                     [1, 1, 0, 0, 0, 0]], dtype=np.float64)
+    wmc = rng.standard_normal((3, 6, 3))
+    cases.append(("depthwise_separable_conv1d:masked",
+                  [mx, dk.copy(), pk.copy(), cb.copy()],
+                  lambda ts: weighted_sum_loss(
+                      depthwise_separable_conv1d(*ts, mask=rows), wmc)))
+    cases.append(("depthwise_separable_conv1d:masked_single",
+                  [mx[1], dk.copy(), pk.copy(), cb.copy()],
+                  lambda ts: weighted_sum_loss(
+                      depthwise_separable_conv1d(*ts, mask=rows[1]), wmc[1])))
 
     swept = {name.split(":")[0] for name, _, _ in cases}
     ops = {name for name in qanet.tensor.__all__

@@ -174,8 +174,9 @@ def reference_self_attention(x, params, num_heads, mask=None):
     """Per-head loop built from primitive tape ops: the fused op's oracle.
 
     Each head's features are picked by a 0/1 selector matmul, which copies
-    them exactly, then go through their own matmul, scale, key-bias add,
-    softmax and matmul before the heads are concatenated.
+    them exactly, then go through their own matmul, scale, masked softmax
+    (whose backward forms ``sum(dP * P)`` over the keys) and matmul before
+    the heads are concatenated.
     """
     d = x.shape[-1]
     head_dim = d // num_heads
@@ -183,18 +184,13 @@ def reference_self_attention(x, params, num_heads, mask=None):
     q = T.add(T.matmul(x, params.query_w), params.query_b)
     k = T.add(T.matmul(x, params.key_w), params.key_b)
     v = T.add(T.matmul(x, params.value_w), params.value_b)
-    bias = None
-    if mask is not None:
-        bias = Tensor(((np.asarray(mask, dtype=np.float64) - 1.0)
-                       * 1e30)[..., None, :])
+    rows = None if mask is None else np.asarray(mask)[..., None, :]
     heads = []
     for h in range(num_heads):
         pick = Tensor(np.eye(d)[:, h * head_dim:(h + 1) * head_dim])
         qh, kh, vh = (T.matmul(t, pick) for t in (q, k, v))
         logits = T.scalar_scale(T.matmul(qh, T.swap_last_axes(kh)), scale)
-        if bias is not None:
-            logits = T.add(logits, bias)
-        heads.append(T.matmul(T.softmax(logits, axis=-1), vh))
+        heads.append(T.matmul(T.softmax(logits, axis=-1, mask=rows), vh))
     merged = T.concat(heads, axis=-1)
     return T.add(T.matmul(merged, params.out_w), params.out_b)
 
@@ -202,6 +198,10 @@ def reference_self_attention(x, params, num_heads, mask=None):
 MIXED_PADDING = np.array([[1, 1, 1, 1, 1, 1, 1],
                           [1, 1, 1, 1, 0, 0, 0],
                           [1, 0, 0, 0, 0, 0, 0]], dtype=np.float64)
+# The last row has no usable key, so none of its queries attends anywhere.
+NO_USABLE_KEY = np.array([[1, 1, 1, 1, 1, 1, 1],
+                          [1, 1, 1, 0, 0, 0, 0],
+                          [0, 0, 0, 0, 0, 0, 0]], dtype=np.float64)
 
 
 class TestFusedAttentionMatchesLoop:
@@ -210,10 +210,12 @@ class TestFusedAttentionMatchesLoop:
     @pytest.mark.parametrize("d", [64, 128])  # head widths 8 (desk), 16 (paper)
     @pytest.mark.parametrize("shape,mask", [
         ((3, 7), MIXED_PADDING),
+        ((3, 7), NO_USABLE_KEY),
         ((3, 7), None),
         ((7,), MIXED_PADDING[1]),
         ((7,), None),
-    ], ids=["batched-padded", "batched-nomask", "single-padded", "single-nomask"])
+    ], ids=["batched-padded", "batched-no-usable-key", "batched-nomask",
+            "single-padded", "single-nomask"])
     def test_matches_reference(self, d, shape, mask):
         rng = np.random.default_rng(d + len(shape))
         params = tiny_attention_params(d, rng)
@@ -236,6 +238,9 @@ class TestFusedAttentionMatchesLoop:
         names = ["output", "x"] + [f.name for f in fields(E.AttentionParams)]
         for name, a, b in zip(names, fused, looped):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+        if mask is NO_USABLE_KEY:
+            # Nothing reaches x's row from q, k or v: exactly zero, not small.
+            np.testing.assert_array_equal(fused[1][2], np.zeros((7, d)))
 
 
 def stack_setup(num_blocks=1, convs=2, d=8, n=5, heads=2, kernel=3, seed=0,
@@ -250,6 +255,30 @@ def stack_setup(num_blocks=1, convs=2, d=8, n=5, heads=2, kernel=3, seed=0,
 
 
 class TestEncoderStack:
+    def test_tape_op_count_pinned(self):
+        """One block at a fixed padded shape records exactly these ops.
+
+        The conv sublayers mask inside the conv op, and every affine map is
+        one ``dense`` op; unfused, the same block records 29 ops (two
+        multiplies more per conv sublayer, a matmul and an add per dense).
+        """
+        config, params, x = stack_setup(n=5)
+        mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
+        out = E.encoder_stack_forward(
+            Tensor(np.stack([x, x]), requires_grad=True), config, params, mask)
+        seen, counts, pending = set(), {}, [out]
+        while pending:
+            t = pending.pop()
+            if t.op is None or id(t.op) in seen:
+                continue
+            seen.add(id(t.op))
+            counts[t.op.name] = counts.get(t.op.name, 0) + 1
+            pending.extend(t.op.inputs)
+        assert counts == {"add": 5, "dense": 6, "relu": 1, "layernorm": 4,
+                          "scaled_dot_attention": 1,
+                          "depthwise_separable_conv1d": 2}
+        assert len(seen) == 19
+
     def test_shape_preserved(self):
         config, params, x = stack_setup()
         out = E.encoder_stack_forward(Tensor(x), config, params, None)

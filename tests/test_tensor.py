@@ -145,6 +145,79 @@ class TestForwardValues:
             assert np.all(np.isfinite(o.data))
 
 
+class TestFusedOpsMatchComposites:
+    """Fused ops against the primitive-op chains they replace."""
+
+    @staticmethod
+    def run(make, arrays, weights):
+        """Output and every input's gradient of ``make`` on fresh leaves."""
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = make(*leaves)
+        backward(weighted_sum_loss(out, weights))
+        return [out.data] + [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("lead", [(3, 5), (5,)], ids=["batched", "single"])
+    def test_dense_matches_add_matmul(self, lead):
+        rng = np.random.default_rng(31)
+        arrays = [rng.standard_normal(lead + (4,)), rng.standard_normal((4, 6)),
+                  rng.standard_normal(6)]
+        w = rng.standard_normal(lead + (6,))
+        fused = self.run(T.dense, arrays, w)
+        chained = self.run(lambda x, m, b: T.add(T.matmul(x, m), b), arrays, w)
+        for name, a, b in zip(["out", "x", "w", "b"], fused, chained):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_dense_shape_errors(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(T.DimensionMismatch):
+            T.dense(x, Tensor(np.ones((3, 5))), Tensor(np.ones(5)))
+        with pytest.raises(T.DimensionMismatch):
+            T.dense(x, Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
+        with pytest.raises(T.DimensionMismatch):
+            T.dense(Tensor(np.ones(4)), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0, 0],
+                  [1, 1, 0, 0, 0, 0, 0]], dtype=np.float64),
+        np.array([1, 1, 1, 1, 1, 0, 0], dtype=np.float64),
+    ], ids=["padded-batch", "single"])
+    def test_masked_conv_matches_multiply_conv_multiply(self, rows):
+        rng = np.random.default_rng(32)
+        arrays = [rng.standard_normal(rows.shape + (4,)), rng.standard_normal((5, 4)),
+                  rng.standard_normal((4, 3)), rng.standard_normal(3)]
+        w = rng.standard_normal(rows.shape + (3,))
+        columns = Tensor(rows[..., None])
+
+        def chained(x, dk, pk, b):
+            h = T.depthwise_separable_conv1d(T.multiply(x, columns), dk, pk, b)
+            return T.multiply(h, columns)
+
+        fused = self.run(lambda *ts: T.depthwise_separable_conv1d(*ts, mask=rows),
+                         arrays, w)
+        for name, a, b in zip(["out", "x", "depth", "point", "bias"],
+                              fused, self.run(chained, arrays, w)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+        padded = rows == 0.0
+        assert np.all(fused[0][padded] == 0.0) and np.all(fused[1][padded] == 0.0)
+
+    def test_conv_mask_shape_error(self):
+        with pytest.raises(T.DimensionMismatch, match="mask"):
+            T.depthwise_separable_conv1d(
+                Tensor(np.ones((2, 5, 3))), Tensor(np.ones((3, 3))),
+                Tensor(np.ones((3, 3))), Tensor(np.zeros(3)), np.ones((2, 4)))
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 5), (2, 3, 8), (8, 100, 64)])
+    @pytest.mark.parametrize("rate", [0.05, 0.1, 0.3, 0.5, 0.9])
+    def test_dropout_mask_bitwise_equal_to_reference_formula(self, shape, rate):
+        ours, theirs = np.random.default_rng(41), np.random.default_rng(41)
+        keep = 1.0 - rate
+        for _ in range(2):  # the generators must also stay in step
+            want = (theirs.random(shape) < keep).astype(np.float64) / keep
+            got = T.dropout_mask(ours, shape, rate)
+            assert got.dtype == np.float64 and got.shape == shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestTape:
     def test_shared_nodes_get_complete_adjoints(self):
         # y feeds two consumers and x three: backward must finish every

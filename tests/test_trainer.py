@@ -257,8 +257,7 @@ class TestCheckpoint:
         *_, path = self.roundtrip(tmp_path)
 
         def add_tensor(header, body):
-            header["tensors"].append(
-                {"name": "param.extra", "shape": [3], "dtype": "<f8"})
+            header["tensors"].append({"name": "param.extra", "shape": [3]})
             return body + bytes(24)
 
         with pytest.raises(CheckpointShapeMismatch) as err:
@@ -283,17 +282,30 @@ class TestCheckpoint:
         assert swapped[0] in str(err.value)
 
     def test_unknown_header_key_still_loads_bitwise(self, tmp_path):
-        """Older checkpoints carry a ``config_hash`` nothing reads."""
+        """Older checkpoints carry a ``config_hash`` and a per-tensor
+        ``dtype`` that nothing reads."""
         *_, path = self.roundtrip(tmp_path)
 
         def add_key(header, body):
             header["config_hash"] = "0" * 64
+            for meta in header["tensors"]:
+                meta["dtype"] = "<f8"
             return body
 
         again = os.path.join(tmp_path, "again.ckpt")
         save_checkpoint(again, *load_checkpoint(self.rewrite(path, add_key)))
         with open(path, "rb") as want, open(again, "rb") as got:
             assert got.read() == want.read()
+
+    def test_header_entries_hold_name_and_shape_then_raw_blobs(self, tmp_path):
+        params, state, *_, path = self.roundtrip(tmp_path)
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            body = fh.read()
+        assert all(sorted(meta) == ["name", "shape"] for meta in header["tensors"])
+        from qanet.trainer import _checkpoint_entries
+        assert body == b"".join(np.ascontiguousarray(a).astype("<f8").tobytes()
+                                for _, a in _checkpoint_entries(params, state))
 
     def test_unsupported_version_rejected_by_both_readers(self, tmp_path):
         *_, path = self.roundtrip(tmp_path)
