@@ -2,10 +2,12 @@
 
 Each block adds sinusoidal position information, then runs its sublayers
 inside pre-norm residual wrappers: ``x + f(layernorm(x))``, with ``f``'s
-output dropped out before the residual add. During training a sublayer is
-skipped entirely with probability ``1 - p_l`` (stochastic depth), where
-``p_l`` decays linearly with global sublayer index down to the configured
-final survival rate.
+output dropped out before the residual add. Each sublayer's last op, a
+``dense`` or the conv, forms that sum in its own result buffer, so ``f``'s
+output before the add never becomes a tensor the tape keeps. During
+training a sublayer is skipped entirely with probability ``1 - p_l``
+(stochastic depth), where ``p_l`` decays linearly with global sublayer
+index down to the configured final survival rate.
 """
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import (
-    DimensionMismatch, Tensor, add, dense, depthwise_separable_conv1d,
-    dropout_apply, dropout_mask, layernorm, relu, scaled_dot_attention,
+    DimensionMismatch, DropoutMask, Tensor, add, dense,
+    depthwise_separable_conv1d, dropout_mask, layernorm, relu,
+    scaled_dot_attention,
 )
 
 class OddDimension(ValueError):
@@ -76,17 +79,25 @@ def survival_probability(index: int, total: int, final: float) -> float:
 
 
 def residual_sublayer(x: Tensor, f, ln_gain: Tensor, ln_bias: Tensor,
-                      survival_prob: float, train_mode: bool, rng) -> Tensor:
-    """Pre-norm residual with stochastic depth.
+                      survival_prob: float, train_mode: bool, rng,
+                      dropout: float = 0.0) -> Tensor:
+    """Pre-norm residual with stochastic depth and dropout.
 
-    Eval mode always computes ``x + f(layernorm(x))``. Train mode draws one
-    uniform sample; on failure the sublayer is skipped and ``x`` passes
-    through untouched (no rescaling either way).
+    Returns ``f(layernorm(x), x, mask)``, where ``f`` must compute ``x +
+    mask ⊙ h`` for its output ``h`` (its last op's ``residual`` and
+    ``dropout`` arguments do). Eval mode always applies the sublayer, with
+    mask None. Train mode draws one uniform sample; on failure the
+    sublayer is skipped and ``x`` passes through untouched (no rescaling
+    either way). Otherwise, with a positive ``dropout`` rate, the mask is
+    drawn next, before ``f`` runs; ``f`` draws nothing.
     """
+    mask = None
     if train_mode:
         if rng.random() >= survival_prob:
             return x
-    return add(x, f(layernorm(x, ln_gain, ln_bias)))
+        if dropout > 0.0:
+            mask = dropout_mask(rng, x.shape, dropout)
+    return f(layernorm(x, ln_gain, ln_bias), x, mask)
 
 
 @dataclass
@@ -102,20 +113,23 @@ class AttentionParams:
 
 
 def multi_head_self_attention(x: Tensor, params: AttentionParams,
-                              num_heads: int, mask: np.ndarray | None = None) -> Tensor:
+                              num_heads: int, mask: np.ndarray | None = None,
+                              residual: Tensor | None = None,
+                              dropout: DropoutMask | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention over the last-but-one axis.
 
     ``x`` is (..., n, d). The q/k/v projections feed one
     :func:`~qanet.tensor.scaled_dot_attention` op, whose tape record keeps
     only the (..., heads, n, n) attention probabilities, and an output
     projection follows. ``mask`` (1.0 real, 0.0 padding) is the key mask:
-    padded keys get exactly zero attention weight.
+    padded keys get exactly zero attention weight. ``residual`` and
+    ``dropout`` pass to the output projection's epilogue.
     """
     q = dense(x, params.query_w, params.query_b)
     k = dense(x, params.key_w, params.key_b)
     v = dense(x, params.value_w, params.value_b)
     merged = scaled_dot_attention(q, k, v, num_heads, mask)
-    return dense(merged, params.out_w, params.out_b)
+    return dense(merged, params.out_w, params.out_b, residual, dropout)
 
 
 @dataclass
@@ -194,12 +208,6 @@ def init_encoder_stack(config: EncoderBlockConfig, rng) -> EncoderStackParams:
     return EncoderStackParams(blocks=blocks)
 
 
-def _maybe_dropout(h: Tensor, rate: float, train_mode: bool, rng) -> Tensor:
-    if train_mode and rate > 0.0:
-        return dropout_apply(h, dropout_mask(rng, h.shape, rate))
-    return h
-
-
 def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
                           params: EncoderStackParams, mask: np.ndarray | None,
                           train_mode: bool = False, rng=None) -> Tensor:
@@ -216,39 +224,35 @@ def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
     signal = positional_encoding(length, d)
     total = config.total_sublayers
     index = 0
+
+    def sublayer(x, f, ln_gain, ln_bias):
+        nonlocal index
+        index += 1
+        p = survival_probability(index, total, config.survival_end)
+        return residual_sublayer(x, f, ln_gain, ln_bias, p, train_mode, rng,
+                                 config.dropout)
+
     for block in params.blocks:
         x = add(x, signal)
         for conv in block.convs:
-            index += 1
-            p = survival_probability(index, total, config.survival_end)
+            def conv_f(xn, residual, drop, conv=conv):
+                return depthwise_separable_conv1d(
+                    xn, conv.depth_kernel, conv.point_kernel, conv.bias, mask,
+                    residual, drop)
 
-            def conv_f(xn, conv=conv):
-                h = depthwise_separable_conv1d(
-                    xn, conv.depth_kernel, conv.point_kernel, conv.bias, mask)
-                return _maybe_dropout(h, config.dropout, train_mode, rng)
-
-            x = residual_sublayer(x, conv_f, conv.ln_gain, conv.ln_bias,
-                                  p, train_mode, rng)
-        index += 1
-        p = survival_probability(index, total, config.survival_end)
+            x = sublayer(x, conv_f, conv.ln_gain, conv.ln_bias)
         attn = block.attention
 
-        def attn_f(xn, attn=attn):
-            h = multi_head_self_attention(xn, attn.attention,
-                                          config.num_heads, mask)
-            return _maybe_dropout(h, config.dropout, train_mode, rng)
+        def attn_f(xn, residual, drop, attn=attn):
+            return multi_head_self_attention(xn, attn.attention, config.num_heads,
+                                             mask, residual, drop)
 
-        x = residual_sublayer(x, attn_f, attn.ln_gain, attn.ln_bias,
-                              p, train_mode, rng)
-        index += 1
-        p = survival_probability(index, total, config.survival_end)
+        x = sublayer(x, attn_f, attn.ln_gain, attn.ln_bias)
         ffn = block.feed_forward
 
-        def ffn_f(xn, ffn=ffn):
+        def ffn_f(xn, residual, drop, ffn=ffn):
             h = relu(dense(xn, ffn.inner_w, ffn.inner_b))
-            h = dense(h, ffn.outer_w, ffn.outer_b)
-            return _maybe_dropout(h, config.dropout, train_mode, rng)
+            return dense(h, ffn.outer_w, ffn.outer_b, residual, drop)
 
-        x = residual_sublayer(x, ffn_f, ffn.ln_gain, ffn.ln_bias,
-                              p, train_mode, rng)
+        x = sublayer(x, ffn_f, ffn.ln_gain, ffn.ln_bias)
     return x

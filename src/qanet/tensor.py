@@ -8,30 +8,48 @@ the leaves only: ``requires_grad`` tensors no op produced. The adjoints of
 op outputs live only while ``backward`` runs, so an output's ``.grad``
 stays None. Repeated calls accumulate until the leaves' grads are zeroed.
 
-A record keeps what its backward rule reads, usually the operands. Three
-ops do in one record what would otherwise be a chain of them:
-:func:`dense` is ``x @ w + b`` with the bias added in place;
-:func:`depthwise_separable_conv1d` takes an optional 0/1 position ``mask``
-and zeroes padded positions of its input and output itself; and
-:func:`scaled_dot_attention` runs every head at once. Masks in
-:func:`softmax` and attention give slots exactly zero weight, and a slice
-with no usable slot is zero throughout. Both ops keep only their
-probabilities (attention keeps one unnormalized (..., heads, n, m) array
-and its row scale beside the inputs and output), never logits or per-head
-slices. The attention backward uses ``rowsum(dP * P) == rowsum(dO * O)``
-(FlashAttention-2, arXiv 2307.08691), so its softmax term costs an (n, dh)
-product, not an (n, m) one.
+A record holds its input tensors and, in its backward closure, only what
+the rule reads beyond them. ``add`` and ``subtract`` keep shapes;
+``multiply`` keeps each operand's values only for the other's gradient; and
+an operand that does not require grad gets None, not a gradient nobody
+reads. ``relu`` and ``clamp_min`` keep a bool mask,
+``sigmoid`` and ``softmax`` their output, ``log`` and ``max_over_axis``
+their input. Beyond that:
+
+- :func:`dense` is ``x @ w + b`` in one record, the bias added in place;
+  it keeps ``x`` and ``w``.
+- :func:`depthwise_separable_conv1d` takes an optional 0/1 position
+  ``mask`` and zeroes padded positions of its input and output itself. It
+  keeps its inputs, the mask and the depthwise output, and rebuilds the
+  zero-padded input in backward.
+- Both take an epilogue: given a ``residual`` and a :class:`DropoutMask`
+  ``dropout``, the result is ``residual + dropout ⊙ op(x)``, formed in
+  place in the op's own result buffer, so a residual sublayer ends in one
+  record and its output before the add never becomes a tensor. The record
+  keeps the mask's one-byte ``keep`` and its ``scale``, as
+  :func:`dropout_apply` does; no record keeps a float64 mask.
+- :func:`layernorm` keeps the per-row ``mean`` and ``inv`` beside its
+  input and rebuilds the normalized input in backward.
+- :func:`scaled_dot_attention` runs every head at once.
+
+Masks in :func:`softmax` and attention give slots exactly zero weight, and
+a slice with no usable slot is zero throughout. Attention keeps one
+unnormalized (..., heads, n, m) array and its row scale beside the inputs
+and output, never logits or per-head slices. Its backward uses
+``rowsum(dP * P) == rowsum(dO * O)`` (FlashAttention-2, arXiv 2307.08691),
+so its softmax term costs an (n, dh) product, not an (n, m) one.
 
 The engine itself is deterministic: dropout masks are drawn by callers from
-an explicit seeded generator and applied with :func:`dropout_apply`. A graph
-must stay on a single thread; independent graphs on separate threads are
-fine.
+an explicit seeded generator with :func:`dropout_mask` and applied by
+:func:`dropout_apply` or an op's epilogue. A graph must stay on a single
+thread; independent graphs on separate threads are fine.
 """
 from __future__ import annotations
 
 import math
 import threading
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,6 +61,7 @@ __all__ = [
     "concat", "reshape", "swap_last_axes", "reduce_sum",
     "max_over_axis", "embedding_lookup", "gather_last", "dropout_apply",
     "depthwise_separable_conv1d", "scaled_dot_attention", "dropout_mask",
+    "DropoutMask",
     "DimensionMismatch", "AxisOutOfRange", "EvenKernel", "NotScalar",
     "DetachedTensor", "IdOutOfRange",
 ]
@@ -205,8 +224,9 @@ def add(a, b) -> Tensor:
     except ValueError:
         raise DimensionMismatch(f"add: {a.shape} vs {b.shape}") from None
     sa, sb = a.shape, b.shape
-    return _result("add", (a, b), out,
-                   lambda g: (_reduce_to(g, sa), _reduce_to(g, sb)))
+    ra, rb = a.requires_grad, b.requires_grad
+    return _result("add", (a, b), out, lambda g: (
+        _reduce_to(g, sa) if ra else None, _reduce_to(g, sb) if rb else None))
 
 
 def subtract(a, b) -> Tensor:
@@ -216,8 +236,9 @@ def subtract(a, b) -> Tensor:
     except ValueError:
         raise DimensionMismatch(f"subtract: {a.shape} vs {b.shape}") from None
     sa, sb = a.shape, b.shape
-    return _result("subtract", (a, b), out,
-                   lambda g: (_reduce_to(g, sa), _reduce_to(-g, sb)))
+    ra, rb = a.requires_grad, b.requires_grad
+    return _result("subtract", (a, b), out, lambda g: (
+        _reduce_to(g, sa) if ra else None, _reduce_to(-g, sb) if rb else None))
 
 
 def multiply(a, b) -> Tensor:
@@ -226,10 +247,13 @@ def multiply(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise DimensionMismatch(f"multiply: {a.shape} vs {b.shape}") from None
-    ad, bd = a.data, b.data
+    # Each operand's gradient reads the other's values; a constant gets none.
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
     sa, sb = a.shape, b.shape
-    return _result("multiply", (a, b), out,
-                   lambda g: (_reduce_to(g * bd, sa), _reduce_to(g * ad, sb)))
+    return _result("multiply", (a, b), out, lambda g: (
+        None if bd is None else _reduce_to(g * bd, sa),
+        None if ad is None else _reduce_to(g * ad, sb)))
 
 
 def scalar_scale(x, c: float) -> Tensor:
@@ -259,11 +283,14 @@ def matmul(a, b) -> Tensor:
     return _result("matmul", (a, b), out, bwd)
 
 
-def dense(x, w, b) -> Tensor:
+def dense(x, w, b, residual=None, dropout=None) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of ``x``, as one op.
 
     ``x`` is (..., k), ``w`` (k, m) and ``b`` (m,). The bias is added in
     place into the matmul's result, and the tape keeps ``x`` and ``w``.
+    With a ``residual`` tensor and/or a :class:`DropoutMask` ``dropout`` of
+    the output's shape, the result is ``residual + dropout ⊙ (x @ w + b)``,
+    formed in place in the same buffer (see :func:`_epilogue`).
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -271,14 +298,16 @@ def dense(x, w, b) -> Tensor:
     xd, wd = x.data, w.data
     out = xd @ wd
     out += b.data
+    inputs = _epilogue("dense", out, (x, w, b), residual, dropout)
 
     def bwd(g):
-        gx = g @ wd.T
-        gw = _reduce_to(np.swapaxes(xd, -1, -2) @ g, wd.shape)
-        gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
-        return gx, gw, gb
+        gh = g if dropout is None else _dropped(g, dropout)
+        gx = gh @ wd.T
+        gw = _reduce_to(np.swapaxes(xd, -1, -2) @ gh, wd.shape)
+        gb = gh.reshape(-1, gh.shape[-1]).sum(axis=0)
+        return gx, gw, gb, g  # zip drops g when there is no residual
 
-    return _result("dense", (x, w, b), out, bwd)
+    return _result("dense", inputs, out, bwd)
 
 
 def relu(x) -> Tensor:
@@ -362,28 +391,37 @@ _LAYERNORM_EPS = 1e-6
 
 
 def layernorm(x, gain, bias) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    The tape keeps the per-row ``mean`` and ``inv`` (..., 1) beside the
+    inputs; backward rebuilds ``xhat = (x - mean) * inv`` with the same
+    two operations, so it holds the same bits as the forward's.
+    """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     dim = x.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
         raise DimensionMismatch(
             f"layernorm: gain {gain.shape} / bias {bias.shape} vs feature dim {dim}")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / dim
+    xd, gd = x.data, gain.data
+    mean = xd.mean(axis=-1, keepdims=True)
+    out = xd - mean
+    var = np.einsum("...i,...i->...", out, out)[..., None] / dim
     inv = 1.0 / np.sqrt(var + _LAYERNORM_EPS)
-    xhat *= inv
-    out = xhat * gain.data
+    out *= inv
+    out *= gd
     out += bias.data
-    gd = gain.data
 
     def bwd(g):
+        xhat = xd - mean
+        xhat *= inv
         g2 = g.reshape(-1, dim)
         dbias = g2.sum(axis=0)
         dgain = np.einsum("ni,ni->i", g2, xhat.reshape(-1, dim))
         dx = g * gd
         proj = np.einsum("...i,...i->...", dx, xhat)[..., None] / dim
         dx -= dx.mean(axis=-1, keepdims=True)
-        dx -= xhat * proj
+        xhat *= proj
+        dx -= xhat
         dx *= inv
         return dx, dgain, dbias
 
@@ -502,30 +540,67 @@ def gather_last(x, ids) -> Tensor:
     return _result("gather_last", (x,), out, bwd)
 
 
-def dropout_apply(x, mask) -> Tensor:
-    """Multiply by a caller-supplied mask (already scaled by 1/keep)."""
+class DropoutMask(NamedTuple):
+    """Inverted dropout: ``keep`` (bool) slots pass, scaled by ``scale``.
+
+    As a float mask it is ``keep * scale``, zero where dropped. Ops apply it
+    as ``a * scale`` with the dropped slots then zeroed, which gives the
+    same bits as multiplying by that float mask wherever ``a * scale`` is
+    finite, and their records keep the one-byte ``keep``.
+    """
+
+    keep: np.ndarray
+    scale: float
+
+
+def _dropped(a: np.ndarray, mask: DropoutMask, out=None) -> np.ndarray:
+    """``a ⊙ mask`` into ``out`` (a new array by default)."""
+    out = np.multiply(a, mask.scale, out=out)
+    out *= mask.keep
+    return out
+
+
+def _epilogue(name, out, inputs, residual, dropout):
+    """Make ``out`` hold ``residual + dropout ⊙ out``, in place.
+
+    Either part may be None. Returns the op's record inputs, with the
+    residual tensor appended when there is one.
+    """
+    if dropout is not None:
+        if dropout.keep.shape != out.shape:
+            raise DimensionMismatch(
+                f"{name}: dropout mask {dropout.keep.shape} vs output {out.shape}")
+        _dropped(out, dropout, out=out)
+    if residual is None:
+        return inputs
+    residual = _as_tensor(residual)
+    if residual.shape != out.shape:
+        raise DimensionMismatch(f"{name}: residual {residual.shape} vs output {out.shape}")
+    out += residual.data
+    return inputs + (residual,)
+
+
+def dropout_apply(x, mask: DropoutMask) -> Tensor:
+    """Multiply by a :func:`dropout_mask` mask; the record keeps its bool ``keep``."""
     x = _as_tensor(x)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != x.shape:
-        raise DimensionMismatch(f"dropout mask {mask.shape} vs {x.shape}")
-    return _result("dropout_apply", (x,), x.data * mask, lambda g: (g * mask,))
+    if mask.keep.shape != x.shape:
+        raise DimensionMismatch(f"dropout mask {mask.keep.shape} vs {x.shape}")
+    return _result("dropout_apply", (x,), _dropped(x.data, mask),
+                   lambda g: (_dropped(g, mask),))
 
 
-def dropout_mask(rng, shape, rate: float) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate)."""
+def dropout_mask(rng, shape, rate: float) -> DropoutMask:
+    """Inverted-dropout mask: drop with probability ``rate``, else scale by 1/(1-rate)."""
     if rate <= 0.0:
-        return np.ones(shape)
+        return DropoutMask(np.ones(shape, dtype=bool), 1.0)
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
     keep = 1.0 - rate
-    mask = rng.random(shape)
-    np.less(mask, keep, out=mask)  # the uniform draws become 0.0 / 1.0 in place
-    mask /= keep
-    return mask
+    return DropoutMask(rng.random(shape) < keep, 1.0 / keep)
 
 
 def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
-                               mask=None) -> Tensor:
+                               mask=None, residual=None, dropout=None) -> Tensor:
     """Per-channel conv over positions, then a pointwise channel mix.
 
     ``x`` is (length, channels) or (batch, length, channels). The depth
@@ -533,7 +608,11 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
     bias (out_channels,). Width must be odd; padding is 'same' with zeros.
     ``mask`` is None or a 0/1 array that broadcasts to ``x`` without its
     channel axis; positions with mask 0 are zeroed in the input, so they
-    feed nothing, and in the output.
+    feed nothing, and in the output. ``residual`` and ``dropout`` work as
+    in :func:`dense`: the result is ``residual + dropout ⊙ conv(x)``.
+
+    The tape keeps the inputs and the depthwise output; backward rebuilds
+    the zero-padded input from ``x`` and ``mask`` rather than keeping it.
     """
     x, depth_kernel = _as_tensor(x), _as_tensor(depth_kernel)
     point_kernel, bias = _as_tensor(point_kernel), _as_tensor(bias)
@@ -562,12 +641,16 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
         mask = mask.reshape(batch, length, 1)
 
     pad = (width - 1) // 2
-    padded = np.zeros((batch, length + width - 1, channels))
-    if mask is None:
-        padded[:, pad:pad + length] = xd
-    else:
-        np.multiply(xd, mask, out=padded[:, pad:pad + length])
-    windows = sliding_window_view(padded, width, axis=1)  # (B, L, C, width)
+
+    def padded_input():  # zero margins around the masked input
+        padded = np.zeros((batch, length + width - 1, channels))
+        if mask is None:
+            padded[:, pad:pad + length] = xd
+        else:
+            np.multiply(xd, mask, out=padded[:, pad:pad + length])
+        return padded
+
+    windows = sliding_window_view(padded_input(), width, axis=1)  # (B, L, C, width)
     depth_out = np.einsum("blck,kc->blc", windows, depth_kernel.data)
     out = depth_out @ point_kernel.data
     out += bias.data
@@ -575,29 +658,32 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
         out *= mask
     if squeeze:
         out = out[0]
+    inputs = _epilogue("depthwise_separable_conv1d", out,
+                       (x, depth_kernel, point_kernel, bias), residual, dropout)
     dk, pk = depth_kernel.data, point_kernel.data
 
     def bwd(g):
-        g2 = g.reshape(-1, out_channels)
+        g2 = (g if dropout is None else _dropped(g, dropout)).reshape(-1, out_channels)
         if mask is not None:
             g2 = g2 * mask.reshape(-1, 1)
         g_bias = g2.sum(axis=0)
         g_point = depth_out.reshape(-1, channels).T @ g2
         g_depth_out = (g2 @ pk.T).reshape(batch, length, channels)
-        g_dk = np.einsum("blck,blc->kc", windows, g_depth_out)
-        # x's gradient is g_depth_out convolved with the flipped kernel.
-        g_padded = np.zeros_like(padded)
-        g_padded[:, pad:pad + length] = g_depth_out
-        gx = np.einsum("blck,kc->blc",
-                       sliding_window_view(g_padded, width, axis=1), dk[::-1])
+        padded = padded_input()
+        g_dk = np.einsum("blck,blc->kc", sliding_window_view(padded, width, axis=1),
+                         g_depth_out)
+        # x's gradient is g_depth_out convolved with the flipped kernel; the
+        # padded buffer's zero margins serve again around it.
+        padded[:, pad:pad + length] = g_depth_out
+        gx = np.einsum("blck,kc->blc", sliding_window_view(padded, width, axis=1),
+                       dk[::-1])
         if mask is not None:
             gx *= mask
         if squeeze:
             gx = gx[0]
-        return gx, g_dk, g_point, g_bias
+        return gx, g_dk, g_point, g_bias, g  # zip drops g when there is no residual
 
-    return _result("depthwise_separable_conv1d",
-                   (x, depth_kernel, point_kernel, bias), out, bwd)
+    return _result("depthwise_separable_conv1d", inputs, out, bwd)
 
 
 def _with_columns(a: np.ndarray, *columns) -> np.ndarray:

@@ -1,0 +1,62 @@
+"""What a tape keeps alive: op outputs plus the arrays backward closures hold.
+
+Every array is charged to the buffer that owns its memory, once however
+many views of it the tape holds. Views made by ``sliding_window_view``
+(and ``as_strided``) sit on a wrapper object whose ``base`` is the source
+array; :func:`owner` follows that link too.
+"""
+from __future__ import annotations
+
+import types
+
+import numpy as np
+
+
+def owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while True:
+        base = a.base
+        if base is not None and not isinstance(base, np.ndarray):
+            base = getattr(base, "base", None)  # the as_strided wrapper
+        if not isinstance(base, np.ndarray):
+            return a
+        a = base
+
+
+def closure_arrays(fn) -> list[np.ndarray]:
+    """Arrays a function's closure holds, through nested functions and tuples."""
+    found, pending, seen = [], [fn], set()
+    while pending:
+        item = pending.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, tuple):
+            pending.extend(item)
+        elif isinstance(item, types.FunctionType):
+            pending.extend(cell.cell_contents for cell in item.__closure__ or ())
+    return found
+
+
+def records(root):
+    """``(output tensor, TapeOp)`` for every op reachable from ``root``."""
+    seen, pending = set(), [root]
+    while pending:
+        t = pending.pop()
+        if t.op is None or id(t.op) in seen:
+            continue
+        seen.add(id(t.op))
+        yield t, t.op
+        pending.extend(t.op.inputs)
+
+
+def tape_bytes(root) -> int:
+    """Bytes of every buffer that op outputs or backward closures reach."""
+    buffers = {}
+    for out, op in records(root):
+        for a in [out.data] + closure_arrays(op.backward_fn):
+            buf = owner(a)
+            buffers[id(buf)] = buf.nbytes
+    return sum(buffers.values())

@@ -193,6 +193,27 @@ def _op_sweep(rng):
                   [mx[1], dk.copy(), pk.copy(), cb.copy()],
                   lambda ts: weighted_sum_loss(
                       depthwise_separable_conv1d(*ts, mask=rows[1]), wmc[1])))
+    # Residual-and-dropout epilogues; the residual is the last input.
+    res = rng.standard_normal((2, 3, 5))
+    drop = dropout_mask(np.random.default_rng(5), (2, 3, 5), 0.3)
+    cases.append(("dense:epilogue_batched", [dx, dw, db, res],
+                  lambda ts: weighted_sum_loss(
+                      dense(*ts[:3], residual=ts[3], dropout=drop), wd)))
+    cases.append(("dense:epilogue_single", [dx[0], dw, db, res[0]],
+                  lambda ts: weighted_sum_loss(dense(
+                      *ts[:3], residual=ts[3], dropout=drop._replace(keep=drop.keep[0])),
+                      wd[0])))
+    cres = rng.standard_normal((3, 6, 3))
+    cdrop = dropout_mask(np.random.default_rng(6), (3, 6, 3), 0.3)
+    cases.append(("depthwise_separable_conv1d:epilogue_padded",
+                  [mx, dk, pk, cb, cres],
+                  lambda ts: weighted_sum_loss(depthwise_separable_conv1d(
+                      *ts[:4], mask=rows, residual=ts[4], dropout=cdrop), wmc)))
+    cases.append(("depthwise_separable_conv1d:epilogue_single",
+                  [mx[1], dk, pk, cb, cres[1]],
+                  lambda ts: weighted_sum_loss(depthwise_separable_conv1d(
+                      *ts[:4], residual=ts[4],
+                      dropout=cdrop._replace(keep=cdrop.keep[1])), wmc[1])))
 
     swept = {name.split(":")[0] for name, _, _ in cases}
     ops = {name for name in qanet.tensor.__all__
@@ -441,7 +462,7 @@ def test_07_stochastic_depth():
             kept = 0
             for _ in range(10_000):
                 calls = []
-                def f(y):
+                def f(y, residual, mask):
                     calls.append(1)
                     return y
                 residual_sublayer(x, f, gain, bias, survival_prob=p,

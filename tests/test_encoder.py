@@ -11,6 +11,7 @@ import qanet.encoder as E
 import qanet.tensor as T
 from qanet.tensor import Tensor, backward
 from gradcheck import check_gradients, weighted_sum_loss
+from tapebytes import closure_arrays, owner, records, tape_bytes
 
 
 class TestPositionalEncoding:
@@ -50,7 +51,7 @@ class TestResidualSublayer:
     def test_eval_mode_always_applies(self):
         x = Tensor(np.ones((3, 4)))
         gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
-        out = E.residual_sublayer(x, lambda h: T.scalar_scale(h, 2.0),
+        out = E.residual_sublayer(x, lambda h, res, mask: T.add(res, h),
                                   gain, bias, 0.0, False, None)
         assert out is not x
 
@@ -63,7 +64,7 @@ class TestResidualSublayer:
             marker = Tensor(np.ones((1, 2)))
             survived = 0
             for _ in range(10_000):
-                out = E.residual_sublayer(x, lambda h: marker, gain, bias,
+                out = E.residual_sublayer(x, lambda h, res, mask: marker, gain, bias,
                                           p, True, rng)
                 survived += int(out.data[0, 0] != 0.0)
             assert abs(survived / 10_000 - p) < 0.02, f"p={p}"
@@ -74,7 +75,7 @@ class TestResidualSublayer:
                 return 0.999999
 
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = E.residual_sublayer(x, lambda h: 1 / 0, Tensor(np.ones(3)),
+        out = E.residual_sublayer(x, lambda *args: 1 / 0, Tensor(np.ones(3)),
                                   Tensor(np.zeros(3)), 0.5, True, AlwaysSkip())
         assert out is x
 
@@ -254,30 +255,146 @@ def stack_setup(num_blocks=1, convs=2, d=8, n=5, heads=2, kernel=3, seed=0,
     return config, params, x
 
 
+def param_leaves(obj):
+    if isinstance(obj, Tensor):
+        yield obj
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from param_leaves(item)
+    else:
+        for f in fields(obj):
+            yield from param_leaves(getattr(obj, f.name))
+
+
+def unfused_stack(x, config, params, mask, train_mode, rng):
+    """The stack as separate ops: a sublayer draws its dropout mask after its
+    output exists, applies it with ``dropout_apply`` and adds the residual
+    with ``add``."""
+    index = 0
+
+    def sublayer(x, body, ln_gain, ln_bias):
+        nonlocal index
+        index += 1
+        p = E.survival_probability(index, config.total_sublayers, config.survival_end)
+        if rng.random() >= p:
+            return x
+        h = body(T.layernorm(x, ln_gain, ln_bias))
+        h = T.dropout_apply(h, T.dropout_mask(rng, h.shape, config.dropout))
+        return T.add(x, h)
+
+    for block in params.blocks:
+        x = T.add(x, E.positional_encoding(x.shape[-2], x.shape[-1]))
+        for c in block.convs:
+            x = sublayer(x, lambda xn, c=c: T.depthwise_separable_conv1d(
+                xn, c.depth_kernel, c.point_kernel, c.bias, mask), c.ln_gain, c.ln_bias)
+        a, f = block.attention, block.feed_forward
+        x = sublayer(x, lambda xn: E.multi_head_self_attention(
+            xn, a.attention, config.num_heads, mask), a.ln_gain, a.ln_bias)
+        x = sublayer(x, lambda xn: T.dense(T.relu(T.dense(xn, f.inner_w, f.inner_b)),
+                                           f.outer_w, f.outer_b), f.ln_gain, f.ln_bias)
+    return x
+
+
+PADDED = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
+BLOCK_RECORDS = {"add": 1, "dense": 6, "relu": 1, "layernorm": 4,
+                 "scaled_dot_attention": 1, "depthwise_separable_conv1d": 2}
+
+
+def op_counts(out) -> dict[str, int]:
+    counts = {}
+    for _, op in records(out):
+        counts[op.name] = counts.get(op.name, 0) + 1
+    return counts
+
+
+def train_block():
+    """One train-mode block (2 convs, d=8) over the padded (2, 5) batch,
+    every sublayer surviving and dropout 0.1: its output, input leaf, config."""
+    config, params, x = stack_setup(n=5, survival=1.0)
+    leaf = Tensor(np.stack([x, x]), requires_grad=True)
+    out = E.encoder_stack_forward(leaf, config, params, PADDED, train_mode=True,
+                                  rng=np.random.default_rng(5))
+    return out, leaf, config
+
+
 class TestEncoderStack:
     def test_tape_op_count_pinned(self):
         """One block at a fixed padded shape records exactly these ops.
 
-        The conv sublayers mask inside the conv op, and every affine map is
-        one ``dense`` op; unfused, the same block records 29 ops (two
-        multiplies more per conv sublayer, a matmul and an add per dense).
+        The conv sublayers mask inside the conv op, every affine map is one
+        ``dense`` op, and each sublayer's last op adds the residual itself;
+        unfused, the same block records 29 ops (two multiplies more per conv
+        sublayer, a matmul and an add per dense, an add per sublayer).
         """
         config, params, x = stack_setup(n=5)
-        mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
         out = E.encoder_stack_forward(
-            Tensor(np.stack([x, x]), requires_grad=True), config, params, mask)
-        seen, counts, pending = set(), {}, [out]
-        while pending:
-            t = pending.pop()
-            if t.op is None or id(t.op) in seen:
-                continue
-            seen.add(id(t.op))
-            counts[t.op.name] = counts.get(t.op.name, 0) + 1
-            pending.extend(t.op.inputs)
-        assert counts == {"add": 5, "dense": 6, "relu": 1, "layernorm": 4,
-                          "scaled_dot_attention": 1,
-                          "depthwise_separable_conv1d": 2}
-        assert len(seen) == 19
+            Tensor(np.stack([x, x]), requires_grad=True), config, params, PADDED)
+        assert op_counts(out) == BLOCK_RECORDS
+        assert sum(BLOCK_RECORDS.values()) == 15
+
+    def test_train_mode_record_set_pinned(self):
+        """Train mode records the same ops: dropout and the residual add ride
+        in each sublayer's last op, so no ``dropout_apply`` record and no
+        residual ``add`` record exist; the one ``add`` is the position signal."""
+        out, leaf, _ = train_block()
+        assert op_counts(out) == BLOCK_RECORDS
+        (add,) = [op for _, op in records(out) if op.name == "add"]
+        assert add.inputs[0] is leaf and add.inputs[1].op is None
+        assert not add.inputs[1].requires_grad
+
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
+    def test_train_mode_bitwise_equal_to_unfused_reference(self, seed):
+        """Output, every gradient and the generator's state after the pass
+        equal those of the unfused stack, with dropout and skips active."""
+        config, params, x = stack_setup(num_blocks=2, n=5, survival=0.6)
+        leaves = list(param_leaves(params))
+
+        def run(stack):
+            for t in leaves:
+                t.grad[...] = 0.0
+            rng = np.random.default_rng(seed)
+            leaf = Tensor(np.stack([x, -x]), requires_grad=True)
+            out = stack(leaf, config, params, PADDED, train_mode=True, rng=rng)
+            backward(T.reduce_sum(T.multiply(out, out)))
+            return [out.data, leaf.grad] + [t.grad.copy() for t in leaves], rng.random()
+
+        (fused, after), (unfused, after_ref) = run(E.encoder_stack_forward), run(unfused_stack)
+        assert after == after_ref
+        for i, (a, b) in enumerate(zip(fused, unfused)):
+            assert a.tobytes() == b.tobytes(), i
+
+    def test_train_mode_tape_keeps_only_what_backward_reads(self, monkeypatch):
+        """No record keeps a normalized input, a padded buffer or a float
+        dropout mask, and the block's tape bytes are pinned."""
+        drawn = []
+
+        def spy(*args):
+            drawn.append(T.dropout_mask(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(E, "dropout_mask", spy)
+        out, _, config = train_block()
+        n, width = out.shape[-2], config.kernel_size
+        held = {}
+        for t, op in records(out):
+            inputs = {id(owner(i.data)) for i in op.inputs}
+            private = [a for a in closure_arrays(op.backward_fn)
+                       if id(owner(a)) not in inputs and owner(a) is not owner(t.data)]
+            for a in closure_arrays(op.backward_fn):
+                held.setdefault(id(owner(a)), []).append(op.name)
+            if op.name == "layernorm":  # the row mean and scale, nothing (..., d)
+                assert all(a.shape[-1] == 1 for a in private), [a.shape for a in private]
+            if op.name == "depthwise_separable_conv1d":  # no zero-padded input
+                assert all(owner(a).shape[1:2] != (n + width - 1,)
+                           for a in closure_arrays(op.backward_fn))
+            for a in private:  # no float copy of a dropout mask
+                assert not any(a.shape == m.keep.shape and np.array_equal(a, m.keep * m.scale)
+                               for m in drawn), op.name
+        assert len(drawn) == 4
+        for m in drawn:  # one bool keep per sublayer, held by the sublayer's last op
+            assert m.keep.dtype == np.bool_
+            assert held[id(m.keep)] in (["dense"], ["depthwise_separable_conv1d"])
+        assert tape_bytes(out) == 17_696
 
     def test_shape_preserved(self):
         config, params, x = stack_setup()

@@ -206,6 +206,60 @@ class TestFusedOpsMatchComposites:
                 Tensor(np.ones((2, 5, 3))), Tensor(np.ones((3, 3))),
                 Tensor(np.ones((3, 3))), Tensor(np.zeros(3)), np.ones((2, 4)))
 
+    @pytest.mark.parametrize("parts", ["residual+dropout", "residual", "dropout"])
+    @pytest.mark.parametrize("op", ["dense", "conv", "masked_conv"])
+    @pytest.mark.parametrize("lead", [(3, 7), (7,)], ids=["batched", "single"])
+    def test_epilogue_bitwise_equal_to_add_dropout_apply(self, parts, op, lead):
+        """``op(..., residual=r, dropout=m)`` against ``add(r, dropout_apply(op(...), m))``."""
+        rng = np.random.default_rng(33)
+        shape = lead + (4,)
+        if op == "dense":
+            arrays = [rng.standard_normal(shape), rng.standard_normal((4, 4)),
+                      rng.standard_normal(4)]
+            apply = T.dense
+        else:
+            rows = np.ones(lead)
+            rows[..., 5:] = 0.0
+            if len(lead) == 2:
+                rows[1, 3:] = 0.0  # rows of a batch differ in padding
+            arrays = [rng.standard_normal(shape), rng.standard_normal((3, 4)),
+                      rng.standard_normal((4, 4)), rng.standard_normal(4)]
+
+            def apply(*ts, **epilogue):
+                return T.depthwise_separable_conv1d(
+                    *ts, mask=rows if op == "masked_conv" else None, **epilogue)
+        arrays.append(rng.standard_normal(shape))  # the residual
+        w = rng.standard_normal(shape)
+        ours, theirs = np.random.default_rng(34), np.random.default_rng(34)
+
+        def fused(*ts):
+            drop = T.dropout_mask(ours, shape, 0.3) if "dropout" in parts else None
+            res = ts[-1] if "residual" in parts else None
+            return apply(*ts[:-1], residual=res, dropout=drop)
+
+        def chained(*ts):
+            h = apply(*ts[:-1])
+            if "dropout" in parts:
+                h = T.dropout_apply(h, T.dropout_mask(theirs, shape, 0.3))
+            return T.add(ts[-1], h) if "residual" in parts else h
+
+        got, want = self.run(fused, arrays, w), self.run(chained, arrays, w)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), i
+        assert ours.random() == theirs.random()
+
+    def test_epilogue_shape_errors(self):
+        x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+        with pytest.raises(T.DimensionMismatch, match="residual"):
+            T.dense(x, w, b, residual=Tensor(np.ones((2, 3))))
+        drop = T.dropout_mask(np.random.default_rng(0), (3, 4), 0.5)
+        with pytest.raises(T.DimensionMismatch, match="dropout"):
+            T.dense(x, w, b, dropout=drop)
+        with pytest.raises(T.DimensionMismatch, match="residual"):
+            T.depthwise_separable_conv1d(
+                Tensor(np.ones((5, 3))), Tensor(np.ones((3, 3))),
+                Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), residual=np.ones((5, 3)))
+
     @pytest.mark.parametrize("shape", [(7,), (4, 5), (2, 3, 8), (8, 100, 64)])
     @pytest.mark.parametrize("rate", [0.05, 0.1, 0.3, 0.5, 0.9])
     def test_dropout_mask_bitwise_equal_to_reference_formula(self, shape, rate):
@@ -214,8 +268,8 @@ class TestFusedOpsMatchComposites:
         for _ in range(2):  # the generators must also stay in step
             want = (theirs.random(shape) < keep).astype(np.float64) / keep
             got = T.dropout_mask(ours, shape, rate)
-            assert got.dtype == np.float64 and got.shape == shape
-            assert got.tobytes() == want.tobytes()
+            assert got.keep.dtype == np.bool_ and got.keep.shape == shape
+            assert (got.keep * got.scale).tobytes() == want.tobytes()
 
 
 class TestTape:
@@ -260,6 +314,23 @@ class TestTape:
         backward(loss)
         assert hidden.grad is None and loss.grad is None
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
+
+    @pytest.mark.parametrize("name", ["add", "subtract", "multiply"])
+    def test_constant_operand_gets_none(self, name):
+        """A constant operand gets None and costs nothing; the other operand's
+        gradient keeps its bits."""
+        rng = np.random.default_rng(9)
+        op = getattr(T, name)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        c = Tensor(rng.standard_normal(3))
+        g = rng.standard_normal((2, 3))
+        sign = -1.0 if name == "subtract" else 1.0
+        want_a = g * c.data if name == "multiply" else g
+        want_b = g * c.data if name == "multiply" else sign * g
+        gx, gc = op(x, c).op.backward_fn(g)
+        assert gc is None and gx.tobytes() == want_a.tobytes()
+        gc, gx = op(c, x).op.backward_fn(g)
+        assert gc is None and gx.tobytes() == want_b.tobytes()
 
     def test_no_grad_blocks_recording(self):
         x = Tensor(rand(2), requires_grad=True)
