@@ -269,11 +269,6 @@ def _dice(a: str, ga: Counter, b: str, gb: Counter) -> float:
     return 2.0 * overlap / total
 
 
-def char_2gram_score(w1: str, w2: str) -> float:
-    """Bigram-multiset Dice; words shorter than 2 chars compare by equality."""
-    return _dice(w1, _bigrams(w1), w2, _bigrams(w2))
-
-
 def extract_answer(words: list[str], answer_words: list[str],
                    threshold: float = 0.5) -> tuple[int, int, str] | None:
     """Re-locate an answer inside a paraphrase by bigram alignment.
@@ -352,11 +347,6 @@ def paraphrase_sentences(sentences: list[str], endpoint,
                     seen[candidate] = None
         out.append(list(seen))
     return out
-
-
-def paraphrase_sentence(sentence: str, endpoint, k: int = 5) -> list[str]:
-    """Up to k*k round-trip candidates, deduplicated, original excluded."""
-    return paraphrase_sentences([sentence], endpoint, k)[0]
 
 
 def _word_spans(text: str) -> list[tuple[int, int]]:

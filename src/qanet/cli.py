@@ -21,10 +21,10 @@ from .config import RunConfig, from_flat, parse_override, resolve_config, to_fla
 from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
 from .evaluation import evaluate
-from .model import init_model_params, model_forward, model_loss, predict_all
-from .tensor import backward, no_grad
-from .trainer import (check_resume_config, load_checkpoint, train, use_ema,
-                      zero_grads)
+from .model import init_model_params, model_forward, predict_all
+from .tensor import no_grad
+from .trainer import (_train_step, check_resume_config, init_train_state,
+                      load_checkpoint, train, use_ema)
 
 
 def _echo_config(config: RunConfig, source: str) -> None:
@@ -215,39 +215,36 @@ def _cmd_bench(args) -> int:
     params = init_model_params(
         config.model, matrix, len(vocab.chars),
         np.random.default_rng(np.random.SeedSequence([config.seed, 11])))
+    state = init_train_state(params, config.seed)
     batch = build_batch(examples, vocab, char_limit=config.model.char_limit)
 
-    def time_forward():
-        t0 = time.perf_counter()
+    def forward():
         with no_grad():
             model_forward(params, config.model, batch)
-        return time.perf_counter() - t0
 
-    def time_train():
-        zero_grads(params)
-        t0 = time.perf_counter()
-        loss, _ = model_loss(params, config.model, batch, train_mode=False)
-        backward(loss)
-        return time.perf_counter() - t0
+    def train_step():  # the step train() runs: train mode, Adam and EMA
+        _train_step(params, state, config.model, config.optimizer, batch,
+                    config.seed)
 
     report = {"batch_size": batch_size,
               "context_len": config.model.max_context_len,
               "batches": args.batches,
               "note": "single-process wall-clock timing; expect "
                       "run-to-run variance with machine load"}
-    for label, fn in (("forward", time_forward),
-                      ("forward_backward", time_train)):
+    for label, fn in (("forward", forward), ("train_step", train_step)):
         fn()  # warmup, unmeasured
         rates = []
         for _ in range(args.batches):
-            rates.append(batch_size / fn())
+            t0 = time.perf_counter()
+            fn()
+            rates.append(batch_size / (time.perf_counter() - t0))
         report[label] = {"examples_per_sec": sum(rates) / len(rates),
                          "min": min(rates), "max": max(rates)}
 
     if args.json:
         print(json.dumps(report))
     else:
-        for label in ("forward", "forward_backward"):
+        for label in ("forward", "train_step"):
             r = report[label]
             print(f"{label}: {r['examples_per_sec']:.2f} examples/sec "
                   f"(spread {r['min']:.2f}..{r['max']:.2f} over "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .tensor import (
     DimensionMismatch, DropoutMask, Tensor, add, dense,
-    depthwise_separable_conv1d, dropout_mask, layernorm, relu,
+    depthwise_separable_conv1d, dropout_mask, layernorm, matmul, relu,
     scaled_dot_attention,
 )
 
@@ -105,7 +105,6 @@ class AttentionParams:
     query_w: Tensor
     query_b: Tensor
     key_w: Tensor
-    key_b: Tensor
     value_w: Tensor
     value_b: Tensor
     out_w: Tensor
@@ -124,9 +123,12 @@ def multi_head_self_attention(x: Tensor, params: AttentionParams,
     projection follows. ``mask`` (1.0 real, 0.0 padding) is the key mask:
     padded keys get exactly zero attention weight. ``residual`` and
     ``dropout`` pass to the output projection's epilogue.
+
+    The key projection has no bias: a key bias ``b`` would add ``q·b`` to
+    every logit of a query's softmax row, a shift softmax ignores.
     """
     q = dense(x, params.query_w, params.query_b)
-    k = dense(x, params.key_w, params.key_b)
+    k = matmul(x, params.key_w)
     v = dense(x, params.value_w, params.value_b)
     merged = scaled_dot_attention(q, k, v, num_heads, mask)
     return dense(merged, params.out_w, params.out_b, residual, dropout)
@@ -198,8 +200,9 @@ def init_encoder_stack(config: EncoderBlockConfig, rng) -> EncoderStackParams:
                 depth_kernel=Tensor(glorot(rng, k, 1, (k, d)), requires_grad=True),
                 point_kernel=Tensor(glorot(rng, d, d), requires_grad=True),
                 bias=Tensor(np.zeros(d), requires_grad=True)))
-        # Query, key, value and output projections, drawn in field order.
-        attn = AttentionParams(*(t for _ in range(4) for t in _dense_pair(rng, d)))
+        # Query, key, value and output weights, drawn in that order; no key bias.
+        (qw, qb), (kw, _), (vw, vb), (ow, ob) = (_dense_pair(rng, d) for _ in range(4))
+        attn = AttentionParams(qw, qb, kw, vw, vb, ow, ob)
         attention = AttentionSublayerParams(*_ln_pair(d), attention=attn)
         ffn = FeedForwardSublayerParams(*_ln_pair(d), *_dense_pair(rng, d),
                                         *_dense_pair(rng, d))

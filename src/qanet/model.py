@@ -45,6 +45,14 @@ class ModelConfig:
     max_answer_len: int = 30
 
     def __post_init__(self):
+        for key in ("dropout", "word_dropout", "char_dropout"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+        if not 0.0 < self.survival_end <= 1.0:
+            raise ValueError(f"survival_end must lie in (0, 1], got {self.survival_end}")
+        for key in ("num_heads", "max_answer_len"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         # Delegated checks: both stack configs validate head divisibility
         # and kernel parity on construction.
         self.embedding_encoder()
@@ -91,24 +99,24 @@ def init_model_params(config: ModelConfig, word_matrix: np.ndarray,
         span=init_span_head(config.hidden_dim, rng))
 
 
+def _tensor_leaves(prefix: str, node):
+    """(dotted name, tensor) for every tensor under ``node``, field order; a
+    generator, so walking a model leaves no reference cycle holding it."""
+    if isinstance(node, Tensor):
+        yield prefix, node
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _tensor_leaves(f"{prefix}.{f.name}" if prefix else f.name,
+                                      getattr(node, f.name))
+    elif isinstance(node, (list, tuple)):
+        for i, item in enumerate(node):
+            yield from _tensor_leaves(f"{prefix}.{i}", item)
+
+
 def named_tensors(params, trainable_only: bool = True) -> list[tuple[str, Tensor]]:
     """Flatten a params tree into (dotted name, tensor) pairs, field order."""
-    out = []
-
-    def walk(prefix, node):
-        if isinstance(node, Tensor):
-            if node.requires_grad or not trainable_only:
-                out.append((prefix, node))
-        elif dataclasses.is_dataclass(node):
-            for f in dataclasses.fields(node):
-                walk(f"{prefix}.{f.name}" if prefix else f.name,
-                     getattr(node, f.name))
-        elif isinstance(node, (list, tuple)):
-            for i, item in enumerate(node):
-                walk(f"{prefix}.{i}", item)
-
-    walk("", params)
-    return out
+    return [(name, t) for name, t in _tensor_leaves("", params)
+            if t.requires_grad or not trainable_only]
 
 
 def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:

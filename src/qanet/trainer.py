@@ -24,7 +24,7 @@ from .model import (
 )
 from .tensor import backward
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # SeedSequence lanes; distinct constants keep the streams independent.
 _LANE_INIT = 11
@@ -195,8 +195,8 @@ def save_checkpoint(path: str, params: ModelParams, state: TrainState,
 def _read_header(fh) -> dict:
     header = json.loads(fh.readline().decode("utf-8"))
     if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version "
-                         f"{header.get('version')!r} in {fh.name}")
+        raise ValueError(f"unsupported checkpoint version {header.get('version')!r} "
+                         f"in {fh.name}; this build reads version {CHECKPOINT_VERSION}")
     return header
 
 

@@ -17,7 +17,7 @@ from translators import ScriptedTranslator
 
 from qanet.attention import TrilinearWeights, context_query_attention
 from qanet.augmentation import (extract_answer, mixed_sampler,
-                                paraphrase_sentence, MixRatio)
+                                paraphrase_sentences, MixRatio)
 from qanet.cli import main
 from qanet.data import (Vocabulary, build_batch, example_from_raw, tokenize)
 from qanet.encoder import residual_sublayer, survival_probability
@@ -391,9 +391,9 @@ def test_05_beam_ceiling():
         script = {("forward", s): [f"p{i}" for i in range(9)]}
         for i in range(9):
             script[("back", f"p{i}")] = [f"c{i}-{j}" for j in range(9)]
-        got = paraphrase_sentence(s, ScriptedTranslator(script), k=5)
+        got = paraphrase_sentences([s], ScriptedTranslator(script), k=5)[0]
         assert len(got) == 25, len(got)
-        assert paraphrase_sentence(s, ScriptedTranslator(), k=5) == []
+        assert paraphrase_sentences([s], ScriptedTranslator(), k=5)[0] == []
     _verdict(5, "beam width 5 yields the 25-candidate ceiling", body)
 
 

@@ -19,11 +19,12 @@ from qanet.augmentation import (
     TranslatorProtocolError,
     TranslatorUnavailable,
     augment_examples,
-    char_2gram_score,
+    _bigrams,
+    _dice,
     extract_answer,
     mixed_sampler,
     paraphrase_document,
-    paraphrase_sentence,
+    paraphrase_sentences,
     split_sentences,
     write_squad_json,
 )
@@ -107,6 +108,11 @@ class TestSplitSentences:
 
 # ---------------------------------------------------------------------------
 # Bigram scoring
+
+
+def char_2gram_score(a: str, b: str) -> float:
+    """The Dice score extract_answer ranks words and spans by."""
+    return _dice(a, _bigrams(a), b, _bigrams(b))
 
 
 class TestBigramScore:
@@ -211,24 +217,24 @@ class TestParaphraseSentence:
         for i in range(9):
             script[("back", f"p{i}")] = [f"cand-{i}-{j}" for j in range(9)]
         endpoint = ScriptedTranslator(script)
-        got = paraphrase_sentence(s, endpoint, k=5)
+        got = paraphrase_sentences([s], endpoint, k=5)[0]
         assert len(got) == 25
         assert len(set(got)) == 25
         assert s not in got
 
     def test_k_one(self):
         script = {("forward", "s"): ["p"], ("back", "p"): ["only"]}
-        got = paraphrase_sentence("s", ScriptedTranslator(script), k=1)
+        got = paraphrase_sentences(["s"], ScriptedTranslator(script), k=1)[0]
         assert got == ["only"]
 
     def test_identity_yields_nothing(self):
-        assert paraphrase_sentence("same text", ScriptedTranslator(), k=5) == []
+        assert paraphrase_sentences(["same text"], ScriptedTranslator(), k=5)[0] == []
 
     def test_duplicates_collapsed_original_dropped(self):
         script = {("forward", "s"): ["p0", "p1"],
                   ("back", "p0"): ["x", "s", "y"],
                   ("back", "p1"): ["y", "x", "z"]}
-        got = paraphrase_sentence("s", ScriptedTranslator(script), k=3)
+        got = paraphrase_sentences(["s"], ScriptedTranslator(script), k=3)[0]
         assert got == ["x", "y", "z"]
 
     def test_beam_truncates_surplus(self):
@@ -236,12 +242,12 @@ class TestParaphraseSentence:
                   ("back", "p0"): ["a", "b", "c"],
                   ("back", "p1"): ["d", "e", "f"],
                   ("back", "p2"): ["g"]}
-        got = paraphrase_sentence("s", ScriptedTranslator(script), k=2)
+        got = paraphrase_sentences(["s"], ScriptedTranslator(script), k=2)[0]
         assert got == ["a", "b", "d", "e"]
 
     def test_empty_forward(self):
         script = {("forward", "s"): []}
-        assert paraphrase_sentence("s", ScriptedTranslator(script), k=4) == []
+        assert paraphrase_sentences(["s"], ScriptedTranslator(script), k=4)[0] == []
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +267,14 @@ class TestRuleTranslator:
 
     def test_languages_differ(self):
         s = "The big house is quick."
-        fr = paraphrase_sentence(s, RuleTranslator("fr"), k=3)
-        de = paraphrase_sentence(s, RuleTranslator("de"), k=3)
+        fr = paraphrase_sentences([s], RuleTranslator("fr"), k=3)[0]
+        de = paraphrase_sentences([s], RuleTranslator("de"), k=3)[0]
         assert fr and de
         assert set(fr) != set(de)
 
     def test_produces_real_paraphrases(self):
         s = "The big team won a famous show."
-        got = paraphrase_sentence(s, RuleTranslator("fr"), k=4)
+        got = paraphrase_sentences([s], RuleTranslator("fr"), k=4)[0]
         assert got
         assert s not in got
         assert all(isinstance(c, str) and c for c in got)
@@ -285,7 +291,7 @@ class TestRuleTranslator:
         original = ("All of the departments in the College of Science offer "
                     "PhD programs, except for the Department of "
                     "Pre-Professional Studies.")
-        got = paraphrase_sentence(original, RuleTranslator("fr"), k=5)
+        got = paraphrase_sentences([original], RuleTranslator("fr"), k=5)[0]
         assert got == [
             "All departments in the College of Science offer PHD programs "
             "with the exception of the Department of Preparatory Studies."]
@@ -420,7 +426,7 @@ class TestHttpTranslator:
 
     def test_through_paraphrase_sentence(self, http_port):
         t = HttpTranslator(f"http://127.0.0.1:{http_port}/ok", retries=0)
-        got = paraphrase_sentence("seed text", t, k=2)
+        got = paraphrase_sentences(["seed text"], t, k=2)[0]
         assert len(got) == 4
         assert all(c.startswith("seed text|f") for c in got)
 

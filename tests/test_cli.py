@@ -22,6 +22,7 @@ from qanet.config import (
     to_flat,
 )
 from qanet.data import parse_qa_json
+from qanet.trainer import CHECKPOINT_VERSION
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "src")
@@ -62,6 +63,26 @@ def _dataset(path, n=8):
            "data": [{"title": "houses", "paragraphs": paragraphs}]}
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def _as_version(checkpoint, path, version):
+    """Write a copy of ``checkpoint`` to ``path`` whose header claims format
+    ``version``; returns ``path`` as a string."""
+    with open(checkpoint, "rb") as fh:
+        raw = fh.read()
+    split_at = raw.index(b"\n")
+    header = json.loads(raw[:split_at])
+    header["version"] = version
+    path.write_bytes(json.dumps(header).encode("utf-8") + raw[split_at:])
+    return str(path)
+
+
+# Out-of-range model settings, each refused by ModelConfig by key name.
+BAD_MODEL_VALUES = [
+    ("dropout", 1.0), ("dropout", -0.1), ("word_dropout", 1.0),
+    ("char_dropout", 1.5), ("survival_end", 0.0), ("survival_end", -0.5),
+    ("survival_end", 1.5), ("num_heads", 0), ("max_answer_len", 0),
+]
 
 
 def _config_file(path, data_path, out_dir, extra=None):
@@ -143,6 +164,11 @@ class TestConfig:
             from_flat({"optimizer.beta1": 1.5})
         with pytest.raises(ValueError, match="model"):
             from_flat({"model.hidden_dim": 30})  # not divisible by heads
+
+    @pytest.mark.parametrize("key,value", BAD_MODEL_VALUES)
+    def test_bad_model_value_names_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"'model': {key} must"):
+            from_flat({f"model.{key}": value})
 
     def test_augmentation_config_validation(self):
         with pytest.raises(ValueError):
@@ -229,6 +255,16 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert code != 0
         assert "train_data" in captured.err
+
+    @pytest.mark.parametrize("key,value", BAD_MODEL_VALUES)
+    def test_bad_model_value_exits_before_out_dir(self, trained, tmp_path,
+                                                  capsys, key, value):
+        out = tmp_path / "run"
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out))
+        code = main(["train", "--config", cfg, "--set", f"model.{key}={value}"])
+        assert code == 1
+        assert f"{key} must" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_echo_on_stderr(self, trained, tmp_path, capsys):
         out = str(tmp_path / "echo-run")
@@ -358,20 +394,19 @@ class TestTrainCommand:
         cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
                            extra={"optimizer.total_steps": 2})
         assert main(["train", "--config", cfg]) == 0
-        raw = (out / "model.ckpt").read_bytes()
-        split_at = raw.index(b"\n")
-        header = json.loads(raw[:split_at])
-        header["version"] = 2
-        future = tmp_path / "future.ckpt"
-        future.write_bytes(json.dumps(header).encode("utf-8") + raw[split_at:])
         names = ("model.ckpt", "metrics.jsonl", "config.json")
         before = {name: (out / name).read_bytes() for name in names}
-        capsys.readouterr()
-        code = main(["train", "--config", cfg, "--set", "log_every=2",
-                     "--resume", str(future)])
-        assert code == 1
-        assert "unsupported checkpoint version" in capsys.readouterr().err
-        assert {name: (out / name).read_bytes() for name in names} == before
+        for version in (1, CHECKPOINT_VERSION + 1):
+            other = _as_version(out / "model.ckpt", tmp_path / "other.ckpt",
+                                version)
+            capsys.readouterr()
+            code = main(["train", "--config", cfg, "--set", "log_every=2",
+                         "--resume", other])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"unsupported checkpoint version {version} in" in err
+            assert "this build reads version 2" in err
+            assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_env_var_config_fallback(self, trained, tmp_path, capsys,
                                      monkeypatch):
@@ -417,6 +452,18 @@ class TestPredictEvaluateCommands:
                      "--data", str(data), "--out", str(out)])
         assert code == 1
         assert "q1a: question has no token" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_refuses_version_1_checkpoint(self, trained, tmp_path,
+                                                 capsys):
+        old = _as_version(trained["checkpoint"], tmp_path / "v1.ckpt", 1)
+        out = tmp_path / "preds.json"
+        code = main(["predict", "--checkpoint", old, "--data", trained["data"],
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 1 in" in err
+        assert "this build reads version 2" in err
         assert not out.exists()
 
     def test_corrupt_checkpoint_names_tensor(self, trained, tmp_path, capsys):
@@ -620,7 +667,8 @@ class TestBenchCommand:
         assert code == 0
         report = json.loads(captured.out)
         assert report["forward"]["examples_per_sec"] > 0
-        assert report["forward_backward"]["examples_per_sec"] > 0
+        assert report["train_step"]["examples_per_sec"] > 0
+        assert "forward_backward" not in report
         assert report["batches"] == 2
         assert "note" in report
 
@@ -634,5 +682,5 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert "forward:" in captured.out
-        assert "forward_backward:" in captured.out
+        assert "train_step:" in captured.out
         assert "variance" in captured.out

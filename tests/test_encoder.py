@@ -86,10 +86,10 @@ def tiny_attention_params(d, rng):
                 Tensor(rng.standard_normal(d) * 0.1, requires_grad=True))
 
     qw, qb = proj()
-    kw, kb = proj()
+    kw, _ = proj()  # the key bias draw stays, so the later draws keep their values
     vw, vb = proj()
     ow, ob = proj()
-    return E.AttentionParams(qw, qb, kw, kb, vw, vb, ow, ob)
+    return E.AttentionParams(qw, qb, kw, vw, vb, ow, ob)
 
 
 class TestSelfAttention:
@@ -134,7 +134,6 @@ class TestSelfAttention:
         d = 4
         params = tiny_attention_params(d, rng)
         params.key_w = Tensor(np.zeros((d, d)))  # all logits identical
-        params.key_b = Tensor(np.zeros(d))
         x = rng.standard_normal((5, d))
         out = E.multi_head_self_attention(Tensor(x), params, 2)
         v = x @ params.value_w.data + params.value_b.data
@@ -146,29 +145,16 @@ class TestSelfAttention:
         d, n = 4, 3
         x = rng.standard_normal((n, d))
         mats = [rng.standard_normal((d, d)) * 0.5 for _ in range(4)]
-        vecs = [rng.standard_normal(d) * 0.1 for _ in range(4)]
+        vecs = [rng.standard_normal(d) * 0.1 for _ in range(3)]
         w = rng.standard_normal((n, d))
 
         def loss(ts):
-            params = E.AttentionParams(ts[1], ts[5], ts[2], ts[6],
-                                       ts[3], ts[7], ts[4], ts[8])
+            params = E.AttentionParams(ts[1], ts[5], ts[2], ts[3], ts[6],
+                                       ts[4], ts[7])
             return weighted_sum_loss(
                 E.multi_head_self_attention(ts[0], params, 2), w)
 
-        # Index 6 is the key bias: it shifts every logit in a softmax row
-        # equally, so its true gradient is identically zero and a relative
-        # comparison is meaningless. Verified separately below.
-        check_gradients(loss, [x] + mats + vecs, tol=1e-5,
-                        check=[0, 1, 2, 3, 4, 5, 7, 8])
-
-    def test_key_bias_gradient_is_zero(self):
-        rng = np.random.default_rng(5)
-        d = 4
-        params = tiny_attention_params(d, rng)
-        x = Tensor(rng.standard_normal((3, d)))
-        out = E.multi_head_self_attention(x, params, 2)
-        backward(weighted_sum_loss(out, rng.standard_normal((3, d))))
-        assert np.linalg.norm(params.key_b.grad) < 1e-12
+        check_gradients(loss, [x] + mats + vecs, tol=1e-5)
 
 
 def reference_self_attention(x, params, num_heads, mask=None):
@@ -183,7 +169,7 @@ def reference_self_attention(x, params, num_heads, mask=None):
     head_dim = d // num_heads
     scale = 1.0 / math.sqrt(head_dim)
     q = T.add(T.matmul(x, params.query_w), params.query_b)
-    k = T.add(T.matmul(x, params.key_w), params.key_b)
+    k = T.matmul(x, params.key_w)
     v = T.add(T.matmul(x, params.value_w), params.value_b)
     rows = None if mask is None else np.asarray(mask)[..., None, :]
     heads = []
@@ -224,8 +210,7 @@ class TestFusedAttentionMatchesLoop:
                    requires_grad=True)
         w = rng.standard_normal(x.shape)
         leaves = [x, params.query_w, params.query_b, params.key_w,
-                  params.key_b, params.value_w, params.value_b,
-                  params.out_w, params.out_b]
+                  params.value_w, params.value_b, params.out_w, params.out_b]
 
         def run(attend):
             for t in leaves:
@@ -296,7 +281,7 @@ def unfused_stack(x, config, params, mask, train_mode, rng):
 
 
 PADDED = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
-BLOCK_RECORDS = {"add": 1, "dense": 6, "relu": 1, "layernorm": 4,
+BLOCK_RECORDS = {"add": 1, "dense": 5, "matmul": 1, "relu": 1, "layernorm": 4,
                  "scaled_dot_attention": 1, "depthwise_separable_conv1d": 2}
 
 
@@ -322,9 +307,10 @@ class TestEncoderStack:
         """One block at a fixed padded shape records exactly these ops.
 
         The conv sublayers mask inside the conv op, every affine map is one
-        ``dense`` op, and each sublayer's last op adds the residual itself;
-        unfused, the same block records 29 ops (two multiplies more per conv
-        sublayer, a matmul and an add per dense, an add per sublayer).
+        ``dense`` op (the bias-free key projection one ``matmul``), and each
+        sublayer's last op adds the residual itself; unfused, the same block
+        records 28 ops (two multiplies more per conv sublayer, a matmul and
+        an add per dense, an add per sublayer).
         """
         config, params, x = stack_setup(n=5)
         out = E.encoder_stack_forward(
@@ -417,7 +403,7 @@ class TestEncoderStack:
                 conv.point_kernel.data[...] = 0.0
                 conv.bias.data[...] = 0.0
             a = block.attention.attention
-            for t in (a.query_w, a.query_b, a.key_w, a.key_b,
+            for t in (a.query_w, a.query_b, a.key_w,
                       a.value_w, a.value_b, a.out_w, a.out_b):
                 t.data[...] = 0.0
             block.feed_forward.inner_w.data[...] = 0.0
@@ -472,8 +458,7 @@ class TestEncoderStack:
             p = E.EncoderStackParams(blocks=[E.EncoderBlockParams(
                 convs=[E.ConvSublayerParams(ts[10], conv.ln_bias, ts[1], ts[2], ts[3])],
                 attention=E.AttentionSublayerParams(ts[11], attn.ln_bias,
-                    E.AttentionParams(ts[4], attn.attention.query_b,
-                                      ts[5], attn.attention.key_b,
+                    E.AttentionParams(ts[4], attn.attention.query_b, ts[5],
                                       ts[6], attn.attention.value_b,
                                       ts[7], attn.attention.out_b)),
                 feed_forward=E.FeedForwardSublayerParams(

@@ -13,10 +13,10 @@ from qanet.model import ModelConfig, named_parameters
 from qanet.tensor import Tensor, add
 import qanet.trainer
 from qanet.trainer import (
-    CheckpointShapeMismatch, ConfigMismatch, MissingGradient, NonFiniteStep,
-    OptimizerConfig, adam_step, check_finite, check_resume_config, ema_update,
-    init_train_state, load_checkpoint, lr_schedule, save_checkpoint, train,
-    use_ema,
+    CHECKPOINT_VERSION, CheckpointShapeMismatch, ConfigMismatch,
+    MissingGradient, NonFiniteStep, OptimizerConfig, adam_step, check_finite,
+    check_resume_config, ema_update, init_train_state, load_checkpoint,
+    lr_schedule, save_checkpoint, train, use_ema,
 )
 
 TOY = dict(hidden_dim=16, num_heads=2, word_dim=8, char_dim=6, char_limit=4,
@@ -308,17 +308,22 @@ class TestCheckpoint:
                                 for _, a in _checkpoint_entries(params, state))
 
     def test_unsupported_version_rejected_by_both_readers(self, tmp_path):
+        """A later format, and format 1 with its attention key biases, are
+        refused, not migrated; the message names both versions."""
+        assert CHECKPOINT_VERSION == 2
         *_, path = self.roundtrip(tmp_path)
+        for version in (1, CHECKPOINT_VERSION + 1):
+            def bump(header, body):
+                header["version"] = version
+                return body
 
-        def bump(header, body):
-            header["version"] = 2
-            return body
-
-        bad = self.rewrite(path, bump)
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
-            load_checkpoint(bad)
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
-            check_resume_config(bad, ModelConfig(**TOY), short_opt())
+            bad = self.rewrite(path, bump)
+            names = (f"unsupported checkpoint version {version} in .*; "
+                     f"this build reads version {CHECKPOINT_VERSION}")
+            with pytest.raises(ValueError, match=names):
+                load_checkpoint(bad)
+            with pytest.raises(ValueError, match=names):
+                check_resume_config(bad, ModelConfig(**TOY), short_opt())
 
 
 class TestTrainLoop:
