@@ -119,10 +119,11 @@ def multi_head_self_attention(x: Tensor, params: AttentionParams,
 
     ``x`` is (..., n, d). The q/k/v projections feed one
     :func:`~qanet.tensor.scaled_dot_attention` op, whose tape record keeps
-    only the (..., heads, n, n) attention probabilities, and an output
-    projection follows. ``mask`` (1.0 real, 0.0 padding) is the key mask:
-    padded keys get exactly zero attention weight. ``residual`` and
-    ``dropout`` pass to the output projection's epilogue.
+    no (..., heads, n, n) weights, only two (..., heads, n, 1) row
+    statistics, and an output projection follows. ``mask`` (1.0 real, 0.0
+    padding) is the key mask: padded keys get exactly zero attention
+    weight. ``residual`` and ``dropout`` pass to the output projection's
+    epilogue.
 
     The key projection has no bias: a key bias ``b`` would add ``q·b`` to
     every logit of a query's softmax row, a shift softmax ignores.

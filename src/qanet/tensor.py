@@ -33,9 +33,12 @@ their input. Beyond that:
 - :func:`scaled_dot_attention` runs every head at once.
 
 Masks in :func:`softmax` and attention give slots exactly zero weight, and
-a slice with no usable slot is zero throughout. Attention keeps one
-unnormalized (..., heads, n, m) array and its row scale beside the inputs
-and output, never logits or per-head slices. Its backward uses
+a slice with no usable slot is zero throughout. Attention keeps no
+(..., heads, n, m) array: it walks cache-sized blocks of whole heads, and
+its record keeps two (..., heads, n, 1) row statistics, the max shift and
+the inverse row sum, beside the inputs, the key mask and the output.
+Backward recomputes each block's weights from them, bitwise as forward made
+them (FlashAttention, arXiv 2205.14135), and uses
 ``rowsum(dP * P) == rowsum(dO * O)`` (FlashAttention-2, arXiv 2307.08691),
 so its softmax term costs an (n, dh) product, not an (n, m) one.
 
@@ -696,41 +699,32 @@ def _with_columns(a: np.ndarray, *columns) -> np.ndarray:
     return out
 
 
-def _attend(qs: np.ndarray, kh: np.ndarray, vh: np.ndarray, key_mask):
-    """Masked softmax attention per head, its probabilities left unnormalized.
+_BLOCK_BYTES = 1 << 20  # (n, m) weights one attention block forms at a time
 
-    ``qs`` (..., h, n, dh) holds the scaled queries, ``kh`` and ``vh`` (...,
-    h, m, dh) the keys and values. Returns the weights ``E`` (..., h, n, m),
-    ``inv`` (..., h, n, 1) with ``P = E * inv``, and ``P @ vh``.
 
-    The key penalty rides into the logit matmul as one extra column, [qs, 1]
-    · [k, penalty], and the row sums ride out of the ``E @ [v, 1]`` matmul as
-    one: past the max shift and the exp, no pass over an (n, m) array masks,
-    sums or normalizes it. A row with no usable key gets ``inv`` 0.
+def _attention_blocks(batch: int, heads: int, rows: int, cols: int):
+    """Tile a (batch, heads) grid of (rows, cols) weight matrices in blocks
+    of at most ``_BLOCK_BYTES``: as many whole examples as fit, or head
+    slices of one example when a single example's weights are larger. A
+    block holds at least one head. Returns the (examples, heads) index
+    pairs and the largest block's element count.
     """
-    if key_mask is None:
-        weights = qs @ np.swapaxes(kh, -1, -2)
-        has_key = None
-    else:
-        mask = np.asarray(key_mask, dtype=np.float64)[..., None, :]  # (..., 1, m)
-        keys = kh.shape[:-1]  # (..., h, m)
-        try:
-            fits = np.broadcast_shapes(mask.shape, keys) == keys
-        except ValueError:
-            fits = False
-        if not fits:
-            raise DimensionMismatch(f"key mask {np.shape(key_mask)} vs keys "
-                                    f"{kh.shape[:-3] + kh.shape[-2:-1]}")
-        penalty = (mask - 1.0) * _MASK_PENALTY
-        weights = _with_columns(qs, 1.0) @ np.swapaxes(_with_columns(kh, penalty), -1, -2)
-        has_key = np.any(mask, axis=-1)[..., None, None]  # (..., 1, 1, 1)
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    mixed = weights @ _with_columns(vh, 1.0)  # (..., h, n, dh + 1)
-    heads, inv = mixed[..., :-1], 1.0 / mixed[..., -1:]  # each row sum is at least 1
-    if has_key is not None:
-        inv *= has_key
-    return weights, inv, heads
+    fit = max(_BLOCK_BYTES // max(rows * cols * 8, 1), 1)  # heads per block
+    if fit >= heads:
+        step = fit // heads
+        return ([(slice(b, b + step), slice(None)) for b in range(0, batch, step)],
+                min(step, batch) * heads * rows * cols)
+    return ([(slice(b, b + 1), slice(h, h + fit))
+             for b in range(batch) for h in range(0, heads, fit)], fit * rows * cols)
+
+
+def _logit_operands(qh: np.ndarray, kh: np.ndarray, scale: float, mask):
+    """The pair whose per-head product is the scaled, masked logits. A key
+    mask (..., 1, m, 1) rides in as one column, [q · scale, 1] · [k, penalty],
+    so no pass over an (n, m) array masks the logits."""
+    if mask is None:
+        return qh * scale, kh
+    return _with_columns(qh * scale, 1.0), _with_columns(kh, (mask[..., 0] - 1.0) * _MASK_PENALTY)
 
 
 def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
@@ -743,15 +737,18 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
     broadcasts to (..., m); a key with mask 0 gets exactly zero weight, and
     a query with no usable key attends to nothing and outputs zeros.
 
-    :func:`_attend` forms the probabilities as ``P = E * inv`` without a
-    pass of its own over the (n, m) logits to mask, sum or normalize them,
-    and the tape keeps only the (..., h, n, m) weights ``E`` and the
-    (..., h, n, 1) ``inv`` beside the inputs and the output ``O``. The
-    backward works from them through
-    ``dS = P * (dP - rowsum(dO * O))``, where ``rowsum(dO * O)`` equals the
-    softmax term ``rowsum(dP * P)`` at (..., h, n, dh) rather than (..., h,
-    n, m) cost. ``1/sqrt(dh)`` scales the (n, dh) arrays q, dq and dk,
-    never an (n, m) one.
+    No (..., heads, n, m) array outlives the block that formed it. Forward
+    walks blocks of whole heads, each within ``_BLOCK_BYTES`` of weights:
+    it forms the logits, shifts them by their row max, exponentiates them to
+    ``E`` and takes ``E @ [v, 1]``, whose last column is the row sum, so
+    ``P = E * inv`` is never formed either. The tape keeps only the row max
+    ``shift`` and ``inv``, both (..., heads, n, 1), beside the inputs, the
+    key mask and the output ``O``. Backward recomputes each block's ``E``
+    from the inputs and ``shift``, with the same matmuls, so it is bitwise
+    the forward's, and works through ``dS = P * (dP - rowsum(dO * O))``,
+    where ``rowsum(dO * O)`` equals the softmax term ``rowsum(dP * P)`` at
+    (..., heads, n, dh) rather than (..., heads, n, m) cost. ``1/sqrt(dh)``
+    scales the (n, dh) arrays q, dq and dk, never an (n, m) one.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim < 2 or k.shape != v.shape or k.ndim != q.ndim
@@ -763,31 +760,64 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
         raise DimensionMismatch(f"dim {d} not divisible by {num_heads} heads")
     head_dim = d // num_heads
     scale = 1.0 / math.sqrt(head_dim)
+    batch, n, m = math.prod(q.shape[:-2]), q.shape[-2], k.shape[-2]
+    if key_mask is not None:
+        keys = q.shape[:-2] + (m,)
+        try:
+            key_mask = np.broadcast_to(np.asarray(key_mask, dtype=np.float64), keys)
+        except ValueError:
+            raise DimensionMismatch(f"key mask {np.shape(key_mask)} vs keys {keys}") from None
+        key_mask = key_mask.reshape(batch, 1, m, 1)
+    blocks, buffer_size = _attention_blocks(batch, num_heads, n, m)
 
-    def split(a):  # (..., n, d) -> (..., h, n, dh)
-        return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, head_dim)), -2, -3)
+    def split(a):  # (..., rows, d) -> (batch, h, rows, dh), a view when a is contiguous
+        return np.swapaxes(a.reshape(batch, a.shape[-2], num_heads, head_dim), 1, 2)
 
-    def merged_matmul(a, b):  # a @ b per head, written straight into (..., n, d)
-        out = np.empty(a.shape[:-3] + (a.shape[-2], d))
-        np.matmul(a, b, out=split(out))
-        return out
+    def logits(buffer, blk, qa, ka_t):  # a block's scaled, masked logits, in buffer
+        a, b = qa[blk], ka_t[blk]
+        shape = a.shape[:-1] + b.shape[-1:]
+        return np.matmul(a, b, out=buffer[:math.prod(shape)].reshape(shape))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    weights, inv, heads = _attend(qh * scale, kh, vh, key_mask)  # scale (n, dh), not (n, m)
+    qa, ka = _logit_operands(qh, kh, scale, key_mask)
+    ka_t, vw = np.swapaxes(ka, -1, -2), _with_columns(vh, 1.0)
+    shift, inv = np.empty((batch, num_heads, n, 1)), np.empty((batch, num_heads, n, 1))
+    has_key = None if key_mask is None else np.any(key_mask, axis=-2, keepdims=True)
     out = np.empty(q.shape)
-    np.multiply(heads, inv, out=split(out))
+    out_h, buffer = split(out), np.empty(buffer_size)
+    for blk in blocks:
+        e = logits(buffer, blk, qa, ka_t)
+        np.max(e, axis=-1, keepdims=True, out=shift[blk])
+        e -= shift[blk]
+        np.exp(e, out=e)
+        mixed = e @ vw[blk]  # (b, h, n, dh + 1); each row sum is at least 1
+        np.divide(1.0, mixed[..., -1:], out=inv[blk])
+        if has_key is not None:  # a row with no usable key gets inv 0
+            inv[blk] *= has_key[blk[0]]
+        np.multiply(mixed[..., :-1], inv[blk], out=out_h[blk])
 
     def bwd(g):
-        gh = split(g) * inv  # P = weights * inv, so inv moves onto the (n, dh) side
-        g_v = merged_matmul(np.swapaxes(weights, -1, -2), gh)
+        qh, kh, vh = split(q.data), split(k.data), split(v.data)
+        qa, ka = _logit_operands(qh, kh, scale, key_mask)
+        ka_t, vw_t = np.swapaxes(ka, -1, -2), np.swapaxes(_with_columns(vh, 1.0), -1, -2)
+        gh = split(g) * inv  # P = E * inv, so inv moves onto the (n, dh) side
         # rowsum(dP * P) == rowsum(dO * O), a per-head (n, dh) product; as an
         # extra column it leaves the matmul already subtracted from dP.
         rowsum = np.einsum("...nd,...nd->...n", gh, split(out))
-        g_s = _with_columns(gh, -rowsum) @ np.swapaxes(_with_columns(vh, 1.0), -1, -2)
-        g_s *= weights
-        g_q = merged_matmul(g_s, kh)
+        gw = _with_columns(gh, -rowsum)
+        g_q, g_k, g_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        g_qh, g_kh, g_vh = split(g_q), split(g_k), split(g_v)
+        buffer, scores = np.empty(buffer_size), np.empty(buffer_size)
+        for blk in blocks:
+            e = logits(buffer, blk, qa, ka_t)
+            e -= shift[blk]
+            np.exp(e, out=e)
+            np.matmul(np.swapaxes(e, -1, -2), gh[blk], out=g_vh[blk])
+            g_s = np.matmul(gw[blk], vw_t[blk], out=scores[:e.size].reshape(e.shape))
+            g_s *= e
+            np.matmul(g_s, kh[blk], out=g_qh[blk])
+            np.matmul(np.swapaxes(g_s, -1, -2), qh[blk], out=g_kh[blk])
         g_q *= scale
-        g_k = merged_matmul(np.swapaxes(g_s, -1, -2), qh)
         g_k *= scale
         return g_q, g_k, g_v
 

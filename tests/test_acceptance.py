@@ -168,6 +168,16 @@ def _op_sweep(rng):
     cases.append(("scaled_dot_attention:single", [a[0] for a in qkv],
                   lambda ts: weighted_sum_loss(
                       scaled_dot_attention(*ts, 2), wa[0])))
+
+    def blocked(ts):  # a budget below one head's weights: one head per block
+        budget, qanet.tensor._BLOCK_BYTES = qanet.tensor._BLOCK_BYTES, 1
+        try:  # the record keeps its blocks, so backward walks the same ones
+            out = scaled_dot_attention(*ts, 2, padded)
+        finally:
+            qanet.tensor._BLOCK_BYTES = budget
+        return weighted_sum_loss(out, wa)
+
+    cases.append(("scaled_dot_attention:blocked_padded", [a.copy() for a in qkv], blocked))
     lone = np.array([[1, 0, 0, 0], [1, 1, 1, 1]], dtype=np.float64)
     cases.append(("scaled_dot_attention:one_real_key", [a.copy() for a in qkv],
                   lambda ts: weighted_sum_loss(

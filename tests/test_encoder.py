@@ -350,8 +350,9 @@ class TestEncoderStack:
             assert a.tobytes() == b.tobytes(), i
 
     def test_train_mode_tape_keeps_only_what_backward_reads(self, monkeypatch):
-        """No record keeps a normalized input, a padded buffer or a float
-        dropout mask, and the block's tape bytes are pinned."""
+        """No record keeps a normalized input, a padded buffer, attention
+        weights or a float dropout mask, and the block's tape bytes are
+        pinned."""
         drawn = []
 
         def spy(*args):
@@ -370,6 +371,9 @@ class TestEncoderStack:
                 held.setdefault(id(owner(a)), []).append(op.name)
             if op.name == "layernorm":  # the row mean and scale, nothing (..., d)
                 assert all(a.shape[-1] == 1 for a in private), [a.shape for a in private]
+            if op.name == "scaled_dot_attention":  # row statistics, no (..., n, m) weights
+                assert private and all(a.shape[-1] == 1 for a in private), \
+                    [a.shape for a in private]
             if op.name == "depthwise_separable_conv1d":  # no zero-padded input
                 assert all(owner(a).shape[1:2] != (n + width - 1,)
                            for a in closure_arrays(op.backward_fn))
@@ -380,7 +384,7 @@ class TestEncoderStack:
         for m in drawn:  # one bool keep per sublayer, held by the sublayer's last op
             assert m.keep.dtype == np.bool_
             assert held[id(m.keep)] in (["dense"], ["depthwise_separable_conv1d"])
-        assert tape_bytes(out) == 17_696
+        assert tape_bytes(out) == 17_056
 
     def test_shape_preserved(self):
         config, params, x = stack_setup()

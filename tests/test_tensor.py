@@ -272,6 +272,54 @@ class TestFusedOpsMatchComposites:
             assert (got.keep * got.scale).tobytes() == want.tobytes()
 
 
+class TestAttentionBlocks:
+    """Blocked attention: every tiling of the (example, head) grid gives the
+    same bits, because each block runs the same per-head matmuls and
+    per-row reductions."""
+
+    @pytest.mark.parametrize("batch,heads,rows,cols,budget", [
+        (3, 4, 5, 7, 1), (3, 4, 5, 7, 4 * 5 * 7 * 8), (3, 4, 5, 7, 2 * 5 * 7 * 8),
+        (5, 2, 3, 3, 1 << 20), (2, 8, 400, 400, 1 << 20), (1, 3, 2, 2, 3 * 2 * 2 * 8 - 1)])
+    def test_blocks_tile_the_grid(self, monkeypatch, batch, heads, rows, cols, budget):
+        monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+        blocks, elements = T._attention_blocks(batch, heads, rows, cols)
+        whole = heads * rows * cols * 8 <= budget
+        covered = np.zeros((batch, heads), dtype=int)
+        for examples, head_slice in blocks:
+            covered[examples, head_slice] += 1
+            size = covered[examples, head_slice].size
+            assert size * rows * cols <= elements
+            assert size * rows * cols * 8 <= budget or size == 1
+            assert (head_slice == slice(None)) == whole  # whole examples while one fits
+        assert np.all(covered == 1)
+
+    @pytest.mark.parametrize("case", ["padded", "no_mask", "no_real_key"])
+    def test_any_tiling_gives_the_same_bits(self, monkeypatch, case):
+        batch, n, m, d, heads = 3, 5, 7, 12, 3
+        rng = np.random.default_rng(31)
+        q, w = rng.standard_normal((batch, n, d)), rng.standard_normal((batch, n, d))
+        k, v = rng.standard_normal((batch, m, d)), rng.standard_normal((batch, m, d))
+        mask = None
+        if case != "no_mask":
+            mask = (rng.random((batch, m)) < 0.6).astype(np.float64)
+            mask[:, 0] = 1.0
+            if case == "no_real_key":
+                mask[1] = 0.0
+        runs = []
+        # One head per block, one example per block, the whole call in one.
+        for budget, count in ((1, batch * heads), (heads * n * m * 8, batch), (1 << 30, 1)):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+            assert len(T._attention_blocks(batch, heads, n, m)[0]) == count
+            runs.append(TestFusedOpsMatchComposites.run(
+                lambda *ts: T.scaled_dot_attention(*ts, heads, mask), [q, k, v], w))
+        for run in runs[:2]:
+            for got, want in zip(run, runs[2]):
+                assert got.tobytes() == want.tobytes()
+        if case == "no_real_key":  # output and every gradient exactly zero
+            for got in runs[0]:
+                assert not np.any(got[1])
+
+
 class TestTape:
     def test_shared_nodes_get_complete_adjoints(self):
         # y feeds two consumers and x three: backward must finish every
