@@ -425,34 +425,21 @@ def paraphrase_document(example: QaExample, endpoint, k: int, rng,
 # Dataset-level plumbing
 
 
-@dataclass
-class MixRatio:
-    w_orig: float = 3.0
-    w_fr: float = 1.0
-    w_de: float = 1.0
-
-    def __post_init__(self):
-        weights = (self.w_orig, self.w_fr, self.w_de)
-        if any(w < 0 for w in weights):
-            raise ValueError("mixing weights must be non-negative")
-        if sum(weights) <= 0:
-            raise ValueError("at least one mixing weight must be positive")
-
-    @property
-    def weights(self) -> np.ndarray:
-        raw = np.array([self.w_orig, self.w_fr, self.w_de], dtype=np.float64)
-        return raw / raw.sum()
-
-
-def mixed_sampler(pools, ratio: MixRatio, seed: int):
-    """Infinite stream drawing a pool by weight, then a uniform example.
-
-    Validation happens up front, not on the first draw.
+def mixed_sampler(pools, weights, seed: int):
+    """Infinite stream drawing a pool by its share of ``weights``, then a
+    uniform example. Validation happens up front, not on the first draw.
     """
     pools = [list(p) for p in pools]
     if len(pools) != 3:
         raise ValueError(f"want 3 pools, got {len(pools)}")
-    probs = ratio.weights
+    raw = np.array(weights, dtype=np.float64)
+    if raw.shape != (3,):
+        raise ValueError(f"want 3 mixing weights, got {raw.size}")
+    if (raw < 0).any():
+        raise ValueError("mixing weights must be non-negative")
+    if raw.sum() <= 0:
+        raise ValueError("at least one mixing weight must be positive")
+    probs = raw / raw.sum()
     for pool, w in zip(pools, probs):
         if w > 0 and not pool:
             raise EmptyWeightedPool(f"pool with weight {w:.3f} is empty")
@@ -516,8 +503,7 @@ def augment_examples(examples, endpoints: dict, k: int, threshold: float,
     return out
 
 
-def write_squad_json(path: str, examples, version: str = "1.1",
-                     title: str = "augmented") -> None:
+def write_squad_json(path: str, examples) -> None:
     """Serialize examples in the nested paragraph/qas schema."""
     paragraphs = []
     for ex in examples:
@@ -528,7 +514,7 @@ def write_squad_json(path: str, examples, version: str = "1.1",
             "qas": [{"id": ex.id, "question": ex.question_text,
                      "answers": answers}],
         })
-    doc = {"version": version,
-           "data": [{"title": title, "paragraphs": paragraphs}]}
+    doc = {"version": "1.1",
+           "data": [{"title": "augmented", "paragraphs": paragraphs}]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, ensure_ascii=False)

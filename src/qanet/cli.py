@@ -1,9 +1,10 @@
 """Command line for training, prediction, scoring, augmentation, benchmarks.
 
-Every subcommand resolves its configuration the same way: --config path if
-given, else the QANET_CONFIG environment variable, else built-in defaults;
---set key=value overrides apply on top, and the resolved result is echoed
-to stderr so runs are reproducible from their logs alone.
+train, augment and bench resolve their configuration the same way: --config
+path if given, else the QANET_CONFIG environment variable, else built-in
+defaults; --set key=value overrides apply on top, and the resolved result is
+echoed to stderr so runs are reproducible from their logs alone. predict
+takes its settings from the checkpoint, and evaluate needs none.
 """
 from __future__ import annotations
 
@@ -15,35 +16,37 @@ import time
 
 import numpy as np
 
-from .augmentation import (HttpTranslator, MixRatio, RuleTranslator,
-                           augment_examples, mixed_sampler, write_squad_json)
+from .augmentation import (HttpTranslator, RuleTranslator, augment_examples,
+                           mixed_sampler, write_squad_json)
 from .config import RunConfig, from_flat, parse_override, resolve_config, to_flat
 from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
 from .evaluation import evaluate
-from .model import init_model_params, model_forward, predict_all
+from .model import ModelConfig, init_model_params, model_forward, predict_all
 from .tensor import no_grad
-from .trainer import (_train_step, check_resume_config, init_train_state,
-                      load_checkpoint, train, use_ema)
-
-
-def _echo_config(config: RunConfig, source: str) -> None:
-    flat = json.dumps(to_flat(config), sort_keys=True)
-    print(f"[config] source={source} {flat}", file=sys.stderr)
+from .trainer import (_LANE_INIT, _train_step, check_resume_config,
+                      init_train_state, load_checkpoint, train, use_ema)
 
 
 def _resolved_config(args) -> RunConfig:
-    config, source = resolve_config(getattr(args, "config", None))
+    config, source = resolve_config(args.config)
     overrides = {}
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         key, value = parse_override(item)
         overrides[key] = value
-    if overrides:
-        config = from_flat(overrides, base=config)
-    if getattr(args, "seed", None) is not None:
-        config = from_flat({"seed": args.seed}, base=config)
-    _echo_config(config, source)
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    config = from_flat(overrides, base=config)
+    flat = json.dumps(to_flat(config), sort_keys=True)
+    print(f"[config] source={source} {flat}", file=sys.stderr)
     return config
+
+
+def _parse_qa(path: str, split: str, model: ModelConfig):
+    """Parse a QA file under the model's context and answer limits."""
+    return parse_qa_json(path, split=split,
+                         max_context_len=model.max_context_len,
+                         max_answer_len=model.max_answer_len)
 
 
 def _random_word_matrix(vocab: Vocabulary, dim: int, seed: int) -> np.ndarray:
@@ -69,9 +72,7 @@ def _cmd_train(args) -> int:
     if args.resume:
         seed = check_resume_config(args.resume, config.model,
                                    config.optimizer)["seed"]
-    examples = parse_qa_json(paths.train_data, split="train",
-                             max_context_len=config.model.max_context_len,
-                             max_answer_len=config.model.max_answer_len)
+    examples = _parse_qa(paths.train_data, "train", config.model)
     if args.resume:
         vocab = matrix = None  # train() takes both from the checkpoint
     elif paths.vectors:
@@ -88,23 +89,20 @@ def _cmd_train(args) -> int:
 
     dev = None
     if paths.dev_data:
-        dev = parse_qa_json(paths.dev_data, split="eval",
-                            max_context_len=config.model.max_context_len,
-                            max_answer_len=config.model.max_answer_len)
+        dev = _parse_qa(paths.dev_data, "eval", config.model)
+    if config.eval_every and not dev:
+        raise ValueError("eval_every needs a paths.dev_data file with questions")
 
     sampler = None
     if paths.augmented_fr or paths.augmented_de:
         def pool(path):
             if not path:
                 return []
-            return parse_qa_json(path, split="train",
-                                 max_context_len=config.model.max_context_len,
-                                 max_answer_len=config.model.max_answer_len)
-        ratio = MixRatio(config.augment.mix_orig, config.augment.mix_fr,
-                         config.augment.mix_de)
+            return _parse_qa(path, "train", config.model)
+        mix = config.augment
         sampler = mixed_sampler(
             [examples, pool(paths.augmented_fr), pool(paths.augmented_de)],
-            ratio, seed=seed)
+            (mix.mix_orig, mix.mix_fr, mix.mix_de), seed=seed)
 
     os.makedirs(paths.out_dir, exist_ok=True)
     with open(os.path.join(paths.out_dir, "config.json"), "w",
@@ -125,9 +123,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     params, state, model_config, _, vocab = load_checkpoint(args.checkpoint)
-    examples = parse_qa_json(args.data, split="eval",
-                             max_context_len=model_config.max_context_len,
-                             max_answer_len=model_config.max_answer_len)
+    examples = _parse_qa(args.data, "eval", model_config)
     with use_ema(params, state):
         predictions = predict_all(params, model_config, examples, vocab,
                                   batch_size=args.batch_size)
@@ -171,9 +167,7 @@ def _parse_endpoint_flags(urls, mock: bool):
 def _cmd_augment(args) -> int:
     config = _resolved_config(args)
     endpoints = _parse_endpoint_flags(args.translator_url, args.mock)
-    examples = parse_qa_json(args.data, split="train",
-                             max_context_len=config.model.max_context_len,
-                             max_answer_len=config.model.max_answer_len)
+    examples = _parse_qa(args.data, "train", config.model)
     pools = augment_examples(examples, endpoints, k=config.augment.k,
                              threshold=config.augment.threshold,
                              seed=config.seed, copies=config.augment.copies)
@@ -214,7 +208,7 @@ def _cmd_bench(args) -> int:
     matrix = _random_word_matrix(vocab, config.model.word_dim, config.seed)
     params = init_model_params(
         config.model, matrix, len(vocab.chars),
-        np.random.default_rng(np.random.SeedSequence([config.seed, 11])))
+        np.random.default_rng(np.random.SeedSequence([config.seed, _LANE_INIT])))
     state = init_train_state(params, config.seed)
     batch = build_batch(examples, vocab, char_limit=config.model.char_limit)
 

@@ -67,7 +67,7 @@ class RunConfig:
     log_every: int = 50
 
     def __post_init__(self):
-        for name in ("seed", "eval_every", "checkpoint_every", "log_every"):
+        for name in _TOP_LEVEL:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
@@ -118,7 +118,7 @@ def from_flat(flat: dict, base: RunConfig | None = None) -> RunConfig:
     return RunConfig(**parts, **top)
 
 
-def load_run_config(path: str, base: RunConfig | None = None) -> RunConfig:
+def load_run_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             flat = json.load(fh)
@@ -126,19 +126,17 @@ def load_run_config(path: str, base: RunConfig | None = None) -> RunConfig:
             raise ValueError(f"config file {path}: {err}") from err
     if not isinstance(flat, dict):
         raise ValueError(f"config file {path}: expected a JSON object")
-    return from_flat(flat, base=base)
+    return from_flat(flat)
 
 
-def resolve_config(explicit_path: str | None,
-                   env: dict | None = None) -> tuple[RunConfig, str]:
+def resolve_config(explicit_path: str | None) -> tuple[RunConfig, str]:
     """Pick the config source: explicit flag, then env var, then defaults.
 
     Returns the config and a short description of where it came from.
     """
-    env = os.environ if env is None else env
     if explicit_path:
         return load_run_config(explicit_path), explicit_path
-    fallback = env.get(ENV_CONFIG_VAR, "")
+    fallback = os.environ.get(ENV_CONFIG_VAR, "")
     if fallback:
         return load_run_config(fallback), f"{ENV_CONFIG_VAR}={fallback}"
     return RunConfig(), "defaults"

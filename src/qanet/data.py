@@ -24,6 +24,7 @@ UNK_TOKEN = "<unk>"
 
 _PUNCT = set(string.punctuation)
 _CHUNK = re.compile(r"\S+")
+_BUCKET_WIDTH = 32  # context tokens per make_batches length bucket
 
 
 class MalformedJson(ValueError):
@@ -281,9 +282,7 @@ class Vocabulary:
             idx = len(vocab.words)
             vocab.words.append(w)
             vocab._word_ids[w] = idx
-        for ch in chars[2:]:
-            vocab._char_ids[ch] = len(vocab.chars)
-            vocab.chars.append(ch)
+        vocab.add_chars("".join(chars[2:]))
         return vocab
 
 
@@ -376,7 +375,7 @@ def build_batch(examples: list[QaExample], vocab: Vocabulary,
 
 def make_batches(examples: list[QaExample], vocab: Vocabulary,
                  batch_size: int = 32, seed: int = 0,
-                 char_limit: int = 16, bucket_width: int = 32) -> list[Batch]:
+                 char_limit: int = 16) -> list[Batch]:
     """Length-bucketed batches with seeded shuffling.
 
     Examples are grouped into context-length buckets, shuffled within each
@@ -391,7 +390,7 @@ def make_batches(examples: list[QaExample], vocab: Vocabulary,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
     buckets: dict[int, list[QaExample]] = {}
     for ex in examples:
-        buckets.setdefault(len(ex.context_tokens) // bucket_width, []).append(ex)
+        buckets.setdefault(len(ex.context_tokens) // _BUCKET_WIDTH, []).append(ex)
     ordered: list[QaExample] = []
     for key in sorted(buckets):
         bucket = buckets[key]

@@ -113,15 +113,15 @@ def _tensor_leaves(prefix: str, node):
             yield from _tensor_leaves(f"{prefix}.{i}", item)
 
 
-def named_tensors(params, trainable_only: bool = True) -> list[tuple[str, Tensor]]:
+def named_tensors(params) -> list[tuple[str, Tensor]]:
     """Flatten a params tree into (dotted name, tensor) pairs, field order."""
-    return [(name, t) for name, t in _tensor_leaves("", params)
-            if t.requires_grad or not trainable_only]
+    return list(_tensor_leaves("", params))
 
 
 def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
     """Trainable tensors only; the frozen word table never appears."""
-    return named_tensors(params, trainable_only=True)
+    return [(name, t) for name, t in _tensor_leaves("", params)
+            if t.requires_grad]
 
 
 def model_forward(params: ModelParams, config: ModelConfig, batch: Batch,

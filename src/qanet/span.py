@@ -81,11 +81,6 @@ def span_loss(dist: SpanDistributions, starts, ends) -> Tensor:
     starts = np.asarray(starts)
     ends = np.asarray(ends)
     p1, p2 = dist.p1, dist.p2
-    if p1.data.ndim == 1:
-        p1 = reshape(p1, (1,) + p1.shape)
-        p2 = reshape(p2, (1,) + p2.shape)
-        starts = starts.reshape((1,))
-        ends = ends.reshape((1,))
     if dist.mask is not None:
         mask = np.asarray(dist.mask, dtype=np.float64)
         mask = np.broadcast_to(mask, p1.shape)

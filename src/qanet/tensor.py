@@ -269,8 +269,6 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionMismatch("matmul operands need at least 2 dims")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionMismatch(f"matmul: {a.shape} @ {b.shape}")
     try:
         out = a.data @ b.data
     except ValueError:

@@ -154,7 +154,7 @@ def use_ema(params, state: TrainState):
 
 def _checkpoint_entries(params: ModelParams, state: TrainState):
     """(name, array) for every stored tensor, in file order."""
-    for name, tensor in named_tensors(params, trainable_only=False):
+    for name, tensor in named_tensors(params):
         yield "param." + name, tensor.data
     for group, table in (("adam_m", state.first_moment),
                          ("adam_v", state.second_moment),
@@ -204,8 +204,9 @@ def check_resume_config(path: str, model_config: ModelConfig,
                         opt_config: OptimizerConfig) -> dict:
     """Checkpoint ``path``'s header, once the run's settings match it.
 
-    Every model and optimizer setting but ``optimizer.total_steps`` is baked
-    into the stored weights and moments; any difference raises
+    Every model and optimizer setting but ``optimizer.total_steps`` must
+    match so that a resume replays the uninterrupted run, dropout rates and
+    ``max_context_len`` included; any difference raises
     :class:`ConfigMismatch` naming each key with both values.
     """
     with open(path, "rb") as fh:
@@ -311,7 +312,6 @@ class TrainResult:
     checkpoint_path: str
     metrics_path: str
     steps_run: int
-    records: list
 
 
 def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
@@ -357,12 +357,10 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
         with open(metrics_path, encoding="utf-8") as fh:
             kept = [line for line in fh
                     if json.loads(line)["step"] <= state.step]
-    records = []
     log_fh = open(metrics_path, "w", encoding="utf-8")
     log_fh.writelines(kept)
 
     def emit(record):
-        records.append(record)
         log_fh.write(json.dumps(record) + "\n")
         log_fh.flush()
 
@@ -390,5 +388,4 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
     finally:
         log_fh.close()
     return TrainResult(checkpoint_path=checkpoint_path,
-                       metrics_path=metrics_path, steps_run=state.step,
-                       records=records)
+                       metrics_path=metrics_path, steps_run=state.step)

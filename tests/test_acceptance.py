@@ -17,7 +17,7 @@ from translators import ScriptedTranslator
 
 from qanet.attention import TrilinearWeights, context_query_attention
 from qanet.augmentation import (extract_answer, mixed_sampler,
-                                paraphrase_sentences, MixRatio)
+                                paraphrase_sentences)
 from qanet.cli import main
 from qanet.data import (Vocabulary, build_batch, example_from_raw, tokenize)
 from qanet.encoder import residual_sublayer, survival_probability
@@ -493,7 +493,7 @@ def test_08_sampler_ratio():
         pools = [[("orig", i) for i in range(7)],
                  [("fr", i) for i in range(4)],
                  [("de", i) for i in range(3)]]
-        stream = mixed_sampler(pools, MixRatio(3.0, 1.0, 1.0), seed=80)
+        stream = mixed_sampler(pools, (3.0, 1.0, 1.0), seed=80)
         counts = {"orig": 0, "fr": 0, "de": 0}
         for _ in range(100_000):
             counts[next(stream)[0]] += 1

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from qanet.augmentation import (
     EmptyWeightedPool,
     HttpTranslator,
-    MixRatio,
     RuleTranslator,
     TranslatorProtocolError,
     TranslatorUnavailable,
@@ -599,7 +598,7 @@ class TestMixedSampler:
         pools = [[("orig", i) for i in range(5)],
                  [("fr", i) for i in range(3)],
                  [("de", i) for i in range(2)]]
-        stream = mixed_sampler(pools, MixRatio(3.0, 1.0, 1.0), seed=7)
+        stream = mixed_sampler(pools, (3.0, 1.0, 1.0), seed=7)
         counts = {"orig": 0, "fr": 0, "de": 0}
         for _ in range(100_000):
             counts[next(stream)[0]] += 1
@@ -609,20 +608,20 @@ class TestMixedSampler:
 
     def test_degenerate_all_original(self):
         pools = [["a", "b"], [], []]
-        stream = mixed_sampler(pools, MixRatio(1.0, 0.0, 0.0), seed=1)
+        stream = mixed_sampler(pools, (1.0, 0.0, 0.0), seed=1)
         draws = [next(stream) for _ in range(500)]
         assert set(draws) == {"a", "b"}
 
     def test_empty_weighted_pool_raises(self):
         with pytest.raises(EmptyWeightedPool):
-            mixed_sampler([["a"], [], ["b"]], MixRatio(1.0, 1.0, 1.0),
+            mixed_sampler([["a"], [], ["b"]], (1.0, 1.0, 1.0),
                           seed=0).__next__()
 
     def test_deterministic_under_seed(self):
         pools = [list(range(4)), list(range(4, 7)), list(range(7, 9))]
-        a = mixed_sampler(pools, MixRatio(), seed=11)
-        b = mixed_sampler(pools, MixRatio(), seed=11)
-        c = mixed_sampler(pools, MixRatio(), seed=12)
+        a = mixed_sampler(pools, (3.0, 1.0, 1.0), seed=11)
+        b = mixed_sampler(pools, (3.0, 1.0, 1.0), seed=11)
+        c = mixed_sampler(pools, (3.0, 1.0, 1.0), seed=12)
         first_a = [next(a) for _ in range(200)]
         first_b = [next(b) for _ in range(200)]
         first_c = [next(c) for _ in range(200)]
@@ -630,19 +629,29 @@ class TestMixedSampler:
         assert first_a != first_c
 
     def test_weights_normalized(self):
-        got = MixRatio(3.0, 1.0, 1.0).weights
-        want = np.array([3.0, 1.0, 1.0]) / 5.0
-        assert np.array_equal(got, want)
+        """Only the weights' ratio counts: 3:1:1 at any scale draws the
+        same stream, and so does the normalised (0.6, 0.2, 0.2)."""
+        pools = [list(range(4)), list(range(4, 7)), list(range(7, 9))]
+        streams = [mixed_sampler(pools, w, seed=5) for w in
+                   ((3.0, 1.0, 1.0), [6, 2, 2], np.array([3.0, 1.0, 1.0]) / 5.0)]
+        draws = [[next(s) for _ in range(300)] for s in streams]
+        assert draws[0] == draws[1] == draws[2]
 
     def test_bad_ratios_rejected(self):
-        with pytest.raises(ValueError):
-            MixRatio(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            MixRatio(0.0, 0.0, 0.0)
+        """A negative weight, or all zeros, fails before the first draw."""
+        with pytest.raises(ValueError, match="non-negative"):
+            mixed_sampler([["a"], ["b"], ["c"]], (-1.0, 1.0, 1.0), seed=0)
+        with pytest.raises(ValueError, match="positive"):
+            mixed_sampler([["a"], ["b"], ["c"]], (0.0, 0.0, 0.0), seed=0)
+
+    def test_weight_count_enforced(self):
+        for weights in ((3.0, 1.0), (3.0, 1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="3 mixing weights"):
+                mixed_sampler([["a"], ["b"], ["c"]], weights, seed=0)
 
     def test_pool_count_enforced(self):
         with pytest.raises(ValueError):
-            next(mixed_sampler([["a"], ["b"]], MixRatio(), seed=0))
+            next(mixed_sampler([["a"], ["b"]], (3.0, 1.0, 1.0), seed=0))
 
 
 # ---------------------------------------------------------------------------

@@ -197,17 +197,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_run_config(str(garbled))
 
-    def test_resolution_order(self, tmp_path):
+    def test_resolution_order(self, tmp_path, monkeypatch):
         file_a = tmp_path / "a.json"
         file_a.write_text(json.dumps({"seed": 5}), encoding="utf-8")
         file_b = tmp_path / "b.json"
         file_b.write_text(json.dumps({"seed": 6}), encoding="utf-8")
-        cfg, source = resolve_config(str(file_a),
-                                     env={"QANET_CONFIG": str(file_b)})
+        monkeypatch.setenv("QANET_CONFIG", str(file_b))
+        cfg, source = resolve_config(str(file_a))
         assert cfg.seed == 5 and source == str(file_a)
-        cfg, source = resolve_config(None, env={"QANET_CONFIG": str(file_b)})
+        cfg, source = resolve_config(None)
         assert cfg.seed == 6 and "QANET_CONFIG" in source
-        cfg, source = resolve_config(None, env={})
+        monkeypatch.delenv("QANET_CONFIG")
+        cfg, source = resolve_config(None)
         assert cfg.seed == 0 and source == "defaults"
 
 
@@ -265,6 +266,38 @@ class TestTrainCommand:
         assert code == 1
         assert f"{key} must" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dev", ["none", "no questions"])
+    def test_eval_every_without_dev_data_exits_before_out_dir(
+            self, trained, tmp_path, capsys, dev):
+        """A dev evaluation period with no dev set is refused, not ignored."""
+        out = tmp_path / "run"
+        extra = {"eval_every": 2}
+        if dev == "no questions":
+            empty = tmp_path / "empty.json"
+            empty.write_text('{"version": "1.1", "data": []}', encoding="utf-8")
+            extra["paths.dev_data"] = str(empty)
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
+                           extra=extra)
+        code = main(["train", "--config", cfg])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "eval_every" in err and "paths.dev_data" in err
+        assert not out.exists()
+
+    def test_eval_every_takes_dev_data_from_override(self, trained, tmp_path,
+                                                     capsys):
+        """The rule reads the merged config: a file's eval_every pairs with
+        a --set paths.dev_data."""
+        out = tmp_path / "run"
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
+                           extra={"eval_every": 2})
+        code = main(["train", "--config", cfg,
+                     "--set", f"paths.dev_data={trained['data']}"])
+        capsys.readouterr()
+        assert code == 0
+        with open(out / "metrics.jsonl", encoding="utf-8") as fh:
+            assert [r["step"] for r in map(json.loads, fh) if "dev_em" in r] == [2, 4]
 
     def test_config_echo_on_stderr(self, trained, tmp_path, capsys):
         out = str(tmp_path / "echo-run")

@@ -1,10 +1,13 @@
-"""Layout rule: every public top-level function and class in ``src/qanet``
+"""Layout rules: every public top-level function and class in ``src/qanet``
 is used by the package, the scripts or the benchmark, so a helper that only
-tests call lives under ``tests/``.
+tests call lives under ``tests/``; and every defaulted parameter of a public
+function or method is passed by one of their calls, so an option that only
+tests set does not live in ``src/`` either.
 
 A use is a name or attribute in the code, found with ``ast``. A definition
 does not use its own name, an import alone is not a use, and the strings of
-an ``__all__`` list are not names.
+an ``__all__`` list are not names. Calls match by the called name, the way
+uses do; a class call passes its ``__init__``'s parameters.
 """
 import ast
 from pathlib import Path
@@ -55,3 +58,114 @@ def test_scan_sees_through_imports_and_all(tmp_path):
     used = used_names([tmp_path])
     assert [w for w, n in public_definitions(tmp_path) if n not in used] == [
         "lib.listed", "lib.imported"]
+
+
+# Defaulted parameters no call outside the tests passes, each with its reason.
+_NETWORK = "network setting, tuned per service, not per run"
+UNPASSED_DEFAULTS = {
+    "cli.main.argv": "the console script calls main() bare, so it reads "
+                     "sys.argv; tests pass the arguments",
+    "augmentation.HttpTranslator.timeout": _NETWORK,
+    "augmentation.HttpTranslator.retries": _NETWORK,
+    "augmentation.HttpTranslator.backoff": _NETWORK,
+}
+
+
+def _callables(tree):
+    """(owner, called name, def, implicit first argument) for each public
+    top-level function and each public class's ``__init__`` and public
+    methods; ``__init__`` is named and called by its class's name."""
+    for node in tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                bound = not any(getattr(d, "id", "") == "staticmethod"
+                                for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    yield node.name, node.name, fn, bound
+                elif not fn.name.startswith("_"):
+                    yield f"{node.name}.{fn.name}", fn.name, fn, bound
+
+
+def defaulted_parameters(package=PACKAGE):
+    """(module.owner.param, called name, position, param) for each defaulted
+    parameter; position is None for a keyword-only one and leaves out a
+    bound ``self`` or ``cls``."""
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner, called, fn, bound in _callables(tree):
+            positional = fn.args.posonlyargs + fn.args.args
+            first_default = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first_default:], first_default):
+                yield (f"{path.stem}.{owner}.{arg.arg}", called, i - bound,
+                       arg.arg)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{path.stem}.{owner}.{arg.arg}", called, None, arg.arg
+
+
+def passed_arguments(folders=USERS):
+    """{called name: (most positional arguments, keyword names)} over every
+    call in ``folders``; a ``*`` or ``**`` argument passes everything."""
+    calls = {}
+    for folder in folders:
+        for path in folder.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                most, keywords = calls.get(name, (0, set()))
+                count = len(node.args)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    count = float("inf")
+                for kw in node.keywords:
+                    keywords.add(kw.arg)  # None for a ** argument
+                calls[name] = (max(most, count), keywords)
+    return calls
+
+
+def unpassed_defaults(package=PACKAGE, folders=USERS):
+    calls = passed_arguments(folders)
+    unpassed = []
+    for where, called, position, param in defaulted_parameters(package):
+        most, keywords = calls.get(called, (0, set()))
+        if not (param in keywords or None in keywords
+                or (position is not None and position < most)):
+            unpassed.append(where)
+    return unpassed
+
+
+def test_every_default_is_passed_outside_tests():
+    unpassed = [w for w in unpassed_defaults() if w not in UNPASSED_DEFAULTS]
+    assert unpassed == [], (f"only tests set {unpassed}: make the value a "
+                            "constant, or pass it from the package")
+
+
+def test_allowed_defaults_still_exist():
+    """An allowance outlives neither its parameter nor a caller that passes it."""
+    assert sorted(set(UNPASSED_DEFAULTS) - set(unpassed_defaults())) == []
+
+
+def test_default_scan_matches_position_keyword_and_class(tmp_path):
+    """A default counts as passed by keyword, by position (a method's or a
+    class's ``self`` aside) or through ``*``/``**``, and not otherwise."""
+    (tmp_path / "lib.py").write_text(
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "def g(a=1):\n    pass\n"
+        "def _private(a=1):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, a=1, b=2):\n        pass\n"
+        "    def m(self, a=1):\n        pass\n"
+        "    @staticmethod\n"
+        "    def s(a=1, b=2):\n        pass\n"
+        "    def _p(self, a=1):\n        pass\n", encoding="utf-8")
+    (tmp_path / "app.py").write_text(
+        "f(0, 1)\nf(0, d=4)\ng(*[])\nK(0)\nK().m()\nK.s(0)\n",
+        encoding="utf-8")
+    assert unpassed_defaults(tmp_path, [tmp_path]) == [
+        "lib.f.c", "lib.K.b", "lib.K.m.a", "lib.K.s.b"]

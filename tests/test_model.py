@@ -89,7 +89,7 @@ class TestParameterTree:
         gc.collect()
         gc.disable()
         try:
-            named_tensors(params, trainable_only=False)
+            named_tensors(params)
             probe = weakref.ref(params.span.w1.data)
             del params
             assert probe() is None
@@ -98,7 +98,7 @@ class TestParameterTree:
 
     def test_full_listing_includes_frozen_table(self):
         config, params, _ = toy_setup()
-        names = [n for n, _ in named_tensors(params, trainable_only=False)]
+        names = [n for n, _ in named_tensors(params)]
         assert "embedding.word_table" in names
 
     def test_expected_structure_present(self):

@@ -54,6 +54,12 @@ def tiny_dataset(n=20, seed=0):
     return examples, vocab, matrix
 
 
+def logged(result):
+    """The records of a run's ``metrics.jsonl``, in order."""
+    with open(result.metrics_path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 def short_opt(**kw):
     base = dict(target_lr=0.01, warmup_steps=4, ema_decay=0.9, batch_size=4,
                 total_steps=6)
@@ -202,8 +208,8 @@ class TestCheckpoint:
         assert lconfig == config
         assert lvocab.words == vocab.words and lvocab.chars == vocab.chars
         from qanet.model import named_tensors
-        want = dict(named_tensors(params, trainable_only=False))
-        for name, tensor in named_tensors(loaded, trainable_only=False):
+        want = dict(named_tensors(params))
+        for name, tensor in named_tensors(loaded):
             np.testing.assert_array_equal(tensor.data, want[name].data, err_msg=name)
         for name, _ in named_parameters(params):
             np.testing.assert_array_equal(lstate.shadow[name], state.shadow[name])
@@ -336,9 +342,10 @@ class TestTrainLoop:
     def test_loss_logged_and_finite(self, tmp_path):
         result = self.run(tmp_path, "a")
         assert result.steps_run == 6
-        assert len(result.records) == 6
-        assert all(np.isfinite(r["loss"]) for r in result.records)
-        assert result.records[3]["lr"] == short_opt().target_lr
+        records = logged(result)
+        assert len(records) == 6
+        assert all(np.isfinite(r["loss"]) for r in records)
+        assert records[3]["lr"] == short_opt().target_lr
 
     def test_bitwise_determinism(self, tmp_path):
         r1 = self.run(tmp_path, "a")
@@ -354,8 +361,8 @@ class TestTrainLoop:
         part = self.run(tmp_path, "part", opt=short_opt(total_steps=3))
         resumed = self.run(tmp_path, "resumed",
                            resume_from=part.checkpoint_path)
-        full_losses = [r["loss"] for r in full.records]
-        tail = [r["loss"] for r in resumed.records]
+        full_losses = [r["loss"] for r in logged(full)]
+        tail = [r["loss"] for r in logged(resumed)]
         assert tail == full_losses[3:]
         with open(full.checkpoint_path, "rb") as f1, \
              open(resumed.checkpoint_path, "rb") as f2:
@@ -462,7 +469,7 @@ class TestTrainLoop:
                        short_opt(total_steps=2), seed=5,
                        out_dir=os.path.join(tmp_path, "ev"),
                        dev_examples=examples[:4], eval_every=2)
-        kinds = [set(r) for r in result.records]
+        kinds = [set(r) for r in logged(result)]
         assert {"step", "dev_em", "dev_f1"} in kinds
 
     def test_empty_dataset_rejected(self, tmp_path):
