@@ -425,6 +425,20 @@ def paraphrase_document(example: QaExample, endpoint, k: int, rng,
 # Dataset-level plumbing
 
 
+def _mix_shares(weights) -> np.ndarray:
+    """Three finite, non-negative, not all zero weights as probabilities."""
+    raw = np.array(weights, dtype=np.float64)
+    if raw.shape != (3,):
+        raise ValueError(f"want 3 mixing weights, got {raw.size}")
+    if not np.isfinite(raw).all():
+        raise ValueError("mixing weights must be finite")
+    if (raw < 0).any():
+        raise ValueError("mixing weights must be non-negative")
+    if raw.sum() <= 0:
+        raise ValueError("at least one mixing weight must be positive")
+    return raw / raw.sum()
+
+
 def mixed_sampler(pools, weights, seed: int):
     """Infinite stream drawing a pool by its share of ``weights``, then a
     uniform example. Validation happens up front, not on the first draw.
@@ -432,14 +446,7 @@ def mixed_sampler(pools, weights, seed: int):
     pools = [list(p) for p in pools]
     if len(pools) != 3:
         raise ValueError(f"want 3 pools, got {len(pools)}")
-    raw = np.array(weights, dtype=np.float64)
-    if raw.shape != (3,):
-        raise ValueError(f"want 3 mixing weights, got {raw.size}")
-    if (raw < 0).any():
-        raise ValueError("mixing weights must be non-negative")
-    if raw.sum() <= 0:
-        raise ValueError("at least one mixing weight must be positive")
-    probs = raw / raw.sum()
+    probs = _mix_shares(weights)
     for pool, w in zip(pools, probs):
         if w > 0 and not pool:
             raise EmptyWeightedPool(f"pool with weight {w:.3f} is empty")

@@ -22,10 +22,10 @@ from .config import RunConfig, from_flat, parse_override, resolve_config, to_fla
 from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
 from .evaluation import evaluate
-from .model import ModelConfig, init_model_params, model_forward, predict_all
-from .tensor import no_grad
-from .trainer import (_LANE_INIT, _train_step, check_resume_config,
-                      init_train_state, load_checkpoint, train, use_ema)
+from .model import ModelConfig, init_model_params, predict_all, predict_spans
+from .trainer import (_LANE_INIT, _check_eval_every, _train_step,
+                      check_resume_config, init_train_state, load_checkpoint,
+                      train, use_ema)
 
 
 def _resolved_config(args) -> RunConfig:
@@ -90,8 +90,7 @@ def _cmd_train(args) -> int:
     dev = None
     if paths.dev_data:
         dev = _parse_qa(paths.dev_data, "eval", config.model)
-    if config.eval_every and not dev:
-        raise ValueError("eval_every needs a paths.dev_data file with questions")
+    _check_eval_every(config.eval_every, dev)
 
     sampler = None
     if paths.augmented_fr or paths.augmented_de:
@@ -125,8 +124,7 @@ def _cmd_predict(args) -> int:
     params, state, model_config, _, vocab = load_checkpoint(args.checkpoint)
     examples = _parse_qa(args.data, "eval", model_config)
     with use_ema(params, state):
-        predictions = predict_all(params, model_config, examples, vocab,
-                                  batch_size=args.batch_size)
+        predictions = predict_all(params, model_config, examples, vocab)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(predictions, fh, ensure_ascii=False, indent=2)
     print(json.dumps({"predictions": len(predictions), "path": args.out}))
@@ -212,9 +210,8 @@ def _cmd_bench(args) -> int:
     state = init_train_state(params, config.seed)
     batch = build_batch(examples, vocab, char_limit=config.model.char_limit)
 
-    def forward():
-        with no_grad():
-            model_forward(params, config.model, batch)
+    def predict():  # the path qanet predict runs: forward and span decode
+        predict_spans(params, config.model, batch)
 
     def train_step():  # the step train() runs: train mode, Adam and EMA
         _train_step(params, state, config.model, config.optimizer, batch,
@@ -225,7 +222,7 @@ def _cmd_bench(args) -> int:
               "batches": args.batches,
               "note": "single-process wall-clock timing; expect "
                       "run-to-run variance with machine load"}
-    for label, fn in (("forward", forward), ("train_step", train_step)):
+    for label, fn in (("predict", predict), ("train_step", train_step)):
         fn()  # warmup, unmeasured
         rates = []
         for _ in range(args.batches):
@@ -238,7 +235,7 @@ def _cmd_bench(args) -> int:
     if args.json:
         print(json.dumps(report))
     else:
-        for label in ("forward", "train_step"):
+        for label in ("predict", "train_step"):
             r = report[label]
             print(f"{label}: {r['examples_per_sec']:.2f} examples/sec "
                   f"(spread {r['min']:.2f}..{r['max']:.2f} over "
@@ -273,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=32)
     p.set_defaults(func=_cmd_predict)
 
     p = subs.add_parser("evaluate", help="score predictions against gold")
@@ -294,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment)
 
-    p = subs.add_parser("bench", help="report forward / train throughput")
+    p = subs.add_parser("bench", help="report predict / train throughput")
     _add_config_flags(p)
     p.add_argument("--batches", type=int, default=3)
     p.add_argument("--json", action="store_true")

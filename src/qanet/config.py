@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
+from .augmentation import _mix_shares
 from .model import ModelConfig
 from .trainer import OptimizerConfig
 
@@ -39,8 +40,7 @@ class AugmentationConfig:
             raise ValueError("threshold must lie in [0, 1]")
         if self.copies < 1:
             raise ValueError("copies must be at least 1")
-        if min(self.mix_orig, self.mix_fr, self.mix_de) < 0:
-            raise ValueError("mixing weights must be non-negative")
+        _mix_shares((self.mix_orig, self.mix_fr, self.mix_de))
 
 
 @dataclass

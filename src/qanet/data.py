@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import json
 import re
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import normalize_answer
+from .evaluation import _PUNCT, normalize_answer
 
 PAD_ID = 0
 UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
-_PUNCT = set(string.punctuation)
 _CHUNK = re.compile(r"\S+")
 _BUCKET_WIDTH = 32  # context tokens per make_batches length bucket
 
@@ -278,10 +276,8 @@ class Vocabulary:
         vocab = cls()
         if words[:2] != [PAD_TOKEN, UNK_TOKEN] or chars[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError("vocabulary lists must start with pad/unk")
-        for w in words[2:]:
-            idx = len(vocab.words)
-            vocab.words.append(w)
-            vocab._word_ids[w] = idx
+        vocab.words = list(words)
+        vocab._word_ids = {w: i for i, w in enumerate(words)}
         vocab.add_chars("".join(chars[2:]))
         return vocab
 
@@ -338,6 +334,17 @@ class Batch:
     def size(self) -> int:
         return len(self.examples)
 
+    def row(self, i: int) -> "Batch":
+        """Row ``i`` alone, cut to its own lengths (real tokens are a prefix);
+        an empty question keeps one masked slot, as in :func:`build_batch`."""
+        n = int(self.context_mask[i].sum())
+        m = max(1, int(self.question_mask[i].sum()))
+        r = slice(i, i + 1)
+        return Batch([self.examples[i]], self.context_ids[r, :n],
+                     self.context_chars[r, :n], self.question_ids[r, :m],
+                     self.question_chars[r, :m], self.spans[r],
+                     self.context_mask[r, :n], self.question_mask[r, :m])
+
 
 def _char_row(word: str, vocab: Vocabulary, char_limit: int) -> list[int]:
     ids = [vocab.char_id(c) for c in word[:char_limit]]
@@ -345,7 +352,7 @@ def _char_row(word: str, vocab: Vocabulary, char_limit: int) -> list[int]:
 
 
 def build_batch(examples: list[QaExample], vocab: Vocabulary,
-                char_limit: int = 16) -> Batch:
+                char_limit: int) -> Batch:
     if not examples:
         raise EmptyDataset("empty batch")
     n = max(len(ex.context_tokens) for ex in examples)
@@ -374,8 +381,8 @@ def build_batch(examples: list[QaExample], vocab: Vocabulary,
 
 
 def make_batches(examples: list[QaExample], vocab: Vocabulary,
-                 batch_size: int = 32, seed: int = 0,
-                 char_limit: int = 16) -> list[Batch]:
+                 batch_size: int, seed: int,
+                 char_limit: int) -> list[Batch]:
     """Length-bucketed batches with seeded shuffling.
 
     Examples are grouped into context-length buckets, shuffled within each

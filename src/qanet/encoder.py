@@ -34,8 +34,8 @@ class EncoderBlockConfig:
     kernel_size: int
     hidden_dim: int
     num_heads: int
-    dropout: float = 0.1
-    survival_end: float = 0.9  # survival probability of the deepest sublayer
+    dropout: float
+    survival_end: float  # survival probability of the deepest sublayer
 
     def __post_init__(self):
         if self.hidden_dim % self.num_heads:
@@ -45,12 +45,8 @@ class EncoderBlockConfig:
             raise ValueError("kernel size must be odd")
 
     @property
-    def sublayers_per_block(self) -> int:
-        return self.num_conv_layers + 2
-
-    @property
     def total_sublayers(self) -> int:
-        return self.num_blocks * self.sublayers_per_block
+        return self.num_blocks * (self.num_conv_layers + 2)
 
 
 @lru_cache(maxsize=64)

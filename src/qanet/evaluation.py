@@ -11,23 +11,14 @@ class MissingPrediction(ValueError):
     """An example id has no entry in the predictions map."""
 
 
+_PUNCT = set(string.punctuation)
+_ARTICLES = re.compile(r"\b(a|an|the)\b")
+
+
 def normalize_answer(s: str) -> str:
     """Lower text and remove punctuation, articles and extra whitespace."""
-
-    def remove_articles(text):
-        return re.sub(r"\b(a|an|the)\b", " ", text)
-
-    def white_space_fix(text):
-        return " ".join(text.split())
-
-    def remove_punc(text):
-        exclude = set(string.punctuation)
-        return "".join(ch for ch in text if ch not in exclude)
-
-    def lower(text):
-        return text.lower()
-
-    return white_space_fix(remove_articles(remove_punc(lower(s))))
+    text = "".join(ch for ch in s.lower() if ch not in _PUNCT)
+    return " ".join(_ARTICLES.sub(" ", text).split())
 
 
 def exact_match_score(prediction: str, ground_truth: str) -> float:

@@ -161,15 +161,12 @@ def model_loss(params: ModelParams, config: ModelConfig, batch: Batch,
 
 def predict_spans(params: ModelParams, config: ModelConfig,
                   batch: Batch) -> list[SpanPrediction]:
-    """Evaluation-mode argmax spans, one per batch row."""
-    with no_grad():
-        dist = model_forward(params, config, batch, train_mode=False)
-    p1 = dist.p1.data
-    p2 = dist.p2.data
+    """Evaluation-mode argmax spans, one per row, each row run alone unpadded."""
     out = []
     for i in range(batch.size):
-        n_real = int(batch.context_mask[i].sum())
-        out.append(dp_span_inference(p1[i, :n_real], p2[i, :n_real],
+        with no_grad():
+            dist = model_forward(params, config, batch.row(i), train_mode=False)
+        out.append(dp_span_inference(dist.p1.data[0], dist.p2.data[0],
                                      max_len=config.max_answer_len))
     return out
 
@@ -182,12 +179,11 @@ def span_text(example: QaExample, start: int, end: int) -> str:
 
 
 def predict_all(params: ModelParams, config: ModelConfig, examples,
-                vocab: Vocabulary, batch_size: int = 32) -> dict[str, str]:
+                vocab: Vocabulary) -> dict[str, str]:
     """Predicted answer text for every example, keyed by example id."""
     out = {}
-    for lo in range(0, len(examples), batch_size):
-        chunk = examples[lo:lo + batch_size]
-        batch = build_batch(chunk, vocab, char_limit=config.char_limit)
-        for ex, pred in zip(chunk, predict_spans(params, config, batch)):
-            out[ex.id] = span_text(ex, pred.start, pred.end)
+    for ex in examples:
+        batch = build_batch([ex], vocab, char_limit=config.char_limit)
+        (pred,) = predict_spans(params, config, batch)
+        out[ex.id] = span_text(ex, pred.start, pred.end)
     return out

@@ -89,8 +89,7 @@ def init_train_state(params: ModelParams, seed: int) -> TrainState:
         shadow={n: t.data.copy() for n, t in pairs})
 
 
-def lr_schedule(step: int, target_lr: float = 0.001,
-                warmup_steps: int = 1000) -> float:
+def lr_schedule(step: int, target_lr: float, warmup_steps: int) -> float:
     """Logarithmic ramp from 0 to target over the warmup, then flat."""
     if step < 1:
         raise ValueError(f"step counts from 1, got {step}")
@@ -131,7 +130,7 @@ def adam_step(params, state: TrainState, config: OptimizerConfig) -> float:
     return lr
 
 
-def ema_update(state: TrainState, params, decay: float = 0.9999) -> None:
+def ema_update(state: TrainState, params, decay: float) -> None:
     for name, tensor in named_parameters(params):
         shadow = state.shadow[name]
         shadow *= decay
@@ -266,6 +265,12 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainState, ModelConfig,
     return params, state, model_config, opt_config, vocab
 
 
+def _check_eval_every(eval_every: int, dev_examples) -> None:
+    """Refuse a dev evaluation period with no dev question to evaluate."""
+    if eval_every and not dev_examples:
+        raise ValueError("eval_every needs a paths.dev_data file with questions")
+
+
 def _derived_seed(seed: int, lane: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, lane, index]).generate_state(1)[0])
 
@@ -327,10 +332,12 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
     seed come from ``resume_from`` (``vocab`` and ``word_matrix`` are not
     read), every other setting must match the checkpoint's, and the metrics
     log is cut back to the checkpoint's step. A non-finite loss or gradient
-    stops the run before that step's update, log record or checkpoint.
+    stops the run before that step's update, log record or checkpoint. An
+    ``eval_every`` without dev examples is refused before anything is written.
     """
     if not examples and sampler is None:
         raise ValueError("empty training set")
+    _check_eval_every(eval_every, dev_examples)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     checkpoint_path = os.path.join(out_dir, "model.ckpt")
 
@@ -372,11 +379,10 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
             if log_every and (step % log_every == 0
                               or step == opt_config.total_steps):
                 emit({"step": step, "loss": loss, "lr": lr})
-            if eval_every and dev_examples and step % eval_every == 0:
+            if eval_every and step % eval_every == 0:
                 with use_ema(params, state):
                     predictions = predict_all(params, model_config,
-                                              dev_examples, vocab,
-                                              opt_config.batch_size)
+                                              dev_examples, vocab)
                 result = evaluate(predictions, dev_examples)
                 emit({"step": step, "dev_em": result.exact_match,
                       "dev_f1": result.f1})

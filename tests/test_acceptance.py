@@ -577,8 +577,8 @@ def test_10_determinism_and_resume(tmp_path):
 def test_11_closed_forms():
     def body():
         for step in (1000, 1001, 4096, 10 ** 6):
-            assert lr_schedule(step) == 0.001, step
-        assert lr_schedule(999) < 0.001
+            assert lr_schedule(step, 0.001, 1000) == 0.001, step
+        assert lr_schedule(999, 0.001, 1000) < 0.001
 
         # One step, unit gradient: with eps = 0 the bias-corrected update
         # is exactly -lr; the reference epsilon shifts it to lr/(1+eps).

@@ -178,6 +178,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             AugmentationConfig(mix_orig=-1.0)
 
+    def test_all_zero_mix_refused_without_augmented_paths(self):
+        """An all-zero mix is refused by the config itself, with the
+        sampler's message, whatever paths.augmented_* say."""
+        zero = {"augment.mix_orig": 0, "augment.mix_fr": 0, "augment.mix_de": 0}
+        with pytest.raises(ValueError, match="'augment': at least one mixing "
+                                             "weight must be positive"):
+            from_flat(zero)
+        with pytest.raises(ValueError, match="mixing weights must be finite"):
+            AugmentationConfig(mix_fr=float("inf"))
+
     def test_parse_override(self):
         assert parse_override("model.hidden_dim=64") == ("model.hidden_dim", 64)
         assert parse_override("paths.out_dir=runs/x") == ("paths.out_dir",
@@ -699,9 +709,9 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert code == 0
         report = json.loads(captured.out)
-        assert report["forward"]["examples_per_sec"] > 0
+        assert report["predict"]["examples_per_sec"] > 0
         assert report["train_step"]["examples_per_sec"] > 0
-        assert "forward_backward" not in report
+        assert "forward" not in report and "forward_backward" not in report
         assert report["batches"] == 2
         assert "note" in report
 
@@ -714,6 +724,6 @@ class TestBenchCommand:
         code = main(["bench", "--config", str(cfg), "--batches", "1"])
         captured = capsys.readouterr()
         assert code == 0
-        assert "forward:" in captured.out
+        assert "predict:" in captured.out
         assert "train_step:" in captured.out
         assert "variance" in captured.out

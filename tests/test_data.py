@@ -216,13 +216,40 @@ class TestBatching:
     def test_same_seed_same_batches(self):
         vocab = D.Vocabulary.from_words([f"w{i}" for i in range(9)])
         examples = toy_examples(11)
-        a = D.make_batches(examples, vocab, batch_size=3, seed=5)
-        b = D.make_batches(examples, vocab, batch_size=3, seed=5)
+        a = D.make_batches(examples, vocab, batch_size=3, seed=5, char_limit=16)
+        b = D.make_batches(examples, vocab, batch_size=3, seed=5, char_limit=16)
         assert [[ex.id for ex in x.examples] for x in a] == \
                [[ex.id for ex in x.examples] for x in b]
-        c = D.make_batches(examples, vocab, batch_size=3, seed=6)
+        c = D.make_batches(examples, vocab, batch_size=3, seed=6, char_limit=16)
         assert [[ex.id for ex in x.examples] for x in a] != \
                [[ex.id for ex in x.examples] for x in c]
+
+    def test_row_is_the_example_built_alone(self):
+        """Batch.row cuts one row to its own lengths; its arrays equal a
+        batch built from that example alone, an empty question keeping one
+        masked slot."""
+        vocab = D.Vocabulary.from_words([f"w{i}" for i in range(9)] + ["where", "is"])
+        examples = toy_examples(1, ctx_len=4) + toy_examples(2, ctx_len=7)
+        examples[1].question_tokens = []
+        examples[2].question_tokens = ["is"]
+        batch = D.build_batch(examples, vocab, char_limit=5)
+        assert batch.context_ids.shape == (3, 7)
+        assert batch.question_ids.shape == (3, 4)
+        for i, (n, m) in enumerate([(4, 4), (7, 1), (7, 1)]):
+            row = batch.row(i)
+            alone = D.build_batch([examples[i]], vocab, char_limit=5)
+            assert row.examples == [examples[i]]
+            assert row.context_ids.shape == (1, n)
+            assert row.context_chars.shape == (1, n, 5)
+            assert row.question_ids.shape == (1, m)
+            assert row.question_chars.shape == (1, m, 5)
+            for name in ("context_ids", "context_chars", "question_ids",
+                         "question_chars", "spans", "context_mask",
+                         "question_mask"):
+                np.testing.assert_array_equal(getattr(row, name),
+                                              getattr(alone, name), name)
+        assert not batch.row(1).question_mask.any()
+        assert batch.row(2).question_mask.all()
 
     def test_char_rows_pad_and_truncate(self):
         vocab = D.Vocabulary.from_words(["abcdefghijklmnopqrstuv"])
@@ -233,4 +260,5 @@ class TestBatching:
 
     def test_empty_dataset_raises(self):
         with pytest.raises(D.EmptyDataset):
-            D.make_batches([], D.Vocabulary(), batch_size=2)
+            D.make_batches([], D.Vocabulary(), batch_size=2, seed=0,
+                           char_limit=16)

@@ -442,7 +442,8 @@ class TestEncoderStack:
         """End-to-end stack gradient vs finite differences on a 6x16 input."""
         config = E.EncoderBlockConfig(num_blocks=1, num_conv_layers=1,
                                       kernel_size=3, hidden_dim=16,
-                                      num_heads=2, dropout=0.0)
+                                      num_heads=2, dropout=0.0,
+                                      survival_end=0.9)
         rng = np.random.default_rng(11)
         params = E.init_encoder_stack(config, rng)
         x = rng.standard_normal((6, 16)) * 0.5

@@ -10,6 +10,7 @@ an ``__all__`` list are not names. Calls match by the called name, the way
 uses do; a class call passes its ``__init__``'s parameters.
 """
 import ast
+import dataclasses
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -169,3 +170,82 @@ def test_default_scan_matches_position_keyword_and_class(tmp_path):
         encoding="utf-8")
     assert unpassed_defaults(tmp_path, [tmp_path]) == [
         "lib.f.c", "lib.K.b", "lib.K.m.a", "lib.K.s.b"]
+
+
+# Defaults that restate a ModelConfig or OptimizerConfig default under the
+# field's own name, each with its reason.
+_NO_CONFIG = "perfbench's augment_http parses its input with no model config"
+CONFIG_COPIES = {
+    "data.parse_qa_json.max_context_len": _NO_CONFIG,
+    "data.parse_qa_json.max_answer_len": _NO_CONFIG,
+}
+
+
+def config_defaults():
+    """{field name: default} over ModelConfig and OptimizerConfig."""
+    from qanet.model import ModelConfig
+    from qanet.trainer import OptimizerConfig
+    return {f.name: f.default for cls in (ModelConfig, OptimizerConfig)
+            for f in dataclasses.fields(cls)}
+
+
+def literal_defaults(package=PACKAGE):
+    """(module.owner.name, name, default node) for each defaulted parameter
+    of any function or method and each defaulted field of any class but the
+    two configs themselves."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                pairs = list(zip(positional[len(positional) - len(a.defaults):],
+                                 a.defaults))
+                pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                for arg, default in pairs:
+                    yield f"{path.stem}.{node.name}.{arg.arg}", arg.arg, default
+            elif isinstance(node, ast.ClassDef) and node.name not in (
+                    "ModelConfig", "OptimizerConfig"):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                        name = stmt.target.id
+                        yield f"{path.stem}.{node.name}.{name}", name, stmt.value
+
+
+def config_copies(package=PACKAGE, defaults=None):
+    defaults = config_defaults() if defaults is None else defaults
+    copies = []
+    for where, name, node in literal_defaults(package):
+        try:
+            value = ast.literal_eval(node)
+        except ValueError:
+            continue
+        if name in defaults and type(value) is type(defaults[name]) \
+                and value == defaults[name]:
+            copies.append(where)
+    return copies
+
+
+def test_no_default_restates_a_config_default():
+    copies = [w for w in config_copies() if w not in CONFIG_COPIES]
+    assert copies == [], (f"{copies} restate a config default: pass the "
+                          "config's value instead")
+
+
+def test_allowed_config_copies_still_exist():
+    assert sorted(set(CONFIG_COPIES) - set(config_copies())) == []
+
+
+def test_config_copy_scan_matches_name_and_value(tmp_path):
+    """A copy is a literal default equal to a config default under the same
+    name, on a parameter, a keyword-only parameter or a class field."""
+    (tmp_path / "lib.py").write_text(
+        "def f(batch_size=32, other=32, dropout=0.2, *, char_limit=16):\n"
+        "    pass\n"
+        "def _g(batch_size=1 + 31, char_limit=16.0):\n    pass\n"
+        "class K:\n"
+        "    dropout: float = 0.1\n"
+        "    batch_size: int\n", encoding="utf-8")
+    assert config_copies(tmp_path, {"batch_size": 32, "dropout": 0.1,
+                                    "char_limit": 16}) == [
+        "lib.f.batch_size", "lib.f.char_limit", "lib.K.dropout"]

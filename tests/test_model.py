@@ -20,14 +20,14 @@ TOY = dict(hidden_dim=16, num_heads=2, word_dim=8, char_dim=6, char_limit=4,
            dropout=0.0, word_dropout=0.0, char_dropout=0.0, survival_end=1.0)
 
 
+WORDS = [f"w{i}" for i in range(30)]
+
+
 def toy_setup(seed=0, n_examples=3, empty_question=False):
     config = ModelConfig(**TOY)
     rng = np.random.default_rng(seed)
-    vocab = Vocabulary()
-    words = [f"w{i}" for i in range(30)]
-    for w in words:
-        vocab.add_word(w)
-        vocab.add_chars(w)
+    vocab = Vocabulary.from_words(WORDS)
+    words = WORDS
     examples = []
     for i in range(n_examples):
         k = int(rng.integers(5, 12))
@@ -166,6 +166,28 @@ class TestMaskingEndToEnd:
             assert 0 <= p.start <= p.end < n_real
             assert p.end - p.start + 1 <= config.max_answer_len
             assert p.score > 0
+
+
+class TestBatchInvariance:
+    def test_each_row_predicts_as_if_alone(self):
+        """Mixed context and question lengths, one question empty: each
+        row's (start, end, score) is bitwise the row predicted alone."""
+        config, params, batch = toy_setup(seed=3, n_examples=4,
+                                          empty_question=True)
+        examples = batch.examples
+        examples[2].question_tokens = examples[2].question_tokens[:1]
+        vocab = Vocabulary.from_words(WORDS)
+        batch = build_batch(examples, vocab, char_limit=config.char_limit)
+        assert len({len(ex.context_tokens) for ex in examples}) > 1
+        assert [len(ex.question_tokens) for ex in examples] == [0, 3, 1, 3]
+        preds = predict_spans(params, config, batch)
+        assert len(preds) == batch.size
+        for ex, pred in zip(examples, preds):
+            (alone,) = predict_spans(
+                params, config,
+                build_batch([ex], vocab, char_limit=config.char_limit))
+            assert (pred.start, pred.end) == (alone.start, alone.end)
+            assert pred.score == alone.score
 
 
 class TestSpanText:

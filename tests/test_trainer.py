@@ -70,20 +70,20 @@ def short_opt(**kw):
 class TestSchedule:
     def test_flat_after_warmup(self):
         for step in (1000, 1001, 5000):
-            assert lr_schedule(step) == 0.001
+            assert lr_schedule(step, 0.001, 1000) == 0.001
 
     def test_first_step_value(self):
         expect = 0.001 * math.log(2) / math.log(1001)
-        assert lr_schedule(1) == pytest.approx(expect, rel=1e-12)
-        assert lr_schedule(1) == pytest.approx(1.003e-4, abs=5e-7)
+        assert lr_schedule(1, 0.001, 1000) == pytest.approx(expect, rel=1e-12)
+        assert lr_schedule(1, 0.001, 1000) == pytest.approx(1.003e-4, abs=5e-7)
 
     def test_non_decreasing(self):
-        values = [lr_schedule(s) for s in range(1, 2001)]
+        values = [lr_schedule(s, 0.001, 1000) for s in range(1, 2001)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_step_zero_rejected(self):
         with pytest.raises(ValueError):
-            lr_schedule(0)
+            lr_schedule(0, 0.001, 1000)
 
 
 class TestAdam:
@@ -471,6 +471,18 @@ class TestTrainLoop:
                        dev_examples=examples[:4], eval_every=2)
         kinds = [set(r) for r in logged(result)]
         assert {"step", "dev_em", "dev_f1"} in kinds
+
+    @pytest.mark.parametrize("dev", [None, []])
+    def test_eval_every_without_dev_examples_writes_nothing(self, tmp_path, dev):
+        """A dev evaluation period with no dev example is refused, not
+        ignored, before out_dir exists."""
+        examples, vocab, matrix = tiny_dataset(n=8)
+        out = os.path.join(tmp_path, "ev")
+        with pytest.raises(ValueError, match="eval_every needs"):
+            train(examples, vocab, matrix, ModelConfig(**TOY),
+                  short_opt(total_steps=2), seed=5, out_dir=out,
+                  dev_examples=dev, eval_every=2)
+        assert not os.path.exists(out)
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
