@@ -98,6 +98,8 @@ class QaExample:
         n = len(self.context_tokens)
         if n == 0 or len(self.char_offsets) != n:
             raise ValueError(f"{self.id}: bad token/offset lists")
+        if not self.question_tokens:
+            raise ValueError(f"{self.id}: question has no token")
         if self.answer_span is not None:
             s, e = self.answer_span
             if not 0 <= s <= e < n:
@@ -191,9 +193,6 @@ def parse_qa_json(path, split: str = "train",
             for qa in _get(paragraph, "qas"):
                 qid = _get(qa, "id")
                 question = _get(qa, "question")
-                question_tokens = [t.text for t in tokenize(question)]
-                if not question_tokens:
-                    raise ValueError(f"{qid}: question has no token")
                 answers = _get(qa, "answers")
                 if not answers:
                     raise MissingField("answers")
@@ -220,7 +219,7 @@ def parse_qa_json(path, split: str = "train",
                     context_tokens=texts,
                     char_offsets=offsets,
                     question_text=question,
-                    question_tokens=question_tokens,
+                    question_tokens=[t.text for t in tokenize(question)],
                     answer_text=answer_text,
                     answer_span=span,
                     gold_answers=golds,
@@ -335,10 +334,9 @@ class Batch:
         return len(self.examples)
 
     def row(self, i: int) -> "Batch":
-        """Row ``i`` alone, cut to its own lengths (real tokens are a prefix);
-        an empty question keeps one masked slot, as in :func:`build_batch`."""
+        """Row ``i`` alone, cut to its own lengths (real tokens are a prefix)."""
         n = int(self.context_mask[i].sum())
-        m = max(1, int(self.question_mask[i].sum()))
+        m = int(self.question_mask[i].sum())
         r = slice(i, i + 1)
         return Batch([self.examples[i]], self.context_ids[r, :n],
                      self.context_chars[r, :n], self.question_ids[r, :m],
@@ -356,8 +354,7 @@ def build_batch(examples: list[QaExample], vocab: Vocabulary,
     if not examples:
         raise EmptyDataset("empty batch")
     n = max(len(ex.context_tokens) for ex in examples)
-    # At least one masked slot, so a batch of empty questions keeps its axis.
-    m = max(1, max(len(ex.question_tokens) for ex in examples))
+    m = max(len(ex.question_tokens) for ex in examples)
     b = len(examples)
     ctx = np.zeros((b, n), dtype=np.int64)
     ctx_ch = np.zeros((b, n, char_limit), dtype=np.int64)

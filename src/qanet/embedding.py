@@ -110,8 +110,6 @@ def embed(params: EmbeddingParams, word_ids: np.ndarray, char_ids: np.ndarray,
     lead = chars.shape[:-2]
     char_limit, char_dim = chars.shape[-2], chars.shape[-1]
     flat = reshape(chars, (-1, char_limit, char_dim))
-    if flat.shape[0] == 0:
-        raise ValueError("empty batch")
     convolved = depthwise_separable_conv1d(
         flat, params.char_depth_kernel, params.char_point_kernel, params.char_bias)
     pooled = max_over_axis(convolved, axis=1)

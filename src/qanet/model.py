@@ -50,11 +50,13 @@ class ModelConfig:
                 raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
         if not 0.0 < self.survival_end <= 1.0:
             raise ValueError(f"survival_end must lie in (0, 1], got {self.survival_end}")
-        for key in ("num_heads", "max_answer_len"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
-        # Delegated checks: both stack configs validate head divisibility
-        # and kernel parity on construction.
+        # Int fields are sizes of at least 1; block and conv counts may be 0.
+        for key in (f.name for f in dataclasses.fields(self) if f.type == "int"):
+            low = 0 if key.endswith(("_blocks", "_convs")) else 1
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        # Delegated checks: both stack configs validate an even width, head
+        # divisibility and kernel parity on construction.
         self.embedding_encoder()
         self.model_encoder()
         if self.char_kernel % 2 == 0:

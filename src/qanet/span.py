@@ -22,19 +22,14 @@ from .tensor import (
 PROB_FLOOR = 1e-30
 
 
-class GoldIndexMasked(ValueError):
-    """A training label points at a padded position."""
-
-
 class EmptyDistribution(ValueError):
     """Inference over zero usable positions."""
 
 
 @dataclass
 class SpanDistributions:
-    p1: Tensor                      # (..., n) start probabilities
-    p2: Tensor                      # (..., n) end probabilities
-    mask: np.ndarray | None = None  # 1.0 at real positions
+    p1: Tensor  # (..., n) start probabilities
+    p2: Tensor  # (..., n) end probabilities
 
 
 @dataclass
@@ -73,21 +68,15 @@ def span_distributions(M0: Tensor, M1: Tensor, M2: Tensor, W1: Tensor,
             f"encoder outputs differ: {M0.shape}, {M1.shape}, {M2.shape}")
     p1 = softmax(_logits(M0, M1, W1), axis=-1, mask=mask)
     p2 = softmax(_logits(M0, M2, W2), axis=-1, mask=mask)
-    return SpanDistributions(p1=p1, p2=p2, mask=mask)
+    return SpanDistributions(p1=p1, p2=p2)
 
 
 def span_loss(dist: SpanDistributions, starts, ends) -> Tensor:
-    """Mean of -(log p1[start] + log p2[end]); probabilities floored at 1e-30."""
+    """Mean of -(log p1[start] + log p2[end]); probabilities floored at 1e-30.
+    Labels index real positions, as ``QaExample.validate`` ensures."""
     starts = np.asarray(starts)
     ends = np.asarray(ends)
     p1, p2 = dist.p1, dist.p2
-    if dist.mask is not None:
-        mask = np.asarray(dist.mask, dtype=np.float64)
-        mask = np.broadcast_to(mask, p1.shape)
-        picked_s = np.take_along_axis(mask, starts[..., None], axis=-1)
-        picked_e = np.take_along_axis(mask, ends[..., None], axis=-1)
-        if np.any(picked_s == 0.0) or np.any(picked_e == 0.0):
-            raise GoldIndexMasked("label index at a padded position")
     count = int(np.prod(starts.shape))
     gold_terms = add(log(clamp_min(gather_last(p1, starts), PROB_FLOOR)),
                      log(clamp_min(gather_last(p2, ends), PROB_FLOOR)))
@@ -95,7 +84,7 @@ def span_loss(dist: SpanDistributions, starts, ends) -> Tensor:
 
 
 def dp_span_inference(p1: np.ndarray, p2: np.ndarray,
-                      max_len: int = 30) -> SpanPrediction:
+                      max_len: int) -> SpanPrediction:
     """Best (s, e) with s <= e and e - s + 1 <= max_len.
 
     One pass over end positions; a monotonically decreasing deque of start

@@ -352,8 +352,8 @@ def _softmax_forward(z: np.ndarray, axis: int, mask) -> np.ndarray:
     """Overwrite ``z`` with its softmax along ``axis``.
 
     ``mask`` is None or a 0/1 array broadcasting to ``z``; slots with mask 0
-    get exactly zero weight. A slice with no usable slot, found from the
-    small mask rather than from ``z``, is pinned to zeros, not left uniform.
+    get exactly zero weight. The result is multiplied by the mask, so a
+    slice with no usable slot is all zeros, not left uniform.
     """
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
@@ -366,9 +366,7 @@ def _softmax_forward(z: np.ndarray, axis: int, mask) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=axis, keepdims=True)
     if mask is not None:
-        empty = ~np.any(mask, axis=axis, keepdims=True)
-        if empty.any():
-            np.copyto(z, 0.0, where=empty)
+        z *= mask
     return z
 
 

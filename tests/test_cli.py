@@ -82,6 +82,10 @@ BAD_MODEL_VALUES = [
     ("dropout", 1.0), ("dropout", -0.1), ("word_dropout", 1.0),
     ("char_dropout", 1.5), ("survival_end", 0.0), ("survival_end", -0.5),
     ("survival_end", 1.5), ("num_heads", 0), ("max_answer_len", 0),
+    ("hidden_dim", 0), ("hidden_dim", 9), ("word_dim", 0), ("char_dim", 0),
+    ("char_limit", 0), ("char_kernel", -1), ("emb_enc_kernel", -3),
+    ("model_enc_kernel", 0), ("max_context_len", 0), ("model_enc_blocks", -2),
+    ("emb_enc_blocks", -1), ("emb_enc_convs", -1), ("model_enc_convs", -1),
 ]
 
 

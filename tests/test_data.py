@@ -128,6 +128,17 @@ class TestParse:
         with pytest.raises(ValueError, match=r"^q2: question has no token$"):
             D.parse_qa_json(path, split=split)
 
+    @pytest.mark.parametrize("question", ["", "  \n "])
+    def test_example_from_raw_refuses_question_without_token(self, question):
+        with pytest.raises(ValueError, match=r"^q1: question has no token$"):
+            D.example_from_raw("q1", "the cat sat", question, "cat", 4)
+
+    def test_validate_refuses_span_ending_past_the_context(self):
+        ex = D.example_from_raw("q1", "the cat sat", "what sat?", "sat", 8)
+        ex.answer_span = (2, 3)
+        with pytest.raises(ValueError, match=r"^q1: span \(2, 3\) outside 3 tokens$"):
+            ex.validate()
+
     def test_missing_context_raises(self, tmp_path):
         path = write_squad(tmp_path, [{"qas": []}])
         with pytest.raises(D.MissingField):
@@ -226,16 +237,15 @@ class TestBatching:
 
     def test_row_is_the_example_built_alone(self):
         """Batch.row cuts one row to its own lengths; its arrays equal a
-        batch built from that example alone, an empty question keeping one
-        masked slot."""
+        batch built from that example alone."""
         vocab = D.Vocabulary.from_words([f"w{i}" for i in range(9)] + ["where", "is"])
         examples = toy_examples(1, ctx_len=4) + toy_examples(2, ctx_len=7)
-        examples[1].question_tokens = []
-        examples[2].question_tokens = ["is"]
+        examples[1].question_tokens = ["where"]
+        examples[2].question_tokens = ["where", "is"]
         batch = D.build_batch(examples, vocab, char_limit=5)
         assert batch.context_ids.shape == (3, 7)
         assert batch.question_ids.shape == (3, 4)
-        for i, (n, m) in enumerate([(4, 4), (7, 1), (7, 1)]):
+        for i, (n, m) in enumerate([(4, 4), (7, 1), (7, 2)]):
             row = batch.row(i)
             alone = D.build_batch([examples[i]], vocab, char_limit=5)
             assert row.examples == [examples[i]]
@@ -248,8 +258,7 @@ class TestBatching:
                          "question_mask"):
                 np.testing.assert_array_equal(getattr(row, name),
                                               getattr(alone, name), name)
-        assert not batch.row(1).question_mask.any()
-        assert batch.row(2).question_mask.all()
+            assert row.context_mask.all() and row.question_mask.all()
 
     def test_char_rows_pad_and_truncate(self):
         vocab = D.Vocabulary.from_words(["abcdefghijklmnopqrstuv"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qanet.span import (
-    EmptyDistribution, GoldIndexMasked, SpanDistributions, SpanPrediction,
+    EmptyDistribution, SpanDistributions, SpanPrediction,
     dp_span_inference, init_span_head, span_distributions, span_loss,
 )
 from qanet.tensor import DimensionMismatch, Tensor, backward
@@ -97,13 +97,6 @@ class TestLoss:
         assert np.isfinite(loss.data)
         assert loss.data == pytest.approx(-np.log(1e-30), abs=1e-6)
 
-    def test_masked_gold_rejected(self):
-        mask = np.array([1.0, 1.0, 0.0])
-        dist = SpanDistributions(p1=Tensor([0.5, 0.5, 0.0]),
-                                 p2=Tensor([0.5, 0.5, 0.0]), mask=mask)
-        with pytest.raises(GoldIndexMasked):
-            span_loss(dist, 0, 2)
-
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -133,12 +126,12 @@ class TestLoss:
 class TestInference:
     def test_hand_case(self):
         got = dp_span_inference(np.array([0.1, 0.6, 0.3]),
-                                np.array([0.2, 0.3, 0.5]))
+                                np.array([0.2, 0.3, 0.5]), max_len=30)
         assert (got.start, got.end) == (1, 2)
         assert got.score == pytest.approx(0.30, abs=1e-12)
 
     def test_single_position(self):
-        got = dp_span_inference(np.array([1.0]), np.array([1.0]))
+        got = dp_span_inference(np.array([1.0]), np.array([1.0]), max_len=30)
         assert (got.start, got.end, got.score) == (0, 0, 1.0)
 
     def test_wrong_order_mass_still_valid_pair(self):
@@ -148,7 +141,7 @@ class TestInference:
         p1[:5] = 0.02
         p2[2] = 0.9
         p2[np.arange(6) != 2] = 0.02
-        got = dp_span_inference(p1, p2)
+        got = dp_span_inference(p1, p2, max_len=30)
         assert got.start <= got.end
         expect = brute_force_span(p1, p2)
         assert (got.start, got.end) == (expect.start, expect.end)
@@ -166,24 +159,24 @@ class TestInference:
     def test_tie_prefers_smallest_start_then_end(self):
         # All pairs tie at 0.25; brute-force order and DP must agree on (0,0).
         half = np.array([0.5, 0.5])
-        got = dp_span_inference(half, half)
+        got = dp_span_inference(half, half, max_len=30)
         assert (got.start, got.end) == (0, 0)
         # Tie between (0,2) and (1,1): smaller start wins even at later end.
         p1 = np.array([0.5, 0.5, 0.0])
         p2 = np.array([0.0, 0.4, 0.4])
-        got = dp_span_inference(p1, p2)
+        got = dp_span_inference(p1, p2, max_len=30)
         expect = brute_force_span(p1, p2)
         assert (got.start, got.end) == (expect.start, expect.end) == (0, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDistribution):
-            dp_span_inference(np.array([]), np.array([]))
+            dp_span_inference(np.array([]), np.array([]), max_len=30)
         with pytest.raises(EmptyDistribution):
-            dp_span_inference(np.zeros(4), np.full(4, 0.25))
+            dp_span_inference(np.zeros(4), np.full(4, 0.25), max_len=30)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionMismatch):
-            dp_span_inference(np.zeros(4), np.zeros(5))
+            dp_span_inference(np.zeros(4), np.zeros(5), max_len=30)
 
     def test_thousand_random_instances_match_enumeration(self):
         rng = np.random.default_rng(123)
@@ -215,6 +208,6 @@ class TestInference:
         p1 /= p1.sum()
         p2 = np.exp(logits2 - logits2.max())
         p2 /= p2.sum()
-        got = dp_span_inference(p1, p2)
+        got = dp_span_inference(p1, p2, max_len=30)
         expect = brute_force_span(p1, p2)
         assert (got.start, got.end) == (expect.start, expect.end)
