@@ -17,7 +17,7 @@ import numpy as np
 from qanet.data import Vocabulary, example_from_raw
 from qanet.evaluation import evaluate
 from qanet.model import ModelConfig, predict_all
-from qanet.trainer import OptimizerConfig, load_checkpoint, train
+from qanet.trainer import OptimizerConfig, load_checkpoint, new_run, train
 
 
 def synthetic_dataset(count=50, vocab_size=200, seed=60):
@@ -62,7 +62,8 @@ def main():
 
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="overfit-demo-")
     t0 = time.monotonic()
-    result = train(examples, vocab, matrix, config, opt, seed=args.seed,
+    params, state = new_run(config, vocab, matrix, args.seed)
+    result = train(examples, vocab, params, state, config, opt,
                    out_dir=out_dir, log_every=50)
     elapsed = time.monotonic() - t0
 

@@ -22,10 +22,9 @@ from .config import RunConfig, from_flat, parse_override, resolve_config, to_fla
 from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
 from .evaluation import evaluate
-from .model import ModelConfig, init_model_params, predict_all, predict_spans
-from .trainer import (_LANE_INIT, _check_eval_every, _train_step,
-                      check_resume_config, init_train_state, load_checkpoint,
-                      train, use_ema)
+from .model import ModelConfig, predict_all, predict_spans
+from .trainer import (_check_eval_every, _train_step, load_checkpoint, new_run,
+                      resume_run, train, use_ema)
 
 
 def _resolved_config(args) -> RunConfig:
@@ -66,31 +65,31 @@ def _cmd_train(args) -> int:
     paths = config.paths
     if not paths.train_data:
         raise ValueError("paths.train_data is required for training")
-    # On resume the seed comes from the checkpoint, for train() and the
-    # sampler alike, and differing settings fail before out_dir is written.
-    seed = config.seed
-    if args.resume:
-        seed = check_resume_config(args.resume, config.model,
-                                   config.optimizer)["seed"]
     examples = _parse_qa(paths.train_data, "train", config.model)
-    if args.resume:
-        vocab = matrix = None  # train() takes both from the checkpoint
-    elif paths.vectors:
-        vocab, matrix = load_word_vectors(paths.vectors,
-                                          config.model.word_dim,
-                                          seed=config.seed)
-    else:
-        words = []
-        for ex in examples:
-            words.extend(ex.context_tokens)
-            words.extend(ex.question_tokens)
-        vocab = Vocabulary.from_words(words)
-        matrix = _random_word_matrix(vocab, config.model.word_dim, config.seed)
-
     dev = None
     if paths.dev_data:
         dev = _parse_qa(paths.dev_data, "eval", config.model)
     _check_eval_every(config.eval_every, dev)
+
+    # On resume the weights, vocabulary and seed come from the checkpoint,
+    # and differing settings fail before out_dir is written.
+    if args.resume:
+        params, state, vocab = resume_run(args.resume, config.model,
+                                          config.optimizer)
+    else:
+        if paths.vectors:
+            vocab, matrix = load_word_vectors(paths.vectors,
+                                              config.model.word_dim,
+                                              seed=config.seed)
+        else:
+            words = []
+            for ex in examples:
+                words.extend(ex.context_tokens)
+                words.extend(ex.question_tokens)
+            vocab = Vocabulary.from_words(words)
+            matrix = _random_word_matrix(vocab, config.model.word_dim,
+                                         config.seed)
+        params, state = new_run(config.model, vocab, matrix, config.seed)
 
     sampler = None
     if paths.augmented_fr or paths.augmented_de:
@@ -101,19 +100,18 @@ def _cmd_train(args) -> int:
         mix = config.augment
         sampler = mixed_sampler(
             [examples, pool(paths.augmented_fr), pool(paths.augmented_de)],
-            (mix.mix_orig, mix.mix_fr, mix.mix_de), seed=seed)
+            (mix.mix_orig, mix.mix_fr, mix.mix_de), seed=state.seed)
 
     os.makedirs(paths.out_dir, exist_ok=True)
     with open(os.path.join(paths.out_dir, "config.json"), "w",
               encoding="utf-8") as fh:
         json.dump(to_flat(config), fh, indent=2, sort_keys=True)
 
-    result = train(examples, vocab, matrix, config.model, config.optimizer,
-                   seed=config.seed, out_dir=paths.out_dir, dev_examples=dev,
+    result = train(examples, vocab, params, state, config.model,
+                   config.optimizer, out_dir=paths.out_dir, dev_examples=dev,
                    eval_every=config.eval_every,
                    checkpoint_every=config.checkpoint_every,
-                   log_every=config.log_every,
-                   resume_from=args.resume, sampler=sampler)
+                   log_every=config.log_every, sampler=sampler)
     print(json.dumps({"checkpoint": result.checkpoint_path,
                       "metrics": result.metrics_path,
                       "steps": result.steps_run}))
@@ -204,18 +202,14 @@ def _cmd_bench(args) -> int:
     batch_size = config.optimizer.batch_size
     examples, vocab = _bench_examples(config, batch_size)
     matrix = _random_word_matrix(vocab, config.model.word_dim, config.seed)
-    params = init_model_params(
-        config.model, matrix, len(vocab.chars),
-        np.random.default_rng(np.random.SeedSequence([config.seed, _LANE_INIT])))
-    state = init_train_state(params, config.seed)
+    params, state = new_run(config.model, vocab, matrix, config.seed)
     batch = build_batch(examples, vocab, char_limit=config.model.char_limit)
 
     def predict():  # the path qanet predict runs: forward and span decode
         predict_spans(params, config.model, batch)
 
     def train_step():  # the step train() runs: train mode, Adam and EMA
-        _train_step(params, state, config.model, config.optimizer, batch,
-                    config.seed)
+        _train_step(params, state, config.model, config.optimizer, batch)
 
     report = {"batch_size": batch_size,
               "context_len": config.model.max_context_len,

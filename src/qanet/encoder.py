@@ -37,15 +37,6 @@ class EncoderBlockConfig:
     dropout: float
     survival_end: float  # survival probability of the deepest sublayer
 
-    def __post_init__(self):
-        if self.hidden_dim % 2:
-            raise OddDimension(f"hidden_dim must be even, got {self.hidden_dim}")
-        if self.hidden_dim % self.num_heads:
-            raise DimensionMismatch(
-                f"hidden dim {self.hidden_dim} not divisible by {self.num_heads} heads")
-        if self.kernel_size % 2 == 0:
-            raise ValueError("kernel size must be odd")
-
     @property
     def total_sublayers(self) -> int:
         return self.num_blocks * (self.num_conv_layers + 2)

@@ -55,12 +55,14 @@ class ModelConfig:
             low = 0 if key.endswith(("_blocks", "_convs")) else 1
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
-        # Delegated checks: both stack configs validate an even width, head
-        # divisibility and kernel parity on construction.
-        self.embedding_encoder()
-        self.model_encoder()
-        if self.char_kernel % 2 == 0:
-            raise ValueError(f"char kernel must be odd, got {self.char_kernel}")
+        for key in ("char_kernel", "emb_enc_kernel", "model_enc_kernel"):
+            if getattr(self, key) % 2 == 0:
+                raise ValueError(f"{key} must be odd, got {getattr(self, key)}")
+        if self.hidden_dim % 2:
+            raise ValueError(f"hidden_dim must be even, got {self.hidden_dim}")
+        if self.hidden_dim % self.num_heads:
+            raise ValueError(f"hidden_dim must be divisible by num_heads "
+                             f"{self.num_heads}, got {self.hidden_dim}")
 
     def embedding_encoder(self) -> EncoderBlockConfig:
         return EncoderBlockConfig(

@@ -199,29 +199,6 @@ def _read_header(fh) -> dict:
     return header
 
 
-def check_resume_config(path: str, model_config: ModelConfig,
-                        opt_config: OptimizerConfig) -> dict:
-    """Checkpoint ``path``'s header, once the run's settings match it.
-
-    Every model and optimizer setting but ``optimizer.total_steps`` must
-    match so that a resume replays the uninterrupted run, dropout rates and
-    ``max_context_len`` included; any difference raises
-    :class:`ConfigMismatch` naming each key with both values.
-    """
-    with open(path, "rb") as fh:
-        header = _read_header(fh)
-    differ = []
-    for section, ours in (("model", model_config), ("optimizer", opt_config)):
-        stored = header[f"{section}_config"]
-        differ += [f"{section}.{key} (checkpoint {stored[key]!r}, run {value!r})"
-                   for key, value in asdict(ours).items()
-                   if key != "total_steps" and value != stored[key]]
-    if differ:
-        raise ConfigMismatch(f"settings differ from checkpoint {path}: "
-                             + ", ".join(differ))
-    return header
-
-
 def check_finite(step: int, loss, params) -> None:
     """Raise :class:`NonFiniteStep` on an inf/NaN loss or gradient."""
     bad = [name for name, t in named_parameters(params)
@@ -298,11 +275,11 @@ def _batch_stream(examples, vocab, model_config, opt_config, seed, sampler,
         epoch, cursor = epoch + 1, 0
 
 
-def _train_step(params, state, model_config, opt_config, batch, seed):
+def _train_step(params, state, model_config, opt_config, batch):
     """One update on ``batch``; returns (loss, lr). Its graph dies on return."""
     step = state.step + 1
     rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _LANE_DROPOUT, step]))
+        np.random.SeedSequence([state.seed, _LANE_DROPOUT, step]))
     zero_grads(params)
     loss, _ = model_loss(params, model_config, batch, train_mode=True, rng=rng)
     backward(loss)
@@ -319,46 +296,66 @@ class TrainResult:
     steps_run: int
 
 
-def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
-          model_config: ModelConfig, opt_config: OptimizerConfig, seed: int,
-          out_dir: str, dev_examples=None, eval_every: int = 0,
-          checkpoint_every: int = 0, log_every: int = 1,
-          resume_from: str | None = None, sampler=None) -> TrainResult:
-    """Run the optimization loop and leave a checkpoint plus metrics log.
+def new_run(model_config: ModelConfig, vocab: Vocabulary,
+            word_matrix: np.ndarray, seed: int) -> tuple[ModelParams, TrainState]:
+    """Freshly initialised weights and optimizer state for a run at ``seed``."""
+    params = init_model_params(
+        model_config, word_matrix, len(vocab.chars),
+        np.random.default_rng(np.random.SeedSequence([seed, _LANE_INIT])))
+    return params, init_train_state(params, seed)
 
+
+def resume_run(path: str, model_config: ModelConfig, opt_config: OptimizerConfig
+               ) -> tuple[ModelParams, TrainState, Vocabulary]:
+    """Weights, optimizer state and vocabulary that continue ``path``'s run.
+
+    Every model and optimizer setting but ``optimizer.total_steps`` must
+    equal the checkpoint's, so that a resume replays the uninterrupted run,
+    dropout rates and ``max_context_len`` included; a key the header lacks
+    compares as its default. Any difference raises :class:`ConfigMismatch`
+    naming each key with both values.
+    """
+    params, state, stored_model, stored_opt, vocab = load_checkpoint(path)
+    differ = []
+    for section, stored, ours in (("model", stored_model, model_config),
+                                  ("optimizer", stored_opt, opt_config)):
+        stored = asdict(stored)
+        differ += [f"{section}.{key} (checkpoint {stored[key]!r}, run {value!r})"
+                   for key, value in asdict(ours).items()
+                   if key != "total_steps" and value != stored[key]]
+    if differ:
+        raise ConfigMismatch(f"settings differ from checkpoint {path}: "
+                             + ", ".join(differ))
+    return params, state, vocab
+
+
+def train(examples, vocab: Vocabulary, params: ModelParams, state: TrainState,
+          model_config: ModelConfig, opt_config: OptimizerConfig, out_dir: str,
+          dev_examples=None, eval_every: int = 0, checkpoint_every: int = 0,
+          log_every: int = 1, sampler=None) -> TrainResult:
+    """Continue a run from ``state.step`` to ``opt_config.total_steps``.
+
+    ``params`` and ``state`` come from :func:`new_run` or :func:`resume_run`;
+    the loop draws every batch and dropout mask from ``state.seed``.
     ``sampler`` (optional) is an infinite example stream that replaces the
-    per-epoch shuffling; it is fast-forwarded on resume so the two paths
-    stay step-for-step deterministic. On resume the vocabulary, weights and
-    seed come from ``resume_from`` (``vocab`` and ``word_matrix`` are not
-    read), every other setting must match the checkpoint's, and the metrics
-    log is cut back to the checkpoint's step. A non-finite loss or gradient
-    stops the run before that step's update, log record or checkpoint. An
-    ``eval_every`` without dev examples is refused before anything is written.
+    per-epoch shuffling; it is fast-forwarded past the steps already run so
+    a resume stays step-for-step deterministic. When ``state.step`` is past
+    0 the metrics log is cut back to that step. A non-finite loss or
+    gradient stops the run before that step's update, log record or
+    checkpoint. An ``eval_every`` without dev examples is refused before
+    anything is written.
     """
     if not examples and sampler is None:
         raise ValueError("empty training set")
     _check_eval_every(eval_every, dev_examples)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     checkpoint_path = os.path.join(out_dir, "model.ckpt")
-
-    if resume_from:
-        check_resume_config(resume_from, model_config, opt_config)
-        params, state, _, _, vocab = load_checkpoint(resume_from)
-        seed = state.seed
-    else:
-        if word_matrix is None:
-            raise ValueError("word vectors required when starting fresh")
-        params = init_model_params(
-            model_config, word_matrix, len(vocab.chars),
-            np.random.default_rng(np.random.SeedSequence([seed, _LANE_INIT])))
-        state = init_train_state(params, seed)
-
-    batches = _batch_stream(examples, vocab, model_config, opt_config, seed,
-                            sampler, state.step)
+    batches = _batch_stream(examples, vocab, model_config, opt_config,
+                            state.seed, sampler, state.step)
 
     os.makedirs(out_dir, exist_ok=True)
     kept = []
-    if resume_from and os.path.exists(metrics_path):
+    if state.step > 0 and os.path.exists(metrics_path):
         # Records past the checkpoint (written before a crash, or by a run
         # that went further) are about to be written again.
         with open(metrics_path, encoding="utf-8") as fh:
@@ -374,7 +371,7 @@ def train(examples, vocab: Vocabulary | None, word_matrix: np.ndarray | None,
     try:
         while state.step < opt_config.total_steps:
             loss, lr = _train_step(params, state, model_config, opt_config,
-                                   next(batches), seed)
+                                   next(batches))
             step = state.step
             if log_every and (step % log_every == 0
                               or step == opt_config.total_steps):

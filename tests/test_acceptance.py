@@ -35,7 +35,7 @@ from qanet.tensor import (Tensor, add, backward, clamp_min, concat, dense,
                           swap_last_axes)
 from qanet.trainer import (OptimizerConfig, adam_step, ema_update,
                            init_train_state, load_checkpoint, lr_schedule,
-                           train, zero_grads)
+                           new_run, train, zero_grads)
 from qanet.model import named_parameters
 
 
@@ -443,7 +443,8 @@ def test_06_overfit_synthetic(tmp_path):
                               ema_decay=0.999)
         matrix = rng.standard_normal((len(vocab.words), config.word_dim)) * 0.5
         matrix[0] = 0.0
-        result = train(examples, vocab, matrix, config, opt, seed=1,
+        params, state = new_run(config, vocab, matrix, seed=1)
+        result = train(examples, vocab, params, state, config, opt,
                        out_dir=str(tmp_path / "overfit"), log_every=100)
         params, _, _, _, _ = load_checkpoint(result.checkpoint_path)
         scores = evaluate(predict_all(params, config, examples, vocab),

@@ -22,6 +22,7 @@ from qanet.config import (
     to_flat,
 )
 from qanet.data import parse_qa_json
+import qanet.trainer
 from qanet.trainer import CHECKPOINT_VERSION
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -86,6 +87,8 @@ BAD_MODEL_VALUES = [
     ("char_limit", 0), ("char_kernel", -1), ("emb_enc_kernel", -3),
     ("model_enc_kernel", 0), ("max_context_len", 0), ("model_enc_blocks", -2),
     ("emb_enc_blocks", -1), ("emb_enc_convs", -1), ("model_enc_convs", -1),
+    ("emb_enc_kernel", 4), ("model_enc_kernel", 6), ("char_kernel", 4),
+    ("hidden_dim", 30),
 ]
 
 
@@ -275,7 +278,9 @@ class TestTrainCommand:
     def test_bad_model_value_exits_before_out_dir(self, trained, tmp_path,
                                                   capsys, key, value):
         out = tmp_path / "run"
-        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out))
+        # The default 8 heads, under which the list's values are refused.
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
+                           extra={"model.num_heads": 8})
         code = main(["train", "--config", cfg, "--set", f"model.{key}={value}"])
         assert code == 1
         assert f"{key} must" in capsys.readouterr().err
@@ -416,6 +421,25 @@ class TestTrainCommand:
         resumed = run("split", 4, resume=str(tmp_path / "split" / "model.ckpt"))
         capsys.readouterr()
         assert resumed == full
+
+    def test_resume_reads_checkpoint_header_once(self, trained, tmp_path,
+                                                 capsys, monkeypatch):
+        out = tmp_path / "run"
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
+                           extra={"optimizer.total_steps": 2})
+        assert main(["train", "--config", cfg]) == 0
+        real, reads = qanet.trainer._read_header, []
+
+        def counted(fh):
+            reads.append(fh.name)
+            return real(fh)
+
+        monkeypatch.setattr(qanet.trainer, "_read_header", counted)
+        ckpt = str(out / "model.ckpt")
+        assert main(["train", "--config", cfg, "--set",
+                     "optimizer.total_steps=3", "--resume", ckpt]) == 0
+        capsys.readouterr()
+        assert reads == [ckpt]
 
     def test_resume_with_other_model_config_fails_untouched(self, trained,
                                                            tmp_path, capsys):

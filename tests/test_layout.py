@@ -2,7 +2,8 @@
 is used by the package, the scripts or the benchmark, so a helper that only
 tests call lives under ``tests/``; and every defaulted parameter of a public
 function or method is passed by one of their calls, so an option that only
-tests set does not live in ``src/`` either.
+tests set does not live in ``src/`` either. A module imports no other
+module's private name unless an allowance gives the reason.
 
 A use is a name or attribute in the code, found with ``ast``. A definition
 does not use its own name, an import alone is not a use, and the strings of
@@ -249,3 +250,46 @@ def test_config_copy_scan_matches_name_and_value(tmp_path):
     assert config_copies(tmp_path, {"batch_size": 32, "dropout": 0.1,
                                     "char_limit": 16}) == [
         "lib.f.batch_size", "lib.f.char_limit", "lib.K.dropout"]
+
+
+# Private names a module of the package imports from another, each with its
+# reason.
+PRIVATE_IMPORTS = {
+    "cli._check_eval_every": "train refuses the setting before it writes "
+                             "config.json, as trainer.train does before "
+                             "its log",
+    "cli._train_step": "qanet bench times the step trainer.train runs",
+    "config._mix_shares": "AugmentationConfig refuses the mix weights "
+                          "mixed_sampler would refuse",
+    "data._PUNCT": "tokenization splits off the punctuation that answer "
+                   "normalization drops",
+}
+
+
+def private_imports(package=PACKAGE):
+    """module.name for each private name a module imports by ``from``."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                yield from (f"{path.stem}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_"))
+
+
+def test_no_private_name_imported_across_modules():
+    crossing = [w for w in private_imports() if w not in PRIVATE_IMPORTS]
+    assert crossing == [], (f"{crossing} import another module's private "
+                            "name: make it public, or keep it in one module")
+
+
+def test_allowed_private_imports_still_exist():
+    assert sorted(set(PRIVATE_IMPORTS) - set(private_imports())) == []
+
+
+def test_private_import_scan_matches_underscore_names(tmp_path):
+    """Only ``from`` imports of underscore names count, nested ones too."""
+    (tmp_path / "lib.py").write_text(
+        "from __future__ import annotations\n"
+        "from .a import _x, y\n"
+        "import _thread\n"
+        "def f():\n    from .b import _z\n", encoding="utf-8")
+    assert list(private_imports(tmp_path)) == ["lib._x", "lib._z"]

@@ -15,8 +15,8 @@ import qanet.trainer
 from qanet.trainer import (
     CHECKPOINT_VERSION, CheckpointShapeMismatch, ConfigMismatch,
     MissingGradient, NonFiniteStep, OptimizerConfig, adam_step, check_finite,
-    check_resume_config, ema_update, init_train_state, load_checkpoint,
-    lr_schedule, save_checkpoint, train, use_ema,
+    ema_update, init_train_state, load_checkpoint, lr_schedule, new_run,
+    resume_run, save_checkpoint, train, use_ema,
 )
 
 TOY = dict(hidden_dim=16, num_heads=2, word_dim=8, char_dim=6, char_limit=4,
@@ -65,6 +65,16 @@ def short_opt(**kw):
                 total_steps=6)
     base.update(kw)
     return OptimizerConfig(**base)
+
+
+def run_train(examples, vocab, matrix, config, opt, out_dir, resume=None,
+              **kw):
+    """``train`` from ``new_run`` at seed 5, or from ``resume_run(resume)``."""
+    if resume:
+        params, state, vocab = resume_run(resume, config, opt)
+    else:
+        params, state = new_run(config, vocab, matrix, 5)
+    return train(examples, vocab, params, state, config, opt, out_dir, **kw)
 
 
 class TestSchedule:
@@ -329,15 +339,36 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=names):
                 load_checkpoint(bad)
             with pytest.raises(ValueError, match=names):
-                check_resume_config(bad, ModelConfig(**TOY), short_opt())
+                resume_run(bad, ModelConfig(**TOY), short_opt())
+
+    def test_missing_header_key_compares_as_default(self, tmp_path):
+        """A setting the header lacks is read as its default: a run that
+        keeps the default resumes, and one that differs is refused with the
+        default named as the checkpoint's value."""
+        *_, path = self.roundtrip(tmp_path)
+
+        def drop_keys(header, body):
+            del header["model_config"]["max_answer_len"]
+            del header["optimizer_config"]["weight_decay"]
+            return body
+
+        old = self.rewrite(path, drop_keys)
+        params, state, vocab = resume_run(old, ModelConfig(**TOY), short_opt())
+        assert state.step == 17
+        with pytest.raises(ConfigMismatch) as err:
+            resume_run(old, ModelConfig(**TOY, max_answer_len=20),
+                       short_opt(weight_decay=0.0))
+        assert "model.max_answer_len (checkpoint 30, run 20)" in str(err.value)
+        assert ("optimizer.weight_decay (checkpoint 3e-07, run 0.0)"
+                in str(err.value))
 
 
 class TestTrainLoop:
     def run(self, tmp_path, tag, **kw):
         examples, vocab, matrix = tiny_dataset()
-        return train(examples, vocab, matrix, ModelConfig(**TOY),
-                     kw.pop("opt", short_opt()), seed=5,
-                     out_dir=os.path.join(tmp_path, tag), **kw)
+        return run_train(examples, vocab, matrix, ModelConfig(**TOY),
+                         kw.pop("opt", short_opt()),
+                         os.path.join(tmp_path, tag), **kw)
 
     def test_loss_logged_and_finite(self, tmp_path):
         result = self.run(tmp_path, "a")
@@ -359,8 +390,7 @@ class TestTrainLoop:
     def test_resume_matches_uninterrupted(self, tmp_path):
         full = self.run(tmp_path, "full")
         part = self.run(tmp_path, "part", opt=short_opt(total_steps=3))
-        resumed = self.run(tmp_path, "resumed",
-                           resume_from=part.checkpoint_path)
+        resumed = self.run(tmp_path, "resumed", resume=part.checkpoint_path)
         full_losses = [r["loss"] for r in logged(full)]
         tail = [r["loss"] for r in logged(resumed)]
         assert tail == full_losses[3:]
@@ -374,10 +404,9 @@ class TestTrainLoop:
         examples, vocab, matrix = tiny_dataset(n=18)
 
         def run(tag, steps, resume=None):
-            return train(examples, vocab, matrix, ModelConfig(**TOY),
-                         short_opt(total_steps=steps), seed=5,
-                         out_dir=os.path.join(tmp_path, tag),
-                         resume_from=resume)
+            return run_train(examples, vocab, matrix, ModelConfig(**TOY),
+                             short_opt(total_steps=steps),
+                             os.path.join(tmp_path, tag), resume=resume)
 
         full = run("full", 12)
         part = run("part", 7)
@@ -408,7 +437,7 @@ class TestTrainLoop:
         part = self.run(tmp_path, "part", opt=short_opt(total_steps=3))
         with pytest.raises(ValueError):
             self.run(tmp_path, "bad", opt=short_opt(target_lr=0.5),
-                     resume_from=part.checkpoint_path)
+                     resume=part.checkpoint_path)
 
     def test_resume_rejects_changed_model_naming_each_key(self, tmp_path):
         part = self.run(tmp_path, "part", opt=short_opt(total_steps=3))
@@ -416,8 +445,8 @@ class TestTrainLoop:
         other = ModelConfig(**{**TOY, "hidden_dim": 32, "dropout": 0.0})
         bad_dir = os.path.join(tmp_path, "bad")
         with pytest.raises(ConfigMismatch) as err:
-            train(examples, vocab, matrix, other, short_opt(), seed=5,
-                  out_dir=bad_dir, resume_from=part.checkpoint_path)
+            run_train(examples, vocab, matrix, other, short_opt(), bad_dir,
+                      resume=part.checkpoint_path)
         assert "model.hidden_dim (checkpoint 16, run 32)" in str(err.value)
         assert "model.dropout (checkpoint 0.1, run 0.0)" in str(err.value)
         assert not os.path.exists(bad_dir)
@@ -455,9 +484,8 @@ class TestTrainLoop:
 
     def test_frozen_word_rows_bitwise_stable(self, tmp_path):
         examples, vocab, matrix = tiny_dataset()
-        result = train(examples, vocab, matrix, ModelConfig(**TOY),
-                       short_opt(), seed=5,
-                       out_dir=os.path.join(tmp_path, "frozen"))
+        result = run_train(examples, vocab, matrix, ModelConfig(**TOY),
+                           short_opt(), os.path.join(tmp_path, "frozen"))
         params, *_ = load_checkpoint(result.checkpoint_path)
         expect = matrix.copy()
         expect[1] = 0.0  # unknown row lives in its own vector
@@ -465,10 +493,10 @@ class TestTrainLoop:
 
     def test_eval_hook_writes_metrics(self, tmp_path):
         examples, vocab, matrix = tiny_dataset(n=8)
-        result = train(examples, vocab, matrix, ModelConfig(**TOY),
-                       short_opt(total_steps=2), seed=5,
-                       out_dir=os.path.join(tmp_path, "ev"),
-                       dev_examples=examples[:4], eval_every=2)
+        result = run_train(examples, vocab, matrix, ModelConfig(**TOY),
+                           short_opt(total_steps=2),
+                           os.path.join(tmp_path, "ev"),
+                           dev_examples=examples[:4], eval_every=2)
         kinds = [set(r) for r in logged(result)]
         assert {"step", "dev_em", "dev_f1"} in kinds
 
@@ -479,12 +507,13 @@ class TestTrainLoop:
         examples, vocab, matrix = tiny_dataset(n=8)
         out = os.path.join(tmp_path, "ev")
         with pytest.raises(ValueError, match="eval_every needs"):
-            train(examples, vocab, matrix, ModelConfig(**TOY),
-                  short_opt(total_steps=2), seed=5, out_dir=out,
-                  dev_examples=dev, eval_every=2)
+            run_train(examples, vocab, matrix, ModelConfig(**TOY),
+                      short_opt(total_steps=2), out, dev_examples=dev,
+                      eval_every=2)
         assert not os.path.exists(out)
 
     def test_empty_dataset_rejected(self, tmp_path):
+        _, vocab, matrix = tiny_dataset()
         with pytest.raises(ValueError):
-            train([], Vocabulary(), np.zeros((2, 8)), ModelConfig(**TOY),
-                  short_opt(), seed=0, out_dir=os.path.join(tmp_path, "e"))
+            run_train([], vocab, matrix, ModelConfig(**TOY), short_opt(),
+                      os.path.join(tmp_path, "e"))
