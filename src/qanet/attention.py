@@ -18,8 +18,8 @@ import numpy as np
 
 from .encoder import glorot
 from .tensor import (
-    DimensionMismatch, Tensor, add, concat, dense, matmul, multiply, reshape,
-    softmax, swap_last_axes,
+    Tensor, add, concat, dense, matmul, multiply, reshape, softmax,
+    swap_last_axes,
 )
 
 
@@ -60,40 +60,10 @@ def init_cq_attention(dim: int, rng) -> CqAttentionParams:
 def trilinear_similarity(C: Tensor, Q: Tensor, weights: TrilinearWeights) -> Tensor:
     """S[i, j] = f(Q_j, C_i) for C (..., n, d) and Q (..., m, d)."""
     d = C.shape[-1]
-    if Q.shape[-1] != d:
-        raise DimensionMismatch(f"feature widths differ: {d} vs {Q.shape[-1]}")
-    for block in (weights.w_q, weights.w_c, weights.w_qc):
-        if block.shape != (d,):
-            raise DimensionMismatch(f"weight block {block.shape} wants ({d},)")
     c_term = matmul(C, reshape(weights.w_c, (d, 1)))                 # (..., n, 1)
     q_term = swap_last_axes(matmul(Q, reshape(weights.w_q, (d, 1))))  # (..., 1, m)
     cross = matmul(multiply(C, weights.w_qc), swap_last_axes(Q))
     return add(add(c_term, q_term), cross)
-
-
-def c2q_attention(S_row: Tensor, Q: Tensor) -> Tensor:
-    if S_row.shape[-1] != Q.shape[-2]:
-        raise DimensionMismatch(
-            f"query counts differ: {S_row.shape[-1]} vs {Q.shape[-2]}")
-    return matmul(S_row, Q)
-
-
-def q2c_attention(S_row: Tensor, S_col: Tensor, C: Tensor) -> Tensor:
-    if S_row.shape != S_col.shape:
-        raise DimensionMismatch(
-            f"softmax shapes differ: {S_row.shape} vs {S_col.shape}")
-    if S_col.shape[-2] != C.shape[-2]:
-        raise DimensionMismatch(
-            f"context counts differ: {S_col.shape[-2]} vs {C.shape[-2]}")
-    return matmul(matmul(S_row, swap_last_axes(S_col)), C)
-
-
-def fuse(C: Tensor, A: Tensor, B: Tensor) -> Tensor:
-    """Per-position concatenation [c; a; c*a; c*b], width 4d."""
-    if not (C.shape == A.shape == B.shape):
-        raise DimensionMismatch(
-            f"fusion inputs differ: {C.shape}, {A.shape}, {B.shape}")
-    return concat([C, A, multiply(C, A), multiply(C, B)], axis=-1)
 
 
 def context_query_attention(context: Tensor, query: Tensor,
@@ -109,8 +79,8 @@ def context_query_attention(context: Tensor, query: Tensor,
     c_mask = None if context_mask is None else np.asarray(context_mask)[..., :, None]
     S_row = softmax(S, axis=-1, mask=q_mask)
     S_col = softmax(S, axis=-2, mask=c_mask)
-    A = c2q_attention(S_row, query)
-    B = q2c_attention(S_row, S_col, context)
+    A = matmul(S_row, query)
+    B = matmul(matmul(S_row, swap_last_axes(S_col)), context)
     return AttentionMatrices(S=S, S_row=S_row, S_col=S_col, A=A, B=B)
 
 
@@ -121,5 +91,6 @@ def cq_attention_forward(context: Tensor, query: Tensor,
     """Fused and projected attention output, (..., n, d)."""
     m = context_query_attention(context, query, params.weights,
                                 context_mask, question_mask)
-    fused = fuse(context, m.A, m.B)
+    fused = concat([context, m.A, multiply(context, m.A),
+                    multiply(context, m.B)], axis=-1)  # [c; a; c*a; c*b], 4d
     return dense(fused, params.proj_w, params.proj_b)

@@ -72,7 +72,8 @@ def _cmd_train(args) -> int:
     _check_eval_every(config.eval_every, dev)
 
     # On resume the weights, vocabulary and seed come from the checkpoint,
-    # and differing settings fail before out_dir is written.
+    # and differing settings fail before out_dir is written; config.json
+    # records the seed that trains.
     if args.resume:
         params, state, vocab = resume_run(args.resume, config.model,
                                           config.optimizer)
@@ -105,7 +106,8 @@ def _cmd_train(args) -> int:
     os.makedirs(paths.out_dir, exist_ok=True)
     with open(os.path.join(paths.out_dir, "config.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(to_flat(config), fh, indent=2, sort_keys=True)
+        json.dump({**to_flat(config), "seed": state.seed}, fh, indent=2,
+                  sort_keys=True)
 
     result = train(examples, vocab, params, state, config.model,
                    config.optimizer, out_dir=paths.out_dir, dev_examples=dev,

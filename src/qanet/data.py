@@ -389,8 +389,6 @@ def make_batches(examples: list[QaExample], vocab: Vocabulary,
     """
     if not examples:
         raise EmptyDataset("no examples to batch")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
     buckets: dict[int, list[QaExample]] = {}
     for ex in examples:

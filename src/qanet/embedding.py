@@ -95,8 +95,6 @@ def embed(params: EmbeddingParams, word_ids: np.ndarray, char_ids: np.ndarray,
     """
     word_ids = np.asarray(word_ids)
     char_ids = np.asarray(char_ids)
-    if char_ids.shape[:-1] != word_ids.shape:
-        raise ValueError(f"char ids {char_ids.shape} do not extend {word_ids.shape}")
 
     words = embedding_lookup(params.word_table, word_ids)
     unk_slots = Tensor((word_ids == UNK_ID).astype(np.float64)[..., None])

@@ -18,13 +18,10 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import (
-    DimensionMismatch, DropoutMask, Tensor, add, dense,
+    DropoutMask, Tensor, add, dense,
     depthwise_separable_conv1d, dropout_mask, layernorm, matmul, relu,
     scaled_dot_attention,
 )
-
-class OddDimension(ValueError):
-    """Sinusoidal position features need an even feature dimension."""
 
 
 @dataclass
@@ -44,8 +41,6 @@ class EncoderBlockConfig:
 
 @lru_cache(maxsize=64)
 def _position_signal(length: int, dim: int) -> np.ndarray:
-    if dim % 2:
-        raise OddDimension(f"feature dim {dim} must be even")
     pos = np.arange(length, dtype=np.float64)[:, None]
     i = np.arange(dim // 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, (2.0 * i) / dim)
@@ -210,9 +205,6 @@ def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
     information bleeds through the receptive field; attention masks its
     keys, and the remaining sublayers act per position.
     """
-    if len(params.blocks) != config.num_blocks:
-        raise DimensionMismatch(
-            f"{len(params.blocks)} blocks of parameters for {config.num_blocks}")
     length, d = x.shape[-2], x.shape[-1]
     signal = positional_encoding(length, d)
     total = config.total_sublayers

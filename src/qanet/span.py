@@ -53,8 +53,6 @@ def init_span_head(dim: int, rng) -> SpanHeadParams:
 
 def _logits(first: Tensor, second: Tensor, w: Tensor) -> Tensor:
     width = first.shape[-1] + second.shape[-1]
-    if w.shape != (width,):
-        raise DimensionMismatch(f"weight {w.shape} wants ({width},)")
     joined = concat([first, second], axis=-1)
     out = matmul(joined, reshape(w, (width, 1)))
     return reshape(out, out.shape[:-1])
@@ -63,9 +61,6 @@ def _logits(first: Tensor, second: Tensor, w: Tensor) -> Tensor:
 def span_distributions(M0: Tensor, M1: Tensor, M2: Tensor, W1: Tensor,
                        W2: Tensor, mask: np.ndarray | None = None) -> SpanDistributions:
     """Start reads [M0; M1], end reads [M0; M2]; both softmax over positions."""
-    if not (M0.shape == M1.shape == M2.shape):
-        raise DimensionMismatch(
-            f"encoder outputs differ: {M0.shape}, {M1.shape}, {M2.shape}")
     p1 = softmax(_logits(M0, M1, W1), axis=-1, mask=mask)
     p2 = softmax(_logits(M0, M2, W2), axis=-1, mask=mask)
     return SpanDistributions(p1=p1, p2=p2)

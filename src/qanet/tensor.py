@@ -153,7 +153,7 @@ def backward(loss: Tensor) -> None:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
     if loss.op is None:
         if loss.requires_grad:
-            loss.grad = loss.grad + np.ones_like(loss.data)
+            loss.grad += 1.0
             return
         raise DetachedTensor("loss has no recorded operations")
 
@@ -185,7 +185,7 @@ def backward(loss: Tensor) -> None:
             if g is None or not t.requires_grad:
                 continue
             if t.op is None:
-                t.grad = g.copy() if t.grad is None else t.grad + g
+                t.grad += g
             else:
                 held = adjoints.get(id(t.op))
                 adjoints[id(t.op)] = g if held is None else held + g

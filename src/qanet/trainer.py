@@ -11,7 +11,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -199,6 +199,16 @@ def _read_header(fh) -> dict:
     return header
 
 
+def _header_config(path: str, header: dict, section: str, cls):
+    """``cls`` from the header's ``section``, refusing keys it does not know."""
+    stored = header[section]
+    unknown = sorted(set(stored) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{path}: {section} has keys this build does not "
+                         f"know: {', '.join(unknown)}")
+    return cls(**stored)
+
+
 def check_finite(step: int, loss, params) -> None:
     """Raise :class:`NonFiniteStep` on an inf/NaN loss or gradient."""
     bad = [name for name, t in named_parameters(params)
@@ -218,8 +228,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainState, ModelConfig,
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
-        model_config = ModelConfig(**header["model_config"])
-        opt_config = OptimizerConfig(**header["optimizer_config"])
+        model_config = _header_config(path, header, "model_config", ModelConfig)
+        opt_config = _header_config(path, header, "optimizer_config",
+                                    OptimizerConfig)
         vocab = Vocabulary.from_lists(header["words"], header["chars"])
         placeholder = np.zeros((len(vocab.words), model_config.word_dim))
         params = init_model_params(model_config, placeholder, len(vocab.chars),

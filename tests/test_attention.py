@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qanet.attention import (
-    AttentionMatrices, CqAttentionParams, TrilinearWeights, c2q_attention,
-    context_query_attention, cq_attention_forward, fuse, init_cq_attention,
-    q2c_attention, trilinear_similarity,
+    AttentionMatrices, CqAttentionParams, TrilinearWeights,
+    context_query_attention, cq_attention_forward, init_cq_attention,
+    trilinear_similarity,
 )
 from qanet.tensor import (
     DimensionMismatch, Tensor, add, backward, multiply, no_grad, softmax,
@@ -82,101 +82,107 @@ class TestTrilinear:
 
 
 class TestAttentionHops:
+    """A = S_row @ Q and B = S_row @ S_col^T @ C inside the full layer."""
+
     def test_one_hot_row_selects_query(self):
+        # The cross block reads only the first four features, where queries
+        # are orthonormal; scaled by 50, each S_row row is one-hot to within
+        # exp(-50), and A copies the selected query's random tail too.
         rng = np.random.default_rng(4)
-        Q = rng.standard_normal((4, 3))
-        S_row = np.zeros((2, 4))
-        S_row[0, 2] = 1.0
-        S_row[1, 0] = 1.0
-        A = c2q_attention(Tensor(S_row), Tensor(Q)).data
-        np.testing.assert_array_equal(A[0], Q[2])
-        np.testing.assert_array_equal(A[1], Q[0])
+        Q = np.hstack([np.eye(4), rng.standard_normal((4, 3))])
+        C = np.hstack([np.eye(4)[[2, 0]], np.zeros((2, 3))])
+        w = TrilinearWeights(w_q=Tensor(np.zeros(7)), w_c=Tensor(np.zeros(7)),
+                             w_qc=Tensor(np.r_[np.full(4, 50.0), np.zeros(3)]))
+        out = context_query_attention(Tensor(C), Tensor(Q), w)
+        np.testing.assert_allclose(out.A.data[0], Q[2], atol=1e-12)
+        np.testing.assert_allclose(out.A.data[1], Q[0], atol=1e-12)
 
     def test_uniform_row_averages_queries(self):
         rng = np.random.default_rng(5)
         Q = rng.standard_normal((4, 3))
-        A = c2q_attention(Tensor(np.full((2, 4), 0.25)), Tensor(Q)).data
-        np.testing.assert_allclose(A, np.broadcast_to(Q.mean(axis=0), (2, 3)),
+        zero = TrilinearWeights(w_q=Tensor(np.zeros(3)), w_c=Tensor(np.zeros(3)),
+                                w_qc=Tensor(np.zeros(3)))
+        out = context_query_attention(Tensor(rng.standard_normal((2, 3))),
+                                      Tensor(Q), zero)
+        np.testing.assert_array_equal(out.S_row.data, np.full((2, 4), 0.25))
+        np.testing.assert_allclose(out.A.data,
+                                   np.broadcast_to(Q.mean(axis=0), (2, 3)),
                                    atol=1e-12)
 
     def test_c2q_matches_brute_force(self):
         rng = np.random.default_rng(6)
-        S_row = rng.random((5, 4))
+        C = rng.standard_normal((5, 3))
         Q = rng.standard_normal((4, 3))
-        A = c2q_attention(Tensor(S_row), Tensor(Q)).data
+        out = context_query_attention(Tensor(C), Tensor(Q), rand_weights(3, rng))
+        S_row = out.S_row.data
         expect = np.array([[sum(S_row[i, j] * Q[j, k] for j in range(4))
                             for k in range(3)] for i in range(5)])
-        np.testing.assert_allclose(A, expect, atol=1e-12)
+        np.testing.assert_allclose(out.A.data, expect, atol=1e-12)
 
     def test_q2c_singleton_returns_context(self):
+        rng = np.random.default_rng(7)
         C = Tensor([[2.0, -1.0, 3.0]])
-        B = q2c_attention(Tensor([[1.0]]), Tensor([[1.0]]), C).data
-        np.testing.assert_array_equal(B, C.data)
+        out = context_query_attention(C, Tensor(rng.standard_normal((1, 3))),
+                                      rand_weights(3, rng))
+        np.testing.assert_array_equal(out.B.data, C.data)
 
     def test_q2c_near_permutation(self):
         # Huge diagonal logits make both softmaxes near-identity, so the
         # two-hop product returns (almost) the context itself.
-        rng = np.random.default_rng(7)
-        C = rng.standard_normal((3, 4))
-        S = Tensor(np.eye(3) * 50.0)
-        S_row = softmax(S, axis=-1)
-        S_col = softmax(S, axis=-2)
-        B = q2c_attention(S_row, S_col, Tensor(C)).data
-        np.testing.assert_allclose(B, C, atol=1e-9)
+        C = np.eye(3)
+        w = TrilinearWeights(w_q=Tensor(np.zeros(3)), w_c=Tensor(np.zeros(3)),
+                             w_qc=Tensor(np.full(3, 50.0)))
+        out = context_query_attention(Tensor(C), Tensor(np.eye(3)), w)
+        np.testing.assert_allclose(out.S.data, np.eye(3) * 50.0, atol=0)
+        np.testing.assert_allclose(out.B.data, C, atol=1e-9)
 
     def test_q2c_matches_brute_force(self):
         rng = np.random.default_rng(8)
-        S_row = rng.random((5, 4))
-        S_col = rng.random((5, 4))
         C = rng.standard_normal((5, 3))
-        B = q2c_attention(Tensor(S_row), Tensor(S_col), Tensor(C)).data
+        out = context_query_attention(Tensor(C), Tensor(rng.standard_normal((4, 3))),
+                                      rand_weights(3, rng))
+        S_row, S_col = out.S_row.data, out.S_col.data
         expect = np.zeros((5, 3))
         for i in range(5):
             for j in range(4):
                 for i2 in range(5):
                     expect[i] += S_row[i, j] * S_col[i2, j] * C[i2]
-        np.testing.assert_allclose(B, expect, atol=1e-12)
+        np.testing.assert_allclose(out.B.data, expect, atol=1e-12)
 
-    def test_hop_shape_mismatches_rejected(self):
-        rng = np.random.default_rng(9)
-        with pytest.raises(DimensionMismatch):
-            c2q_attention(Tensor(rng.random((2, 4))),
-                          Tensor(rng.random((3, 5))))
-        with pytest.raises(DimensionMismatch):
-            q2c_attention(Tensor(rng.random((2, 4))), Tensor(rng.random((2, 3))),
-                          Tensor(rng.random((2, 5))))
-        with pytest.raises(DimensionMismatch):
-            q2c_attention(Tensor(rng.random((2, 4))), Tensor(rng.random((2, 4))),
-                          Tensor(rng.random((3, 5))))
+
+def fused_output(C, Q, weights):
+    """``cq_attention_forward`` under an identity projection: the 4d fusion."""
+    width = 4 * C.shape[-1]
+    params = CqAttentionParams(weights=weights, proj_w=Tensor(np.eye(width)),
+                               proj_b=Tensor(np.zeros(width)))
+    return cq_attention_forward(Tensor(C), Tensor(Q), params).data
 
 
 class TestFuse:
-    def test_zero_attention(self):
+    def test_layout_is_c_a_ca_cb(self):
         rng = np.random.default_rng(10)
         C = rng.standard_normal((3, 2))
-        zero = Tensor(np.zeros((3, 2)))
-        out = fuse(Tensor(C), zero, zero).data
-        np.testing.assert_array_equal(out[:, :2], C)
-        np.testing.assert_array_equal(out[:, 2:], np.zeros((3, 6)))
+        Q = rng.standard_normal((4, 2))
+        w = rand_weights(2, rng)
+        m = context_query_attention(Tensor(C), Tensor(Q), w)
+        A, B = m.A.data, m.B.data
+        np.testing.assert_array_equal(fused_output(C, Q, w),
+                                      np.concatenate([C, A, C * A, C * B], axis=-1))
 
     def test_ones_context_passes_products_through(self):
         rng = np.random.default_rng(11)
-        A = rng.standard_normal((3, 2))
-        B = rng.standard_normal((3, 2))
-        out = fuse(Tensor(np.ones((3, 2))), Tensor(A), Tensor(B)).data
-        np.testing.assert_array_equal(out[:, 4:6], A)
-        np.testing.assert_array_equal(out[:, 6:8], B)
+        Q = rng.standard_normal((4, 2))
+        w = rand_weights(2, rng)
+        m = context_query_attention(Tensor(np.ones((3, 2))), Tensor(Q), w)
+        out = fused_output(np.ones((3, 2)), Q, w)
+        np.testing.assert_array_equal(out[:, 4:6], m.A.data)
+        np.testing.assert_array_equal(out[:, 6:8], m.B.data)
 
     def test_width_is_4d(self):
         rng = np.random.default_rng(12)
-        got = fuse(Tensor(rng.random((7, 128))), Tensor(rng.random((7, 128))),
-                   Tensor(rng.random((7, 128))))
+        got = fused_output(rng.random((7, 128)), rng.random((5, 128)),
+                           rand_weights(128, rng))
         assert got.shape == (7, 512)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            fuse(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))),
-                 Tensor(np.zeros((2, 2))))
 
 
 class TestMasking:

@@ -441,6 +441,22 @@ class TestTrainCommand:
         capsys.readouterr()
         assert reads == [ckpt]
 
+    def test_resume_records_checkpoint_seed(self, trained, tmp_path, capsys):
+        """config.json records the seed that trains, the checkpoint's, not
+        the one on the command line."""
+        out = tmp_path / "run"
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
+                           extra={"optimizer.total_steps": 2})
+        assert main(["train", "--config", cfg, "--seed", "7"]) == 0
+        assert main(["train", "--config", cfg, "--seed", "8", "--set",
+                     "optimizer.total_steps=3",
+                     "--resume", str(out / "model.ckpt")]) == 0
+        capsys.readouterr()
+        with open(out / "model.ckpt", "rb") as fh:
+            header = json.loads(fh.readline())
+        stored = json.loads((out / "config.json").read_text(encoding="utf-8"))
+        assert stored["seed"] == header["seed"] == 7
+
     def test_resume_with_other_model_config_fails_untouched(self, trained,
                                                            tmp_path, capsys):
         """A resume may not swap the checkpoint's model settings in silently."""
@@ -535,6 +551,24 @@ class TestPredictEvaluateCommands:
         err = capsys.readouterr().err
         assert "unsupported checkpoint version 1 in" in err
         assert "this build reads version 2" in err
+        assert not out.exists()
+
+    def test_predict_refuses_unknown_config_key(self, trained, tmp_path,
+                                                capsys):
+        with open(trained["checkpoint"], "rb") as fh:
+            raw = fh.read()
+        split_at = raw.index(b"\n")
+        header = json.loads(raw[:split_at])
+        header["model_config"]["compute_dtype"] = "float64"
+        newer = tmp_path / "newer.ckpt"
+        newer.write_bytes(json.dumps(header).encode("utf-8") + raw[split_at:])
+        out = tmp_path / "preds.json"
+        code = main(["predict", "--checkpoint", str(newer),
+                     "--data", trained["data"], "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (f"{newer}: model_config has keys this build does not know: "
+                "compute_dtype") in err
         assert not out.exists()
 
     def test_corrupt_checkpoint_names_tensor(self, trained, tmp_path, capsys):

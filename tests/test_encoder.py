@@ -28,10 +28,6 @@ class TestPositionalEncoding:
         pe = E.positional_encoding(400, 128).data
         assert np.all(np.abs(pe) <= 1.0)
 
-    def test_odd_dim_rejected(self):
-        with pytest.raises(E.OddDimension):
-            E.positional_encoding(4, 5)
-
 
 class TestSurvivalSchedule:
     def test_endpoints(self):

@@ -293,3 +293,50 @@ def test_private_import_scan_matches_underscore_names(tmp_path):
         "import _thread\n"
         "def f():\n    from .b import _z\n", encoding="utf-8")
     assert list(private_imports(tmp_path)) == ["lib._x", "lib._z"]
+
+
+# Functions outside tensor.py that raise DimensionMismatch, each with its
+# reason. Elsewhere the op that needs a shape refuses it, once.
+DIMENSION_CHECKS = {
+    "span.dp_span_inference": "decodes raw numpy arrays that no op has "
+                              "checked",
+}
+
+
+def dimension_checks(package=PACKAGE):
+    """module.function for each top-level function or class of a module
+    other than ``tensor.py`` that raises ``DimensionMismatch``."""
+    for path in sorted(package.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            raised = {getattr(n.exc, "func", n.exc) for n in ast.walk(node)
+                      if isinstance(n, ast.Raise) and n.exc is not None}
+            if any(getattr(e, "id", getattr(e, "attr", None))
+                   == "DimensionMismatch" for e in raised):
+                yield f"{path.stem}.{node.name}"
+
+
+def test_only_tensor_ops_raise_dimension_mismatch():
+    extra = [w for w in dimension_checks() if w not in DIMENSION_CHECKS]
+    assert extra == [], (f"{extra} re-check a shape: leave the rule to the "
+                         "tensor op that needs it")
+
+
+def test_allowed_dimension_checks_still_exist():
+    assert sorted(set(DIMENSION_CHECKS) - set(dimension_checks())) == []
+
+
+def test_dimension_check_scan_matches_raises(tmp_path):
+    """A raise counts called or bare, by name or attribute, nested too; the
+    class itself, other errors and ``tensor.py`` do not."""
+    (tmp_path / "lib.py").write_text(
+        "class DimensionMismatch(ValueError):\n    pass\n"
+        "def f():\n    raise DimensionMismatch('x')\n"
+        "def g():\n    def inner():\n        raise T.DimensionMismatch\n"
+        "class K:\n    def m(self):\n        raise DimensionMismatch\n"
+        "def h():\n    raise ValueError('x')\n"
+        "def r():\n    raise\n", encoding="utf-8")
+    (tmp_path / "tensor.py").write_text(
+        "def op():\n    raise DimensionMismatch('x')\n", encoding="utf-8")
+    assert list(dimension_checks(tmp_path)) == ["lib.f", "lib.g", "lib.K"]

@@ -27,6 +27,12 @@ class TestForwardValues:
         with pytest.raises(T.DimensionMismatch):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
+    def test_multiply_and_concat_mismatch(self):
+        with pytest.raises(T.DimensionMismatch):
+            T.multiply(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))))
+        with pytest.raises(T.DimensionMismatch):
+            T.concat([Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2)))], axis=-1)
+
     def test_softmax_hand_value(self):
         out = T.softmax(Tensor([0.0, np.log(3.0)]), axis=-1)
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)

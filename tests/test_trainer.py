@@ -8,15 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from qanet.data import Vocabulary, example_from_raw
+from qanet.data import Vocabulary, build_batch, example_from_raw
 from qanet.model import ModelConfig, named_parameters
 from qanet.tensor import Tensor, add
 import qanet.trainer
 from qanet.trainer import (
     CHECKPOINT_VERSION, CheckpointShapeMismatch, ConfigMismatch,
-    MissingGradient, NonFiniteStep, OptimizerConfig, adam_step, check_finite,
-    ema_update, init_train_state, load_checkpoint, lr_schedule, new_run,
-    resume_run, save_checkpoint, train, use_ema,
+    MissingGradient, NonFiniteStep, OptimizerConfig, _train_step, adam_step,
+    check_finite, ema_update, init_train_state, load_checkpoint, lr_schedule,
+    new_run, resume_run, save_checkpoint, train, use_ema,
 )
 
 TOY = dict(hidden_dim=16, num_heads=2, word_dim=8, char_dim=6, char_limit=4,
@@ -363,6 +363,24 @@ class TestCheckpoint:
                 in str(err.value))
 
 
+    def test_unknown_config_key_refused_by_name(self, tmp_path):
+        """A config key this build does not know, in either section, is
+        refused with the file, the section and every such key named."""
+        *_, path = self.roundtrip(tmp_path)
+        for section in ("model_config", "optimizer_config"):
+            def add_keys(header, body, section=section):
+                header[section]["compute_dtype"] = "float64"
+                header[section]["later_key"] = 1
+                return body
+
+            bad = self.rewrite(path, add_keys)
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(bad)
+            assert str(err.value) == (
+                f"{bad}: {section} has keys this build does not know: "
+                "compute_dtype, later_key")
+
+
 class TestTrainLoop:
     def run(self, tmp_path, tag, **kw):
         examples, vocab, matrix = tiny_dataset()
@@ -432,6 +450,20 @@ class TestTrainLoop:
         monkeypatch.setattr(qanet.trainer, "model_loss", spy)
         self.run(tmp_path, "spy", opt=short_opt(total_steps=2))
         assert alive == [False]
+
+    def test_steps_accumulate_into_the_same_grad_buffers(self):
+        """backward adds into the buffer zero_grads cleared; no step swaps a
+        fresh gradient array into a parameter."""
+        examples, vocab, matrix = tiny_dataset()
+        config, opt = ModelConfig(**TOY), short_opt()
+        params, state = new_run(config, vocab, matrix, 5)
+        batch = build_batch(examples[:4], vocab, config.char_limit)
+        buffers = {name: t.grad for name, t in named_parameters(params)}
+        for _ in range(2):
+            _train_step(params, state, config, opt, batch)
+            assert all(t.grad is buffers[name]
+                       for name, t in named_parameters(params))
+        assert any(np.any(g != 0.0) for g in buffers.values())
 
     def test_resume_rejects_changed_optimizer(self, tmp_path):
         part = self.run(tmp_path, "part", opt=short_opt(total_steps=3))
