@@ -9,6 +9,7 @@ Usage: python scripts/augment_demo.py [--k 5] [--seed 0]
 import argparse
 
 from qanet.augmentation import RuleTranslator, augment_examples
+from qanet.config import AugmentationConfig
 from qanet.data import example_from_raw
 
 PARAGRAPHS = [
@@ -30,8 +31,9 @@ PARAGRAPHS = [
 
 
 def main():
+    settings = AugmentationConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--k", type=int, default=5)
+    parser.add_argument("--k", type=int, default=settings.k)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -39,7 +41,8 @@ def main():
                 for eid, ctx, q, ans in PARAGRAPHS]
     endpoints = {"fr": RuleTranslator("fr"), "de": RuleTranslator("de")}
     produced = augment_examples(examples, endpoints, k=args.k,
-                                threshold=0.5, seed=args.seed)
+                                threshold=settings.threshold, seed=args.seed,
+                                copies=settings.copies)
 
     for ex in examples:
         print(f"== {ex.id}")

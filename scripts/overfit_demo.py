@@ -14,10 +14,11 @@ import time
 
 import numpy as np
 
+from qanet.config import OptimizerConfig, PathsConfig, RunConfig
 from qanet.data import Vocabulary, example_from_raw
 from qanet.evaluation import evaluate
 from qanet.model import ModelConfig, predict_all
-from qanet.trainer import OptimizerConfig, load_checkpoint, new_run, train
+from qanet.trainer import load_checkpoint, new_run, train
 
 
 def synthetic_dataset(count=50, vocab_size=200, seed=60):
@@ -61,10 +62,12 @@ def main():
     matrix[0] = 0.0
 
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="overfit-demo-")
+    run = RunConfig(model=config, optimizer=opt,
+                    paths=PathsConfig(out_dir=out_dir), seed=args.seed,
+                    log_every=50)
     t0 = time.monotonic()
     params, state = new_run(config, vocab, matrix, args.seed)
-    result = train(examples, vocab, params, state, config, opt,
-                   out_dir=out_dir, log_every=50)
+    result = train(examples, vocab, params, state, run)
     elapsed = time.monotonic() - t0
 
     params, _, _, _, _ = load_checkpoint(result.checkpoint_path)

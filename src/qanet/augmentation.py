@@ -45,6 +45,7 @@ class HttpTranslator:
     POST {base}/translate with {"texts": [...], "beam": k, "direction":
     "forward"|"back"}; the reply carries {"translations": [[...], ...]}
     aligned with the request order, each inner list at most ``beam`` long.
+    The client checks the envelope; ``_translate`` checks the lists.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0,
@@ -86,23 +87,11 @@ class HttpTranslator:
                 body = json.loads(raw.decode("utf-8"))
             except ValueError as err:  # bad UTF-8 or bad JSON
                 raise TranslatorProtocolError(f"unparseable reply: {err}")
-            return _check_reply(body, len(texts), beam)
+            if not isinstance(body, dict) or "translations" not in body:
+                raise TranslatorProtocolError("reply missing 'translations'")
+            return body["translations"]
         raise TranslatorUnavailable(
             f"{self.base_url} unreachable after {self.retries + 1} attempts: {last}")
-
-
-def _check_reply(body, n_texts: int, beam: int) -> list[list[str]]:
-    if not isinstance(body, dict) or "translations" not in body:
-        raise TranslatorProtocolError("reply missing 'translations'")
-    outer = body["translations"]
-    if not isinstance(outer, list) or len(outer) != n_texts:
-        raise TranslatorProtocolError(
-            f"expected {n_texts} translation lists, got {len(outer) if isinstance(outer, list) else type(outer)}")
-    for inner in outer:
-        if not isinstance(inner, list) or len(inner) > beam \
-                or not all(isinstance(s, str) for s in inner):
-            raise TranslatorProtocolError("malformed translation list")
-    return outer
 
 
 _SYNONYMS = {
@@ -270,7 +259,7 @@ def _dice(a: str, ga: Counter, b: str, gb: Counter) -> float:
 
 
 def extract_answer(words: list[str], answer_words: list[str],
-                   threshold: float = 0.5) -> tuple[int, int, str] | None:
+                   threshold: float) -> tuple[int, int, str] | None:
     """Re-locate an answer inside a paraphrase by bigram alignment.
 
     Start candidates are the words scoring highest against the answer's
@@ -316,17 +305,22 @@ def extract_answer(words: list[str], answer_words: list[str],
 
 def _translate(endpoint, texts: list[str], k: int,
                direction: str) -> list[list[str]]:
-    """One request, refused unless it holds one reply per text: replies
-    are matched to texts by position."""
+    """One request, refused unless the reply is one list per text of at most
+    ``k`` strings each: replies are matched to texts by position."""
     out = endpoint.translate(texts, k, direction)
-    if len(out) != len(texts):
+    if not isinstance(out, list) or len(out) != len(texts):
+        got = len(out) if isinstance(out, list) else type(out).__name__
         raise TranslatorProtocolError(
-            f"expected {len(texts)} translation lists, got {len(out)}")
+            f"expected {len(texts)} translation lists, got {got}")
+    for inner in out:
+        if not isinstance(inner, list) or len(inner) > k \
+                or not all(isinstance(s, str) for s in inner):
+            raise TranslatorProtocolError("malformed translation list")
     return out
 
 
 def paraphrase_sentences(sentences: list[str], endpoint,
-                         k: int = 5) -> list[list[str]]:
+                         k: int) -> list[list[str]]:
     """Up to k*k round-trip candidates per sentence, deduplicated, original
     excluded.
 
@@ -334,15 +328,14 @@ def paraphrase_sentences(sentences: list[str], endpoint,
     forward output, so the endpoint must translate each text of a request
     independently of the others.
     """
-    forwards = [inner[:k] for inner in
-                _translate(endpoint, sentences, k, "forward")]
+    forwards = _translate(endpoint, sentences, k, "forward")
     flat = [text for inner in forwards for text in inner]
     backs = iter(_translate(endpoint, flat, k, "back") if flat else [])
     out = []
     for sentence, inner in zip(sentences, forwards):
         seen = {}
         for _ in inner:
-            for candidate in next(backs)[:k]:
+            for candidate in next(backs):
                 if candidate != sentence and candidate not in seen:
                     seen[candidate] = None
         out.append(list(seen))
@@ -355,7 +348,7 @@ def _word_spans(text: str) -> list[tuple[int, int]]:
 
 
 def paraphrase_document(example: QaExample, endpoint, k: int, rng,
-                        threshold: float = 0.5,
+                        threshold: float,
                         new_id: str | None = None) -> QaExample | None:
     """Rebuild a document from per-sentence paraphrases, realigning the answer.
 
@@ -483,7 +476,7 @@ class _ParagraphMemo:
 
 
 def augment_examples(examples, endpoints: dict, k: int, threshold: float,
-                     seed: int, copies: int = 1):
+                     seed: int, copies: int):
     """Paraphrase every example through every endpoint.
 
     ``endpoints`` maps a language tag (e.g. "fr") to a translator; emitted

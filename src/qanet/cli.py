@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -23,8 +22,8 @@ from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
 from .evaluation import evaluate
 from .model import ModelConfig, predict_all, predict_spans
-from .trainer import (_check_eval_every, _train_step, load_checkpoint, new_run,
-                      resume_run, train, use_ema)
+from .trainer import (_train_step, load_checkpoint, new_run, resume_run, train,
+                      use_ema)
 
 
 def _resolved_config(args) -> RunConfig:
@@ -69,11 +68,10 @@ def _cmd_train(args) -> int:
     dev = None
     if paths.dev_data:
         dev = _parse_qa(paths.dev_data, "eval", config.model)
-    _check_eval_every(config.eval_every, dev)
 
     # On resume the weights, vocabulary and seed come from the checkpoint,
-    # and differing settings fail before out_dir is written; config.json
-    # records the seed that trains.
+    # and differing settings fail here; train makes its own refusals before
+    # out_dir exists, then records the seed that trains in config.json.
     if args.resume:
         params, state, vocab = resume_run(args.resume, config.model,
                                           config.optimizer)
@@ -103,17 +101,8 @@ def _cmd_train(args) -> int:
             [examples, pool(paths.augmented_fr), pool(paths.augmented_de)],
             (mix.mix_orig, mix.mix_fr, mix.mix_de), seed=state.seed)
 
-    os.makedirs(paths.out_dir, exist_ok=True)
-    with open(os.path.join(paths.out_dir, "config.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({**to_flat(config), "seed": state.seed}, fh, indent=2,
-                  sort_keys=True)
-
-    result = train(examples, vocab, params, state, config.model,
-                   config.optimizer, out_dir=paths.out_dir, dev_examples=dev,
-                   eval_every=config.eval_every,
-                   checkpoint_every=config.checkpoint_every,
-                   log_every=config.log_every, sampler=sampler)
+    result = train(examples, vocab, params, state, config, dev_examples=dev,
+                   sampler=sampler)
     print(json.dumps({"checkpoint": result.checkpoint_path,
                       "metrics": result.metrics_path,
                       "steps": result.steps_run}))

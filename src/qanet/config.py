@@ -13,13 +13,35 @@ from dataclasses import asdict, dataclass, field
 
 from .augmentation import _mix_shares
 from .model import ModelConfig
-from .trainer import OptimizerConfig
 
 ENV_CONFIG_VAR = "QANET_CONFIG"
 
 
 class UnknownConfigKey(ValueError):
     """A config file or override names a field that does not exist."""
+
+
+@dataclass
+class OptimizerConfig:
+    beta1: float = 0.8
+    beta2: float = 0.999
+    eps: float = 1e-7
+    target_lr: float = 0.001
+    warmup_steps: int = 1000
+    weight_decay: float = 3e-7
+    ema_decay: float = 0.9999
+    batch_size: int = 32
+    total_steps: int = 1000
+
+    def __post_init__(self):
+        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
+            raise ValueError("betas must lie in (0, 1)")
+        for name in ("eps", "target_lr", "warmup_steps", "ema_decay",
+                     "batch_size", "total_steps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
 
 
 @dataclass

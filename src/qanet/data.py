@@ -281,7 +281,7 @@ class Vocabulary:
         return vocab
 
 
-def load_word_vectors(path, dim: int, seed: int = 0) -> tuple[Vocabulary, np.ndarray]:
+def load_word_vectors(path, dim: int, seed: int) -> tuple[Vocabulary, np.ndarray]:
     """Load ``token v1 ... vdim`` lines into (vocabulary, matrix).
 
     Row 0 (padding) is zeros; row 1 (unknown) is a seeded random draw and is

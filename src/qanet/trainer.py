@@ -16,6 +16,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .config import OptimizerConfig, RunConfig, to_flat
 from .data import Vocabulary, build_batch, make_batches
 from .evaluation import evaluate
 from .model import (
@@ -46,29 +47,6 @@ class ConfigMismatch(ValueError):
 
 class NonFiniteStep(FloatingPointError):
     """A training step produced an infinite or NaN loss or gradient."""
-
-
-@dataclass
-class OptimizerConfig:
-    beta1: float = 0.8
-    beta2: float = 0.999
-    eps: float = 1e-7
-    target_lr: float = 0.001
-    warmup_steps: int = 1000
-    weight_decay: float = 3e-7
-    ema_decay: float = 0.9999
-    batch_size: int = 32
-    total_steps: int = 1000
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("betas must lie in (0, 1)")
-        for name in ("eps", "target_lr", "warmup_steps", "ema_decay",
-                     "batch_size", "total_steps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
 
 
 @dataclass
@@ -253,12 +231,6 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainState, ModelConfig,
     return params, state, model_config, opt_config, vocab
 
 
-def _check_eval_every(eval_every: int, dev_examples) -> None:
-    """Refuse a dev evaluation period with no dev question to evaluate."""
-    if eval_every and not dev_examples:
-        raise ValueError("eval_every needs a paths.dev_data file with questions")
-
-
 def _derived_seed(seed: int, lane: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, lane, index]).generate_state(1)[0])
 
@@ -341,30 +313,37 @@ def resume_run(path: str, model_config: ModelConfig, opt_config: OptimizerConfig
 
 
 def train(examples, vocab: Vocabulary, params: ModelParams, state: TrainState,
-          model_config: ModelConfig, opt_config: OptimizerConfig, out_dir: str,
-          dev_examples=None, eval_every: int = 0, checkpoint_every: int = 0,
-          log_every: int = 1, sampler=None) -> TrainResult:
-    """Continue a run from ``state.step`` to ``opt_config.total_steps``.
+          config: RunConfig, dev_examples=None, sampler=None) -> TrainResult:
+    """Continue a run from ``state.step`` to ``config.optimizer.total_steps``.
 
     ``params`` and ``state`` come from :func:`new_run` or :func:`resume_run`;
-    the loop draws every batch and dropout mask from ``state.seed``.
-    ``sampler`` (optional) is an infinite example stream that replaces the
-    per-epoch shuffling; it is fast-forwarded past the steps already run so
-    a resume stays step-for-step deterministic. When ``state.step`` is past
-    0 the metrics log is cut back to that step. A non-finite loss or
-    gradient stops the run before that step's update, log record or
-    checkpoint. An ``eval_every`` without dev examples is refused before
-    anything is written.
+    the loop draws every batch and dropout mask from ``state.seed`` and
+    takes every other setting from ``config``. ``sampler`` (optional) is an
+    infinite example stream that replaces the per-epoch shuffling; it is
+    fast-forwarded past the steps already run so a resume stays
+    step-for-step deterministic. An empty training set without a sampler
+    and an ``eval_every`` without dev examples are refused before
+    ``paths.out_dir`` exists. Then ``config.json`` records the settings and
+    the seed that trains; when ``state.step`` is past 0 the metrics log is
+    cut back to that step. A non-finite loss or gradient stops the run
+    before that step's update, log record or checkpoint.
     """
     if not examples and sampler is None:
         raise ValueError("empty training set")
-    _check_eval_every(eval_every, dev_examples)
+    if config.eval_every and not dev_examples:
+        raise ValueError("eval_every needs a paths.dev_data file with questions")
+    model_config, opt_config = config.model, config.optimizer
+    out_dir = config.paths.out_dir
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     checkpoint_path = os.path.join(out_dir, "model.ckpt")
     batches = _batch_stream(examples, vocab, model_config, opt_config,
                             state.seed, sampler, state.step)
 
     os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump({**to_flat(config), "seed": state.seed}, fh, indent=2,
+                  sort_keys=True)
     kept = []
     if state.step > 0 and os.path.exists(metrics_path):
         # Records past the checkpoint (written before a crash, or by a run
@@ -384,17 +363,16 @@ def train(examples, vocab: Vocabulary, params: ModelParams, state: TrainState,
             loss, lr = _train_step(params, state, model_config, opt_config,
                                    next(batches))
             step = state.step
-            if log_every and (step % log_every == 0
-                              or step == opt_config.total_steps):
+            if step % config.log_every == 0 or step == opt_config.total_steps:
                 emit({"step": step, "loss": loss, "lr": lr})
-            if eval_every and step % eval_every == 0:
+            if config.eval_every and step % config.eval_every == 0:
                 with use_ema(params, state):
                     predictions = predict_all(params, model_config,
                                               dev_examples, vocab)
                 result = evaluate(predictions, dev_examples)
                 emit({"step": step, "dev_em": result.exact_match,
                       "dev_f1": result.f1})
-            if checkpoint_every and step % checkpoint_every == 0:
+            if config.checkpoint_every and step % config.checkpoint_every == 0:
                 save_checkpoint(checkpoint_path, params, state, model_config,
                                 opt_config, vocab)
         save_checkpoint(checkpoint_path, params, state, model_config,

@@ -154,7 +154,7 @@ class TestExtractAnswer:
                     "of Preparatory Studies .")
         words = sentence.split()
         answer = "Department of Pre-Professional Studies".split()
-        got = extract_answer(words, answer)
+        got = extract_answer(words, answer, threshold=0.5)
         assert got is not None
         s, e, text = got
         assert text == "Department of Preparatory Studies"
@@ -162,34 +162,35 @@ class TestExtractAnswer:
 
     def test_verbatim_answer_scores_one(self):
         words = "the winner was Ada Lovelace according to them".split()
-        got = extract_answer(words, ["Ada", "Lovelace"])
+        got = extract_answer(words, ["Ada", "Lovelace"], threshold=0.5)
         assert got == (3, 4, "Ada Lovelace")
 
     def test_unrelated_words_eliminated(self):
-        assert extract_answer("xxq zzp rrw".split(), ["university"]) is None
+        assert extract_answer("xxq zzp rrw".split(), ["university"],
+                              threshold=0.5) is None
 
     def test_threshold_boundary(self):
-        # single word pair scoring exactly 0.25 sits under the 0.5 default
-        assert extract_answer(["nacht"], ["night"]) is None
+        # single word pair scoring exactly 0.25: refused at 0.5, kept at 0.25
+        assert extract_answer(["nacht"], ["night"], threshold=0.5) is None
         assert extract_answer(["nacht"], ["night"], threshold=0.25) is not None
 
     def test_leftmost_tie(self):
-        got = extract_answer(["aa", "zz", "aa"], ["aa"])
+        got = extract_answer(["aa", "zz", "aa"], ["aa"], threshold=0.5)
         assert got == (0, 0, "aa")
 
     def test_single_char_answer(self):
-        got = extract_answer(["a", "b", "a"], ["a"])
+        got = extract_answer(["a", "b", "a"], ["a"], threshold=0.5)
         assert got == (0, 0, "a")
 
     def test_crossed_candidates_skipped(self):
         # best start occurs after best end; only ordered pairs count
-        got = extract_answer(["tail", "head"], ["head", "tail"])
+        got = extract_answer(["tail", "head"], ["head", "tail"], threshold=0.5)
         assert got is None or got[0] <= got[1]
 
     def test_empty_inputs(self):
         with pytest.raises(ValueError):
-            extract_answer(["a"], [])
-        assert extract_answer([], ["a"]) is None
+            extract_answer(["a"], [], threshold=0.5)
+        assert extract_answer([], ["a"], threshold=0.5) is None
 
     @given(st.integers(0, 3), st.integers(0, 3),
            st.integers(1, 3))
@@ -198,7 +199,7 @@ class TestExtractAnswer:
         filler = ["qqq", "vvv", "zzz"]
         answer = ["alpha", "bravo", "canyon"][:width]
         words = filler[:left] + answer + filler[:right]
-        got = extract_answer(words, answer)
+        got = extract_answer(words, answer, threshold=0.5)
         assert got is not None
         s, e, text = got
         assert text == " ".join(answer)
@@ -304,7 +305,7 @@ class TestRuleTranslator:
             "Department of Pre-Professional Studies",
             context.index("Department of Pre-Professional"))
         got = paraphrase_document(ex, RuleTranslator("fr"), k=5,
-                                  rng=np.random.default_rng(0))
+                                  rng=np.random.default_rng(0), threshold=0.5)
         assert got is not None and got is not ex
         assert got.answer_text == "Department of Preparatory Studies"
         lo, hi = got.answer_char_range()
@@ -430,9 +431,11 @@ class TestHttpTranslator:
         assert all(c.startswith("seed text|f") for c in got)
 
     def test_wrong_arity_is_protocol_error(self, http_port):
+        """The client checks the envelope; the count is refused where every
+        endpoint's reply is checked."""
         t = HttpTranslator(f"http://127.0.0.1:{http_port}/short", retries=0)
         with pytest.raises(TranslatorProtocolError):
-            t.translate(["a", "b"], 2, "forward")
+            paraphrase_sentences(["a", "b"], t, k=2)
 
     def test_non_json_is_protocol_error(self, http_port):
         t = HttpTranslator(f"http://127.0.0.1:{http_port}/html", retries=0)
@@ -518,7 +521,8 @@ class TestParaphraseDocument:
         ex = _doc_example()
         endpoint = ScriptedTranslator(_doc_script())
         rng = np.random.default_rng(0)
-        got = paraphrase_document(ex, endpoint, k=5, rng=rng, new_id="q1-fr-1")
+        got = paraphrase_document(ex, endpoint, k=5, rng=rng, threshold=0.5,
+                                  new_id="q1-fr-1")
         assert got is not None and got is not ex
         assert got.id == "q1-fr-1"
         assert got.question_text == ex.question_text
@@ -534,7 +538,7 @@ class TestParaphraseDocument:
         script[("back", "F1")] = ["The roof was blue."]
         ex = _doc_example()
         got = paraphrase_document(ex, ScriptedTranslator(script), k=5,
-                                  rng=np.random.default_rng(0))
+                                  rng=np.random.default_rng(0), threshold=0.5)
         assert got is not None
         assert "Its roof was red." in got.context_text
         assert "The large house" in got.context_text
@@ -543,14 +547,15 @@ class TestParaphraseDocument:
     def test_identity_endpoint_is_noop(self):
         ex = _doc_example()
         got = paraphrase_document(ex, ScriptedTranslator(), k=5,
-                                  rng=np.random.default_rng(0))
+                                  rng=np.random.default_rng(0), threshold=0.5)
         assert got is ex
 
     def test_unlabeled_example_skipped(self):
         ex = _doc_example()
         ex.answer_span = None
         assert paraphrase_document(ex, ScriptedTranslator(_doc_script()), k=5,
-                                   rng=np.random.default_rng(0)) is None
+                                   rng=np.random.default_rng(0),
+                                   threshold=0.5) is None
 
     def test_cross_sentence_answer(self):
         """The sentences an answer spans travel as one unit, whole answer
@@ -560,7 +565,7 @@ class TestParaphraseDocument:
                               context.index("hill"))
         endpoint = CountingTranslator("fr")
         got = paraphrase_document(ex, endpoint, k=2,
-                                  rng=np.random.default_rng(0))
+                                  rng=np.random.default_rng(0), threshold=0.5)
         assert endpoint.requests[0] == (
             "forward", ["The road led to a hill. Its roof was red.",
                         "The big gate shut."])
@@ -576,7 +581,8 @@ class TestParaphraseDocument:
         seen = set()
         for seed in range(40):
             got = paraphrase_document(ex, ScriptedTranslator(script), k=5,
-                                      rng=np.random.default_rng(seed))
+                                      rng=np.random.default_rng(seed),
+                                      threshold=0.5)
             for option in script[("back", "F1")]:
                 if option in got.context_text:
                     seen.add(option)
@@ -585,7 +591,7 @@ class TestParaphraseDocument:
     def test_validates_on_construction(self):
         ex = _doc_example()
         got = paraphrase_document(ex, ScriptedTranslator(_doc_script()), k=5,
-                                  rng=np.random.default_rng(3))
+                                  rng=np.random.default_rng(3), threshold=0.5)
         got.validate()
 
 
@@ -691,14 +697,16 @@ class TestAugmentExamples:
     def test_noops_skipped(self):
         examples = [_single_sentence_example("a")]
         got = augment_examples(examples, {"fr": ScriptedTranslator()}, k=5,
-                               threshold=0.5, seed=0)
+                               threshold=0.5, seed=0, copies=1)
         assert got == {"fr": []}
 
     def test_deterministic(self):
         examples = [_single_sentence_example("a")]
         endpoints = {"fr": RuleTranslator("fr")}
-        one = augment_examples(examples, endpoints, k=3, threshold=0.5, seed=9)
-        two = augment_examples(examples, endpoints, k=3, threshold=0.5, seed=9)
+        one = augment_examples(examples, endpoints, k=3, threshold=0.5, seed=9,
+                               copies=1)
+        two = augment_examples(examples, endpoints, k=3, threshold=0.5, seed=9,
+                               copies=1)
         assert [e.context_text for e in one["fr"]] == \
             [e.context_text for e in two["fr"]]
 
@@ -706,7 +714,7 @@ class TestAugmentExamples:
         examples = [_single_sentence_example("a")]
         endpoints = {"fr": ScriptedTranslator(_lang_script("squad"))}
         pools = augment_examples(examples, endpoints, k=5, threshold=0.5,
-                                 seed=3)
+                                 seed=3, copies=1)
         path = tmp_path / "aug.json"
         write_squad_json(str(path), pools["fr"])
         back = parse_qa_json(str(path), split="train")
@@ -803,7 +811,7 @@ class TestRequestTraffic:
                      "de": CountingTranslator("de")}
         augment_examples(_questions(_HOUSE, 3, "a")
                          + _questions(_STADIUM, 2, "b"),
-                         endpoints, k=3, threshold=0.5, seed=0)
+                         endpoints, k=3, threshold=0.5, seed=0, copies=1)
         for endpoint in endpoints.values():
             assert endpoint.directions() == ["forward", "back"] * 2
             forward_texts = endpoint.requests[0][1]
@@ -812,9 +820,9 @@ class TestRequestTraffic:
     def test_later_questions_on_a_paragraph_send_nothing(self):
         one, many = CountingTranslator(), CountingTranslator()
         augment_examples(_questions(_HOUSE, 1, "a"), {"fr": one}, k=3,
-                         threshold=0.5, seed=0)
+                         threshold=0.5, seed=0, copies=1)
         augment_examples(_questions(_HOUSE, 4, "a"), {"fr": many}, k=3,
-                         threshold=0.5, seed=0)
+                         threshold=0.5, seed=0, copies=1)
         assert many.requests == one.requests
         assert len(one.requests) == 2
 
@@ -829,14 +837,14 @@ class TestRequestTraffic:
         examples = (_questions(_HOUSE, 1, "a") + _questions(_STADIUM, 1, "b")
                     + _questions(_HOUSE, 1, "c"))
         augment_examples(examples, {"fr": endpoint}, k=3, threshold=0.5,
-                         seed=0)
+                         seed=0, copies=1)
         assert endpoint.directions() == ["forward", "back"] * 3
         assert endpoint.requests[0] == endpoint.requests[4]
 
     def test_repeated_sentence_sent_once(self):
         endpoint = CountingTranslator()
         augment_examples(_questions(_DEPARTMENTS, 1, "a"), {"fr": endpoint},
-                         k=3, threshold=0.5, seed=0)
+                         k=3, threshold=0.5, seed=0, copies=1)
         (_, forward), (_, back) = endpoint.requests
         repeated = "The big team will start in March."
         assert forward.count(repeated) == 1
@@ -882,4 +890,23 @@ class _BrokenBack:
 def test_batched_back_failure_propagates(make, error, http_port):
     with pytest.raises(error):
         augment_examples(_questions(_HOUSE, 2, "a"), {"fr": make(http_port)},
-                         k=3, threshold=0.5, seed=0)
+                         k=3, threshold=0.5, seed=0, copies=1)
+
+
+class _SameReply:
+    """In-process endpoint that answers every text with ``reply``."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def translate(self, texts, beam, direction):
+        return [list(self.reply) for _ in texts]
+
+
+@pytest.mark.parametrize("reply", [["a", "b", "c", "d", "e", "f"], ["a", 3]],
+                         ids=["beam-plus-3", "non-string"])
+def test_in_process_reply_checked_like_http(reply):
+    """A reply list longer than the beam, or holding a non-string, is
+    refused for every endpoint, not cut or left to fail in tokenize."""
+    with pytest.raises(TranslatorProtocolError, match="malformed"):
+        paraphrase_sentences(["s"], _SameReply(reply), k=3)

@@ -1,6 +1,7 @@
 """Config plumbing and end-to-end command-line flows on tiny fixtures."""
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -21,9 +22,9 @@ from qanet.config import (
     resolve_config,
     to_flat,
 )
-from qanet.data import parse_qa_json
+from qanet.data import Vocabulary, parse_qa_json
 import qanet.trainer
-from qanet.trainer import CHECKPOINT_VERSION
+from qanet.trainer import CHECKPOINT_VERSION, new_run, train
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "src")
@@ -303,6 +304,36 @@ class TestTrainCommand:
         assert code == 1
         assert "eval_every" in err and "paths.dev_data" in err
         assert not out.exists()
+
+    def test_refused_run_writes_nothing(self, tmp_path, capsys):
+        """A file whose every context is over model.max_context_len leaves
+        nothing to train on; train refuses it before out_dir exists."""
+        out = tmp_path / "run"
+        data = _dataset(tmp_path / "data.json", n=1)
+        cfg = _config_file(tmp_path / "cfg.json", data, str(out),
+                           extra={"model.max_context_len": 3})
+        assert main(["train", "--config", cfg]) == 1
+        assert "error: empty training set" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_library_run_writes_the_cli_config_json(self, trained, tmp_path,
+                                                    capsys):
+        """train writes config.json itself, so a library run with the
+        command's settings and seed records the same bytes."""
+        out = tmp_path / "run"
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out))
+        assert main(["train", "--config", cfg, "--seed", "6"]) == 0
+        capsys.readouterr()
+        written = (out / "config.json").read_bytes()
+        shutil.rmtree(out)
+        config = from_flat({"seed": 6}, base=load_run_config(cfg))
+        examples = parse_qa_json(trained["data"], split="train")
+        vocab = Vocabulary.from_words(
+            [w for ex in examples for w in ex.context_tokens])
+        matrix = np.zeros((len(vocab), config.model.word_dim))
+        params, state = new_run(config.model, vocab, matrix, config.seed)
+        train(examples, vocab, params, state, config)
+        assert (out / "config.json").read_bytes() == written
 
     def test_eval_every_takes_dev_data_from_override(self, trained, tmp_path,
                                                      capsys):

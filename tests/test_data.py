@@ -186,13 +186,13 @@ class TestVectors:
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 oops", encoding="utf-8")
         with pytest.raises(D.BadVectorLine):
-            D.load_word_vectors(path, dim=2)
+            D.load_word_vectors(path, dim=2, seed=0)
 
     def test_wrong_width_raises(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0", encoding="utf-8")
         with pytest.raises(D.BadVectorLine):
-            D.load_word_vectors(path, dim=2)
+            D.load_word_vectors(path, dim=2, seed=0)
 
 
 def toy_examples(count, ctx_len=6, vocab=None):

@@ -173,8 +173,8 @@ def test_default_scan_matches_position_keyword_and_class(tmp_path):
         "lib.f.c", "lib.K.b", "lib.K.m.a", "lib.K.s.b"]
 
 
-# Defaults that restate a ModelConfig or OptimizerConfig default under the
-# field's own name, each with its reason.
+# Defaults that restate a config default under the field's own name, each
+# with its reason.
 _NO_CONFIG = "perfbench's augment_http parses its input with no model config"
 CONFIG_COPIES = {
     "data.parse_qa_json.max_context_len": _NO_CONFIG,
@@ -182,18 +182,24 @@ CONFIG_COPIES = {
 }
 
 
+# The classes that hold the run's settings.
+CONFIG_HOLDERS = ("ModelConfig", "OptimizerConfig", "AugmentationConfig",
+                  "PathsConfig", "RunConfig")
+
+
 def config_defaults():
-    """{field name: default} over ModelConfig and OptimizerConfig."""
-    from qanet.model import ModelConfig
-    from qanet.trainer import OptimizerConfig
-    return {f.name: f.default for cls in (ModelConfig, OptimizerConfig)
-            for f in dataclasses.fields(cls)}
+    """{field name: default} over every holder's fields; RunConfig's section
+    fields have a factory, not a default, so its top-level fields count."""
+    import qanet.config
+    return {f.name: f.default for name in CONFIG_HOLDERS
+            for f in dataclasses.fields(getattr(qanet.config, name))
+            if f.default is not dataclasses.MISSING}
 
 
 def literal_defaults(package=PACKAGE):
     """(module.owner.name, name, default node) for each defaulted parameter
     of any function or method and each defaulted field of any class but the
-    two configs themselves."""
+    holders themselves."""
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef):
@@ -205,8 +211,8 @@ def literal_defaults(package=PACKAGE):
                           if d is not None]
                 for arg, default in pairs:
                     yield f"{path.stem}.{node.name}.{arg.arg}", arg.arg, default
-            elif isinstance(node, ast.ClassDef) and node.name not in (
-                    "ModelConfig", "OptimizerConfig"):
+            elif isinstance(node, ast.ClassDef) and \
+                    node.name not in CONFIG_HOLDERS:
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                         name = stmt.target.id
@@ -255,9 +261,6 @@ def test_config_copy_scan_matches_name_and_value(tmp_path):
 # Private names a module of the package imports from another, each with its
 # reason.
 PRIVATE_IMPORTS = {
-    "cli._check_eval_every": "train refuses the setting before it writes "
-                             "config.json, as trainer.train does before "
-                             "its log",
     "cli._train_step": "qanet bench times the step trainer.train runs",
     "config._mix_shares": "AugmentationConfig refuses the mix weights "
                           "mixed_sampler would refuse",

@@ -8,13 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from qanet.config import OptimizerConfig, PathsConfig, RunConfig
 from qanet.data import Vocabulary, build_batch, example_from_raw
 from qanet.model import ModelConfig, named_parameters
 from qanet.tensor import Tensor, add
 import qanet.trainer
 from qanet.trainer import (
     CHECKPOINT_VERSION, CheckpointShapeMismatch, ConfigMismatch,
-    MissingGradient, NonFiniteStep, OptimizerConfig, _train_step, adam_step,
+    MissingGradient, NonFiniteStep, _train_step, adam_step,
     check_finite, ema_update, init_train_state, load_checkpoint, lr_schedule,
     new_run, resume_run, save_checkpoint, train, use_ema,
 )
@@ -68,13 +69,18 @@ def short_opt(**kw):
 
 
 def run_train(examples, vocab, matrix, config, opt, out_dir, resume=None,
-              **kw):
-    """``train`` from ``new_run`` at seed 5, or from ``resume_run(resume)``."""
+              dev_examples=None, **settings):
+    """``train`` from ``new_run`` at seed 5, or from ``resume_run(resume)``,
+    logging every step unless ``settings`` (RunConfig's top-level fields)
+    say otherwise."""
+    run = RunConfig(model=config, optimizer=opt,
+                    paths=PathsConfig(out_dir=out_dir), seed=5,
+                    **{"log_every": 1, **settings})
     if resume:
         params, state, vocab = resume_run(resume, config, opt)
     else:
         params, state = new_run(config, vocab, matrix, 5)
-    return train(examples, vocab, params, state, config, opt, out_dir, **kw)
+    return train(examples, vocab, params, state, run, dev_examples)
 
 
 class TestSchedule:
@@ -546,6 +552,7 @@ class TestTrainLoop:
 
     def test_empty_dataset_rejected(self, tmp_path):
         _, vocab, matrix = tiny_dataset()
-        with pytest.raises(ValueError):
-            run_train([], vocab, matrix, ModelConfig(**TOY), short_opt(),
-                      os.path.join(tmp_path, "e"))
+        out = os.path.join(tmp_path, "e")
+        with pytest.raises(ValueError, match="empty training set"):
+            run_train([], vocab, matrix, ModelConfig(**TOY), short_opt(), out)
+        assert not os.path.exists(out)
