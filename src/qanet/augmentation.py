@@ -303,15 +303,20 @@ def extract_answer(words: list[str], answer_words: list[str],
 # Sentence and document paraphrasing
 
 
-def _translate(endpoint, texts: list[str], k: int,
-               direction: str) -> list[list[str]]:
-    """One request, refused unless the reply is one list per text of at most
-    ``k`` strings each: replies are matched to texts by position."""
-    out = endpoint.translate(texts, k, direction)
+def _one_per_text(out, texts: list[str]) -> list:
+    """``out`` if it holds one reply per text, matched to texts by position."""
     if not isinstance(out, list) or len(out) != len(texts):
         got = len(out) if isinstance(out, list) else type(out).__name__
         raise TranslatorProtocolError(
             f"expected {len(texts)} translation lists, got {got}")
+    return out
+
+
+def _translate(endpoint, texts: list[str], k: int,
+               direction: str) -> list[list[str]]:
+    """One request, refused unless the reply is one list per text of at most
+    ``k`` strings each."""
+    out = _one_per_text(endpoint.translate(texts, k, direction), texts)
     for inner in out:
         if not isinstance(inner, list) or len(inner) > k \
                 or not all(isinstance(s, str) for s in inner):
@@ -458,7 +463,8 @@ class _ParagraphMemo:
 
     A request forwards only the texts not yet answered, each once.
     ``augment_examples`` makes a fresh memo whenever the context changes,
-    so it holds at most one paragraph's round trips.
+    so it holds at most one paragraph's round trips. It checks only a
+    reply's count; the caller's ``_translate`` checks the lists.
     """
 
     def __init__(self, endpoint):
@@ -469,7 +475,8 @@ class _ParagraphMemo:
         missing = list(dict.fromkeys(
             t for t in texts if (direction, beam, t) not in self.replies))
         if missing:
-            replies = _translate(self.endpoint, missing, beam, direction)
+            replies = _one_per_text(
+                self.endpoint.translate(missing, beam, direction), missing)
             for text, reply in zip(missing, replies):
                 self.replies[direction, beam, text] = reply
         return [self.replies[direction, beam, t] for t in texts]

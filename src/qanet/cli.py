@@ -22,8 +22,8 @@ from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
 from .evaluation import evaluate
 from .model import ModelConfig, predict_all, predict_spans
-from .trainer import (_train_step, load_checkpoint, new_run, resume_run, train,
-                      use_ema)
+from .trainer import (_train_step, check_eval_every, load_checkpoint, new_run,
+                      resume_run, train, use_ema)
 
 
 def _resolved_config(args) -> RunConfig:
@@ -68,6 +68,7 @@ def _cmd_train(args) -> int:
     dev = None
     if paths.dev_data:
         dev = _parse_qa(paths.dev_data, "eval", config.model)
+    check_eval_every(config, dev)  # before vectors or a checkpoint are read
 
     # On resume the weights, vocabulary and seed come from the checkpoint,
     # and differing settings fail here; train makes its own refusals before

@@ -93,12 +93,11 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name in ("seed", "eval_every", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
-        if self.eval_every < 0 or self.checkpoint_every < 0:
-            raise ValueError("periodic intervals must be non-negative")
 
 
 _SECTIONS = {"model": ModelConfig, "optimizer": OptimizerConfig,

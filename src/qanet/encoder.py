@@ -199,7 +199,8 @@ def init_encoder_stack(config: EncoderBlockConfig, rng) -> EncoderStackParams:
 def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
                           params: EncoderStackParams, mask: np.ndarray | None,
                           train_mode: bool = False, rng=None) -> Tensor:
-    """Run the full stack. ``mask`` is (..., n) with 1.0 on real tokens.
+    """Run the full stack over ``x`` (batch, n, d). ``mask`` is None or
+    (batch, n) with 1.0 on real tokens.
 
     Convolution inputs and outputs are zeroed on padded positions so no
     information bleeds through the receptive field; attention masks its

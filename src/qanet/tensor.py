@@ -4,7 +4,8 @@ Values are stored as row-major 64-bit numpy arrays. Every operation computes
 its result eagerly and, when any input requires gradients, hangs a tape
 record off the output. ``backward`` walks the records reachable from a
 scalar loss in reverse topological order and accumulates gradients into
-the leaves only: ``requires_grad`` tensors no op produced. The adjoints of
+the leaves only: ``requires_grad`` tensors no op produced. A loss that no
+op produced has nothing to walk and is refused. The adjoints of
 op outputs live only while ``backward`` runs, so an output's ``.grad``
 stays None. Repeated calls accumulate until the leaves' grads are zeroed.
 
@@ -18,10 +19,10 @@ their input. Beyond that:
 
 - :func:`dense` is ``x @ w + b`` in one record, the bias added in place;
   it keeps ``x`` and ``w``.
-- :func:`depthwise_separable_conv1d` takes an optional 0/1 position
-  ``mask`` and zeroes padded positions of its input and output itself. It
-  keeps its inputs, the mask and the depthwise output, and rebuilds the
-  zero-padded input in backward.
+- :func:`depthwise_separable_conv1d` takes (batch, length, channels)
+  input and an optional 0/1 position ``mask``, and zeroes padded positions
+  of its input and output itself. It keeps its inputs, the mask and the
+  depthwise output, and rebuilds the zero-padded input in backward.
 - Both take an epilogue: given a ``residual`` and a :class:`DropoutMask`
   ``dropout``, the result is ``residual + dropout ⊙ op(x)``, formed in
   place in the op's own result buffer, so a residual sublayer ends in one
@@ -43,7 +44,8 @@ them (FlashAttention, arXiv 2205.14135), and uses
 so its softmax term costs an (n, dh) product, not an (n, m) one.
 
 The engine itself is deterministic: dropout masks are drawn by callers from
-an explicit seeded generator with :func:`dropout_mask` and applied by
+an explicit seeded generator with :func:`dropout_mask`, whose rate lies
+strictly between 0 and 1 (a caller with rate 0 draws no mask), and applied by
 :func:`dropout_apply` or an op's epilogue. A graph must stay on a single
 thread; independent graphs on separate threads are fine.
 """
@@ -152,9 +154,6 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
     if loss.op is None:
-        if loss.requires_grad:
-            loss.grad += 1.0
-            return
         raise DetachedTensor("loss has no recorded operations")
 
     # Depth-first post-order: every op lands after the ops making its inputs,
@@ -178,10 +177,7 @@ def backward(loss: Tensor) -> None:
 
     adjoints: dict[int, np.ndarray] = {id(loss.op): np.ones_like(loss.data)}
     for op in reversed(order):
-        grad_out = adjoints.pop(id(op), None)
-        if grad_out is None:
-            continue
-        for t, g in zip(op.inputs, op.backward_fn(grad_out)):
+        for t, g in zip(op.inputs, op.backward_fn(adjoints.pop(id(op)))):
             if g is None or not t.requires_grad:
                 continue
             if t.op is None:
@@ -439,18 +435,9 @@ def concat(tensors, axis: int) -> Tensor:
             if i != ax and da != db:
                 raise DimensionMismatch(f"concat: {tensors[0].shape} vs {t.shape} on axis {ax}")
     out = np.concatenate([t.data for t in tensors], axis=ax)
-    sizes = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        pieces = []
-        for i in range(len(sizes)):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = slice(offsets[i], offsets[i + 1])
-            pieces.append(g[tuple(sl)])
-        return tuple(pieces)
-
-    return _result("concat", tuple(tensors), out, bwd)
+    cuts = np.cumsum([t.shape[ax] for t in tensors[:-1]])
+    return _result("concat", tuple(tensors), out,
+                   lambda g: tuple(np.split(g, cuts, axis=ax)))
 
 
 def reshape(x, shape) -> Tensor:
@@ -590,10 +577,8 @@ def dropout_apply(x, mask: DropoutMask) -> Tensor:
 
 def dropout_mask(rng, shape, rate: float) -> DropoutMask:
     """Inverted-dropout mask: drop with probability ``rate``, else scale by 1/(1-rate)."""
-    if rate <= 0.0:
-        return DropoutMask(np.ones(shape, dtype=bool), 1.0)
-    if rate >= 1.0:
-        raise ValueError("dropout rate must be < 1")
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"dropout rate must lie in (0, 1), got {rate}")
     keep = 1.0 - rate
     return DropoutMask(rng.random(shape) < keep, 1.0 / keep)
 
@@ -602,9 +587,10 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
                                mask=None, residual=None, dropout=None) -> Tensor:
     """Per-channel conv over positions, then a pointwise channel mix.
 
-    ``x`` is (length, channels) or (batch, length, channels). The depth
-    kernel is (width, channels), the point kernel (channels, out_channels),
-    bias (out_channels,). Width must be odd; padding is 'same' with zeros.
+    ``x`` is (batch, length, channels); one sequence is a batch of one.
+    The depth kernel is (width, channels), the point kernel (channels,
+    out_channels), bias (out_channels,). Width must be odd; padding is
+    'same' with zeros.
     ``mask`` is None or a 0/1 array that broadcasts to ``x`` without its
     channel axis; positions with mask 0 are zeroed in the input, so they
     feed nothing, and in the output. ``residual`` and ``dropout`` work as
@@ -616,11 +602,8 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
     x, depth_kernel = _as_tensor(x), _as_tensor(depth_kernel)
     point_kernel, bias = _as_tensor(point_kernel), _as_tensor(bias)
     xd = x.data
-    squeeze = xd.ndim == 2
-    if squeeze:
-        xd = xd[None]
     if xd.ndim != 3:
-        raise DimensionMismatch(f"conv input must be 2-D or 3-D, got {x.shape}")
+        raise DimensionMismatch(f"conv input must be 3-D, got {x.shape}")
     batch, length, channels = xd.shape
     if depth_kernel.ndim != 2 or depth_kernel.shape[1] != channels:
         raise DimensionMismatch(f"depth kernel {depth_kernel.shape} vs {channels} channels")
@@ -655,8 +638,6 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
     out += bias.data
     if mask is not None:
         out *= mask
-    if squeeze:
-        out = out[0]
     inputs = _epilogue("depthwise_separable_conv1d", out,
                        (x, depth_kernel, point_kernel, bias), residual, dropout)
     dk, pk = depth_kernel.data, point_kernel.data
@@ -678,8 +659,6 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
                        dk[::-1])
         if mask is not None:
             gx *= mask
-        if squeeze:
-            gx = gx[0]
         return gx, g_dk, g_point, g_bias, g  # zip drops g when there is no residual
 
     return _result("depthwise_separable_conv1d", inputs, out, bwd)

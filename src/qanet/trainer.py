@@ -203,6 +203,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainState, ModelConfig,
     The format is :func:`save_checkpoint`'s. The header's tensor list must
     equal :func:`_checkpoint_entries`' names and shapes, in order; the first
     difference raises :class:`CheckpointShapeMismatch` naming both sides.
+    Each array is read once, into place; a short or overlong file is refused.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
@@ -213,8 +214,12 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainState, ModelConfig,
         placeholder = np.zeros((len(vocab.words), model_config.word_dim))
         params = init_model_params(model_config, placeholder, len(vocab.chars),
                                    np.random.default_rng(0))
-        state = init_train_state(params, header["seed"])
-        state.step = header["step"]
+        for _, tensor in named_tensors(params):  # filled from the file below
+            tensor.data = np.empty(tensor.shape, dtype="<f8")
+        trainable = named_parameters(params)
+        state = TrainState(header["step"], header["seed"], *(
+            {n: np.empty(t.shape, dtype="<f8") for n, t in trainable}
+            for _ in range(3)))
         entries = list(_checkpoint_entries(params, state))
         stored = [f"{meta['name']} {tuple(meta['shape'])}"
                   for meta in header["tensors"]]
@@ -224,10 +229,10 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainState, ModelConfig,
                 raise CheckpointShapeMismatch(
                     f"{path}: checkpoint has {have} where the model has {want}")
         for name, array in entries:
-            raw = fh.read(array.size * 8)
-            if len(raw) != array.size * 8:
+            if fh.readinto(array) != array.nbytes:
                 raise ValueError(f"truncated checkpoint {path} at {name}")
-            array[...] = np.frombuffer(raw, dtype="<f8").reshape(array.shape)
+        if fh.read(1):
+            raise ValueError(f"checkpoint {path} runs on past its last tensor")
     return params, state, model_config, opt_config, vocab
 
 
@@ -312,6 +317,12 @@ def resume_run(path: str, model_config: ModelConfig, opt_config: OptimizerConfig
     return params, state, vocab
 
 
+def check_eval_every(config: RunConfig, dev_examples) -> None:
+    """Refuse an ``eval_every`` with no dev question to score."""
+    if config.eval_every and not dev_examples:
+        raise ValueError("eval_every needs a paths.dev_data file with questions")
+
+
 def train(examples, vocab: Vocabulary, params: ModelParams, state: TrainState,
           config: RunConfig, dev_examples=None, sampler=None) -> TrainResult:
     """Continue a run from ``state.step`` to ``config.optimizer.total_steps``.
@@ -330,8 +341,7 @@ def train(examples, vocab: Vocabulary, params: ModelParams, state: TrainState,
     """
     if not examples and sampler is None:
         raise ValueError("empty training set")
-    if config.eval_every and not dev_examples:
-        raise ValueError("eval_every needs a paths.dev_data file with questions")
+    check_eval_every(config, dev_examples)
     model_config, opt_config = config.model, config.optimizer
     out_dir = config.paths.out_dir
     metrics_path = os.path.join(out_dir, "metrics.jsonl")

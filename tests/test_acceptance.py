@@ -59,116 +59,137 @@ def _verdict(num: int, label: str, body) -> None:
 # Public names of qanet.tensor that record no tape op of their own.
 _NOT_DIFFERENTIABLE = {"backward", "no_grad", "dropout_mask"}
 
+# Seeded draws of every sweep case; each draw makes fresh inputs, weights,
+# dropout masks, lookup ids and attention key masks.
+_SWEEP_DRAWS = 20
 
-def _op_sweep(rng):
-    """Finite-difference check for every differentiable operation.
+
+def _sweep_cases(rng):
+    """``(name, tolerance, inputs, loss)`` for every differentiable operation.
 
     Case names are ``op`` or ``op:variant``; every public function of
     qanet.tensor outside _NOT_DIFFERENTIABLE must own at least one case.
+    The tolerance bounds the relative error of each input's gradient.
     """
     cases = []
+
+    def case(name, tol, arrays, loss):
+        cases.append((name, tol, arrays, loss))
 
     a = rng.standard_normal((2, 3, 4))
     b = rng.standard_normal(4)
     w = rng.standard_normal((2, 3, 4))
-    cases.append(("add", [a, b],
-                  lambda ts: weighted_sum_loss(add(ts[0], ts[1]), w)))
+    case("add", 1e-6, [a, b],
+         lambda ts: weighted_sum_loss(add(ts[0], ts[1]), w))
     c = rng.standard_normal((3, 4))
     d = rng.standard_normal((3, 4))
     w2 = rng.standard_normal((3, 4))
-    cases.append(("subtract", [c, d],
-                  lambda ts: weighted_sum_loss(subtract(ts[0], ts[1]), w2)))
-    cases.append(("multiply", [a.copy(), c.copy()],
-                  lambda ts: weighted_sum_loss(multiply(ts[0], ts[1]), w)))
-    cases.append(("scalar_scale", [c.copy()],
-                  lambda ts: weighted_sum_loss(scalar_scale(ts[0], -1.7), w2)))
+    case("subtract", 1e-6, [c, d],
+         lambda ts: weighted_sum_loss(subtract(ts[0], ts[1]), w2))
+    case("multiply", 1e-6, [a.copy(), c.copy()],
+         lambda ts: weighted_sum_loss(multiply(ts[0], ts[1]), w))
+    # (c + b) * (c - d): one operand feeds two ops, one broadcasts.
+    case("multiply:of_add_and_subtract", 1e-6, [c.copy(), d.copy(), b.copy()],
+         lambda ts: weighted_sum_loss(
+             multiply(add(ts[0], ts[2]), subtract(ts[0], ts[1])), w2))
+    case("scalar_scale", 1e-7, [c.copy()],
+         lambda ts: weighted_sum_loss(scalar_scale(ts[0], -1.7), w2))
     m1 = rng.standard_normal((3, 4))
     m2 = rng.standard_normal((4, 5))
     wm = rng.standard_normal((3, 5))
-    cases.append(("matmul", [m1, m2],
-                  lambda ts: weighted_sum_loss(matmul(ts[0], ts[1]), wm)))
+    case("matmul", 1e-7, [m1, m2],
+         lambda ts: weighted_sum_loss(matmul(ts[0], ts[1]), wm))
     b1 = rng.standard_normal((2, 3, 4))
     b2 = rng.standard_normal((2, 4, 5))
     wb = rng.standard_normal((2, 3, 5))
-    cases.append(("matmul:batched", [b1, b2],
-                  lambda ts: weighted_sum_loss(matmul(ts[0], ts[1]), wb)))
+    case("matmul:batched", 1e-7, [b1, b2],
+         lambda ts: weighted_sum_loss(matmul(ts[0], ts[1]), wb))
+    case("matmul:broadcast_2d", 1e-7, [b1.copy(), m2.copy()],
+         lambda ts: weighted_sum_loss(matmul(ts[0], ts[1]), wb))
 
     # Keep kinked ops away from their kinks by more than the FD step.
     kinked = rng.standard_normal((3, 4))
     kinked += np.sign(kinked) * 0.1
-    cases.append(("relu", [kinked.copy()],
-                  lambda ts: weighted_sum_loss(relu(ts[0]), w2)))
-    cases.append(("clamp_min", [kinked.copy()],
-                  lambda ts: weighted_sum_loss(clamp_min(ts[0], 0.0), w2)))
-    cases.append(("sigmoid", [c.copy()],
-                  lambda ts: weighted_sum_loss(sigmoid(ts[0]), w2)))
+    case("relu", 1e-6, [kinked.copy()],
+         lambda ts: weighted_sum_loss(relu(ts[0]), w2))
+    case("clamp_min", 1e-6, [kinked.copy()],
+         lambda ts: weighted_sum_loss(clamp_min(ts[0], 0.0), w2))
+    case("sigmoid", 1e-6, [c.copy()],
+         lambda ts: weighted_sum_loss(sigmoid(ts[0]), w2))
     positive = np.abs(rng.standard_normal((3, 4))) + 0.5
-    cases.append(("log", [positive],
-                  lambda ts: weighted_sum_loss(log(ts[0]), w2)))
-    cases.append(("softmax:last", [a.copy()],
-                  lambda ts: weighted_sum_loss(softmax(ts[0], -1), w)))
-    cases.append(("softmax:mid", [a.copy()],
-                  lambda ts: weighted_sum_loss(softmax(ts[0], -2), w)))
+    case("log", 1e-6, [positive],
+         lambda ts: weighted_sum_loss(log(ts[0]), w2))
+    around_one = rng.random((3, 4)) + 0.5
+    around_one[np.abs(around_one - 1.0) < 0.05] += 0.1  # clear of the floor
+    case("log:of_clamp_min", 1e-6, [around_one],
+         lambda ts: weighted_sum_loss(log(clamp_min(ts[0], 1.0)), w2))
+    case("softmax:last", 1e-6, [a.copy()],
+         lambda ts: weighted_sum_loss(softmax(ts[0], -1), w))
+    case("softmax:mid", 1e-6, [a.copy()],
+         lambda ts: weighted_sum_loss(softmax(ts[0], -2), w))
     # 0/1 masks with one wholly masked slice: zero weight, zero gradient.
     last_mask = np.array([[[1, 0, 1, 1]], [[0, 0, 0, 0]]], dtype=np.float64)
-    cases.append(("softmax:masked_last", [a.copy()],
-                  lambda ts: weighted_sum_loss(
-                      softmax(ts[0], -1, mask=last_mask), w)))
+    case("softmax:masked_last", 1e-6, [a.copy()],
+         lambda ts: weighted_sum_loss(softmax(ts[0], -1, mask=last_mask), w))
     mid_mask = np.array([[1, 1, 0], [0, 1, 0]], dtype=np.float64)[:, :, None]
-    cases.append(("softmax:masked_mid", [a.copy()],
-                  lambda ts: weighted_sum_loss(
-                      softmax(ts[0], -2, mask=mid_mask), w)))
+    case("softmax:masked_mid", 1e-6, [a.copy()],
+         lambda ts: weighted_sum_loss(softmax(ts[0], -2, mask=mid_mask), w))
     gain = rng.standard_normal(4)
     bias = rng.standard_normal(4)
-    cases.append(("layernorm", [a.copy(), gain, bias],
-                  lambda ts: weighted_sum_loss(layernorm(*ts), w)))
+    case("layernorm", 1e-6, [a.copy(), gain, bias],
+         lambda ts: weighted_sum_loss(layernorm(*ts), w))
     p1 = rng.standard_normal((2, 3))
     p2 = rng.standard_normal((2, 2))
     wc = rng.standard_normal((2, 5))
-    cases.append(("concat", [p1, p2],
-                  lambda ts: weighted_sum_loss(concat(list(ts), -1), wc)))
+    case("concat", 1e-6, [p1, p2],
+         lambda ts: weighted_sum_loss(concat(list(ts), -1), wc))
     wr = rng.standard_normal((6, 4))
-    cases.append(("reshape", [a.copy()],
-                  lambda ts: weighted_sum_loss(reshape(ts[0], (6, 4)), wr)))
+    case("reshape", 1e-6, [a.copy()],
+         lambda ts: weighted_sum_loss(reshape(ts[0], (6, 4)), wr))
     wt = rng.standard_normal((2, 4, 3))
-    cases.append(("swap_last_axes", [a.copy()],
-                  lambda ts: weighted_sum_loss(swap_last_axes(ts[0]), wt)))
-    cases.append(("reduce_sum", [c.copy()], lambda ts: reduce_sum(ts[0])))
+    case("swap_last_axes", 1e-6, [a.copy()],
+         lambda ts: weighted_sum_loss(swap_last_axes(ts[0]), wt))
+    wcat = rng.standard_normal((2, 5, 2))
+
+    def stacked(ts):  # a tensor used twice along the leading axis
+        cat = concat([ts[0], ts[1]], axis=1)  # (2, 5)
+        cube = reshape(concat([cat, cat], axis=0), (2, 2, 5))
+        return weighted_sum_loss(swap_last_axes(cube), wcat)
+
+    case("concat:leading_then_reshape_swap", 1e-6, [p1.copy(), p2.copy()], stacked)
+    case("reduce_sum", 1e-7, [c.copy()], lambda ts: reduce_sum(ts[0]))
     spread = (rng.permutation(24).astype(np.float64) * 0.1).reshape(2, 3, 4)
     wx = rng.standard_normal((2, 4))
-    cases.append(("max_over_axis", [spread],
-                  lambda ts: weighted_sum_loss(max_over_axis(ts[0], 1), wx)))
+    case("max_over_axis", 1e-6, [spread],
+         lambda ts: weighted_sum_loss(max_over_axis(ts[0], 1), wx))
     table = rng.standard_normal((7, 4))
-    ids = np.array([[0, 2], [5, 6], [2, 2]])
-    we = rng.standard_normal((3, 2, 4))
-    cases.append(("embedding_lookup", [table],
-                  lambda ts: weighted_sum_loss(embedding_lookup(ts[0], ids), we)))
+    ids = rng.integers(0, 7, size=(3, 4))  # 12 ids in 7 rows: some repeat
+    we = rng.standard_normal((3, 4, 4))
+    case("embedding_lookup", 1e-6, [table],
+         lambda ts: weighted_sum_loss(embedding_lookup(ts[0], ids), we))
     gx = rng.standard_normal((3, 6))
-    gids = np.array([1, 4, 2])
+    gids = rng.integers(0, 6, size=3)
     wg = rng.standard_normal(3)
-    cases.append(("gather_last", [gx],
-                  lambda ts: weighted_sum_loss(gather_last(ts[0], gids), wg)))
-    mask = dropout_mask(np.random.default_rng(3), (3, 4), 0.5)
-    cases.append(("dropout_apply", [c.copy()],
-                  lambda ts: weighted_sum_loss(dropout_apply(ts[0], mask), w2)))
+    case("gather_last", 1e-6, [gx],
+         lambda ts: weighted_sum_loss(gather_last(ts[0], gids), wg))
+    mask = dropout_mask(rng, (3, 4), 0.5)
+    case("dropout_apply", 1e-6, [c.copy()],
+         lambda ts: weighted_sum_loss(dropout_apply(ts[0], mask), w2))
     cx = rng.standard_normal((2, 6, 4))
     dk = rng.standard_normal((5, 4)) * 0.5
     pk = rng.standard_normal((4, 3)) * 0.5
     cb = rng.standard_normal(3) * 0.1
     wcv = rng.standard_normal((2, 6, 3))
-    cases.append(("depthwise_separable_conv1d", [cx, dk, pk, cb],
-                  lambda ts: weighted_sum_loss(
-                      depthwise_separable_conv1d(*ts), wcv)))
+    case("depthwise_separable_conv1d", 1e-6, [cx, dk, pk, cb],
+         lambda ts: weighted_sum_loss(depthwise_separable_conv1d(*ts), wcv))
     # Two heads of width 3; key mask 0 on padded keys.
     qkv = [rng.standard_normal((2, 4, 6)) for _ in range(3)]
     wa = rng.standard_normal((2, 4, 6))
     padded = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
-    cases.append(("scaled_dot_attention:batched_padded", qkv,
-                  lambda ts: weighted_sum_loss(
-                      scaled_dot_attention(*ts, 2, padded), wa)))
-    cases.append(("scaled_dot_attention:single", [a[0] for a in qkv],
-                  lambda ts: weighted_sum_loss(
-                      scaled_dot_attention(*ts, 2), wa[0])))
+    case("scaled_dot_attention:batched_padded", 1e-6, qkv,
+         lambda ts: weighted_sum_loss(scaled_dot_attention(*ts, 2, padded), wa))
+    case("scaled_dot_attention:single", 1e-6, [a[0] for a in qkv],
+         lambda ts: weighted_sum_loss(scaled_dot_attention(*ts, 2), wa[0]))
 
     def blocked(ts):  # a budget below one head's weights: one head per block
         budget, qanet.tensor._BLOCK_BYTES = qanet.tensor._BLOCK_BYTES, 1
@@ -178,62 +199,78 @@ def _op_sweep(rng):
             qanet.tensor._BLOCK_BYTES = budget
         return weighted_sum_loss(out, wa)
 
-    cases.append(("scaled_dot_attention:blocked_padded", [a.copy() for a in qkv], blocked))
+    case("scaled_dot_attention:blocked_padded", 1e-6, [a.copy() for a in qkv], blocked)
     lone = np.array([[1, 0, 0, 0], [1, 1, 1, 1]], dtype=np.float64)
-    cases.append(("scaled_dot_attention:one_real_key", [a.copy() for a in qkv],
-                  lambda ts: weighted_sum_loss(
-                      scaled_dot_attention(*ts, 2, lone), wa)))
+    case("scaled_dot_attention:one_real_key", 1e-6, [a.copy() for a in qkv],
+         lambda ts: weighted_sum_loss(scaled_dot_attention(*ts, 2, lone), wa))
+    # Three heads of width 2 over fewer keys than queries, the key mask drawn.
+    kv = [rng.standard_normal((2, 3, 6)) for _ in range(2)]
+    drawn = (rng.random((2, 3)) < 0.6).astype(np.float64)
+    drawn[:, 0] = 1.0  # every row keeps at least one key
+    case("scaled_dot_attention:drawn_mask", 1e-6, [qkv[0].copy()] + kv,
+         lambda ts: weighted_sum_loss(scaled_dot_attention(*ts, 3, drawn), wa))
     dx = rng.standard_normal((2, 3, 4))
     dw = rng.standard_normal((4, 5))
     db = rng.standard_normal(5)
     wd = rng.standard_normal((2, 3, 5))
-    cases.append(("dense:batched", [dx, dw, db],
-                  lambda ts: weighted_sum_loss(dense(*ts), wd)))
-    cases.append(("dense:single", [dx[0], dw.copy(), db.copy()],
-                  lambda ts: weighted_sum_loss(dense(*ts), wd[0])))
+    case("dense:batched", 1e-6, [dx, dw, db],
+         lambda ts: weighted_sum_loss(dense(*ts), wd))
+    case("dense:single", 1e-6, [dx[0], dw.copy(), db.copy()],
+         lambda ts: weighted_sum_loss(dense(*ts), wd[0]))
     # A padded batch whose first row has no padding, then one padded row alone.
     mx = rng.standard_normal((3, 6, 4))
     rows = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0],
                      [1, 1, 0, 0, 0, 0]], dtype=np.float64)
     wmc = rng.standard_normal((3, 6, 3))
-    cases.append(("depthwise_separable_conv1d:masked",
-                  [mx, dk.copy(), pk.copy(), cb.copy()],
-                  lambda ts: weighted_sum_loss(
-                      depthwise_separable_conv1d(*ts, mask=rows), wmc)))
-    cases.append(("depthwise_separable_conv1d:masked_single",
-                  [mx[1], dk.copy(), pk.copy(), cb.copy()],
-                  lambda ts: weighted_sum_loss(
-                      depthwise_separable_conv1d(*ts, mask=rows[1]), wmc[1])))
+    case("depthwise_separable_conv1d:masked", 1e-6,
+         [mx, dk.copy(), pk.copy(), cb.copy()],
+         lambda ts: weighted_sum_loss(depthwise_separable_conv1d(*ts, mask=rows), wmc))
+    case("depthwise_separable_conv1d:masked_one_row", 1e-6,
+         [mx[1:2], dk.copy(), pk.copy(), cb.copy()],
+         lambda ts: weighted_sum_loss(
+             depthwise_separable_conv1d(*ts, mask=rows[1:2]), wmc[1:2]))
     # Residual-and-dropout epilogues; the residual is the last input.
     res = rng.standard_normal((2, 3, 5))
-    drop = dropout_mask(np.random.default_rng(5), (2, 3, 5), 0.3)
-    cases.append(("dense:epilogue_batched", [dx, dw, db, res],
-                  lambda ts: weighted_sum_loss(
-                      dense(*ts[:3], residual=ts[3], dropout=drop), wd)))
-    cases.append(("dense:epilogue_single", [dx[0], dw, db, res[0]],
-                  lambda ts: weighted_sum_loss(dense(
-                      *ts[:3], residual=ts[3], dropout=drop._replace(keep=drop.keep[0])),
-                      wd[0])))
+    drop = dropout_mask(rng, (2, 3, 5), 0.3)
+    case("dense:epilogue_batched", 1e-6, [dx, dw, db, res],
+         lambda ts: weighted_sum_loss(dense(*ts[:3], residual=ts[3], dropout=drop), wd))
+    case("dense:epilogue_single", 1e-6, [dx[0], dw, db, res[0]],
+         lambda ts: weighted_sum_loss(dense(
+             *ts[:3], residual=ts[3], dropout=drop._replace(keep=drop.keep[0])), wd[0]))
     cres = rng.standard_normal((3, 6, 3))
-    cdrop = dropout_mask(np.random.default_rng(6), (3, 6, 3), 0.3)
-    cases.append(("depthwise_separable_conv1d:epilogue_padded",
-                  [mx, dk, pk, cb, cres],
-                  lambda ts: weighted_sum_loss(depthwise_separable_conv1d(
-                      *ts[:4], mask=rows, residual=ts[4], dropout=cdrop), wmc)))
-    cases.append(("depthwise_separable_conv1d:epilogue_single",
-                  [mx[1], dk, pk, cb, cres[1]],
-                  lambda ts: weighted_sum_loss(depthwise_separable_conv1d(
-                      *ts[:4], residual=ts[4],
-                      dropout=cdrop._replace(keep=cdrop.keep[1])), wmc[1])))
+    cdrop = dropout_mask(rng, (3, 6, 3), 0.3)
+    case("depthwise_separable_conv1d:epilogue_padded", 1e-6, [mx, dk, pk, cb, cres],
+         lambda ts: weighted_sum_loss(depthwise_separable_conv1d(
+             *ts[:4], mask=rows, residual=ts[4], dropout=cdrop), wmc))
+    case("depthwise_separable_conv1d:epilogue_one_row", 1e-6,
+         [mx[1:2], dk, pk, cb, cres[1:2]],
+         lambda ts: weighted_sum_loss(depthwise_separable_conv1d(
+             *ts[:4], residual=ts[4], dropout=cdrop._replace(keep=cdrop.keep[1:2])),
+             wmc[1:2]))
+    # layernorm(conv(x W)) squeezed through softmax: mixed second derivatives.
+    chain = [rng.standard_normal(shape) for shape in
+             ((1, 4, 3), (3, 4), (3, 4), (4, 4), (4,), (4,), (4,))]
+    wch = rng.standard_normal((1, 4, 4))
+    case("matmul:conv_layernorm_softmax_chain", 1e-6, chain,
+         lambda ts: weighted_sum_loss(softmax(layernorm(depthwise_separable_conv1d(
+             matmul(ts[0], ts[1]), *ts[2:5]), *ts[5:]), -1), wch))
+    return cases
 
-    swept = {name.split(":")[0] for name, _, _ in cases}
+
+def _op_sweep(seed):
+    """Every sweep case over ``_SWEEP_DRAWS`` seeded draws, each within its
+    tolerance."""
+    draws = [_sweep_cases(np.random.default_rng(s))
+             for s in np.random.SeedSequence(seed).spawn(_SWEEP_DRAWS)]
+    swept = {name.split(":")[0] for name, _, _, _ in draws[0]}
     ops = {name for name in qanet.tensor.__all__
            if not isinstance(getattr(qanet.tensor, name), type)}
     unswept = sorted(ops - _NOT_DIFFERENTIABLE - swept)
     assert not unswept, f"differentiable ops without a sweep case: {unswept}"
-    for name, arrays, fn in cases:
-        worst = check_gradients(fn, arrays, tol=1e-4)
-        assert worst < 1e-4, f"{name}: {worst:.2e}"
+    for draw, cases in enumerate(draws):
+        for name, tol, arrays, loss in cases:
+            worst = check_gradients(loss, arrays, tol=np.inf)
+            assert worst < tol, f"{name}, draw {draw}: rel err {worst:.2e} >= {tol:.0e}"
 
 
 def _toy_end_to_end():
@@ -289,7 +326,7 @@ def _toy_end_to_end():
 def test_01_gradient_gate():
     def body():
         t0 = time.monotonic()
-        _op_sweep(np.random.default_rng(5))
+        _op_sweep(5)
         _toy_end_to_end()
         elapsed = time.monotonic() - t0
         assert elapsed < 120.0, f"gradient gate took {elapsed:.1f}s"

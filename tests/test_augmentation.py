@@ -279,6 +279,11 @@ class TestRuleTranslator:
         assert s not in got
         assert all(isinstance(c, str) and c for c in got)
 
+    def test_capitalised_word_gets_a_capitalised_synonym(self):
+        # Variant 0 keeps "big" (table row 0) and swaps "house" (row 2).
+        assert RuleTranslator("fr").translate(["Big house."], 2, "back") == [
+            ["Big residence.", "Large house."]]
+
     def test_unknown_language_rejected(self):
         with pytest.raises(ValueError):
             RuleTranslator("xx")
@@ -910,3 +915,13 @@ def test_in_process_reply_checked_like_http(reply):
     refused for every endpoint, not cut or left to fail in tokenize."""
     with pytest.raises(TranslatorProtocolError, match="malformed"):
         paraphrase_sentences(["s"], _SameReply(reply), k=3)
+
+
+@pytest.mark.parametrize("reply", [["a", "b", "c", "d", "e", "f"], ["a", 3]],
+                         ids=["beam-plus-3", "non-string"])
+def test_memo_passes_malformed_lists_to_the_one_check(reply):
+    """Behind the paragraph memo, which checks only the count, the same
+    replies are refused by the check every reply goes through."""
+    with pytest.raises(TranslatorProtocolError, match="malformed"):
+        augment_examples(_questions(_HOUSE, 2, "a"), {"fr": _SameReply(reply)},
+                         k=3, threshold=0.5, seed=0, copies=1)

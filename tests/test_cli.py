@@ -178,7 +178,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"'model': {key} must"):
             from_flat({f"model.{key}": value})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 1.5, "seed must be an integer"),
+        ("log_every", True, "log_every must be an integer"),
+        ("seed", -1, "seed must be non-negative"),
+        ("eval_every", -1, "eval_every must be non-negative"),
+        ("checkpoint_every", -2, "checkpoint_every must be non-negative"),
+        ("log_every", 0, "log_every must be at least 1"),
+    ])
+    def test_run_config_top_level_refusals_name_the_key(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_flat({key: value})
+
     def test_augmentation_config_validation(self):
+        with pytest.raises(ValueError, match="copies must be at least 1"):
+            AugmentationConfig(copies=0)
         with pytest.raises(ValueError):
             AugmentationConfig(k=0)
         with pytest.raises(ValueError):
@@ -287,22 +303,27 @@ class TestTrainCommand:
         assert f"{key} must" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("dev", ["none", "no questions"])
+    @pytest.mark.parametrize("dev", ["none", "no questions", "missing vectors",
+                                     "missing checkpoint"])
     def test_eval_every_without_dev_data_exits_before_out_dir(
             self, trained, tmp_path, capsys, dev):
-        """A dev evaluation period with no dev set is refused, not ignored."""
-        out = tmp_path / "run"
-        extra = {"eval_every": 2}
+        """A dev evaluation period with no dev set is refused, not ignored,
+        before a vector file or a --resume checkpoint is opened."""
+        out, missing = tmp_path / "run", str(tmp_path / "absent.bin")
+        extra, resume = {"eval_every": 2}, []
         if dev == "no questions":
             empty = tmp_path / "empty.json"
             empty.write_text('{"version": "1.1", "data": []}', encoding="utf-8")
             extra["paths.dev_data"] = str(empty)
+        elif dev == "missing vectors":
+            extra["paths.vectors"] = missing
+        elif dev == "missing checkpoint":
+            resume = ["--resume", missing]
         cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
                            extra=extra)
-        code = main(["train", "--config", cfg])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "eval_every" in err and "paths.dev_data" in err
+        assert main(["train", "--config", cfg] + resume) == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == "error: eval_every needs a paths.dev_data file with questions"
         assert not out.exists()
 
     def test_refused_run_writes_nothing(self, tmp_path, capsys):
@@ -661,6 +682,15 @@ class TestPredictEvaluateCommands:
         assert code != 0
         assert "q0b" in captured.err or "q1a" in captured.err
 
+    def test_evaluate_refuses_predictions_that_are_not_an_object(
+            self, trained, tmp_path, capsys):
+        preds_path = tmp_path / "list.json"
+        preds_path.write_text(json.dumps(["red"]), encoding="utf-8")
+        assert main(["evaluate", "--pred", str(preds_path),
+                     "--gold", trained["data"]]) == 1
+        assert (f"error: {preds_path}: expected a JSON object of id -> answer"
+                in capsys.readouterr().err)
+
     def test_evaluate_known_scores(self, tmp_path, capsys):
         data = _dataset(tmp_path / "gold.json", n=2)
         examples = parse_qa_json(data, split="eval")
@@ -763,6 +793,14 @@ class TestAugmentCommand:
         captured = capsys.readouterr()
         assert code != 0
         assert "unknown config key 'augment.mock'" in captured.err
+
+    def test_duplicate_translator_tag(self, tmp_path, capsys):
+        """An untagged URL takes the tag fr, so it clashes with fr=..."""
+        code = main(["augment", "--data", str(tmp_path / "unread.json"),
+                     "--translator-url", "fr=http://a", "--translator-url",
+                     "http://b", "--out", str(tmp_path / "a.json")])
+        assert code == 1
+        assert "duplicate translator tag 'fr'" in capsys.readouterr().err
 
     def test_neither_endpoint_choice(self, tmp_path, capsys):
         data = _dataset(tmp_path / "data.json", n=1)

@@ -139,6 +139,27 @@ class TestParse:
         with pytest.raises(ValueError, match=r"^q1: span \(2, 3\) outside 3 tokens$"):
             ex.validate()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ex: ex.char_offsets.pop(), r"^q1: bad token/offset lists$"),
+        (lambda ex: ex.context_tokens.clear(), r"^q1: bad token/offset lists$"),
+        (lambda ex: setattr(ex, "answer_span", (0, 0)),
+         r"^q1: span text 'the' does not cover 'sat'$"),
+    ], ids=["offset-missing", "no-context-token", "span-text"])
+    def test_validate_refuses_a_broken_example(self, edit, message):
+        ex = D.example_from_raw("q1", "the cat sat", "what sat?", "sat", 8)
+        edit(ex)
+        with pytest.raises(ValueError, match=message):
+            ex.validate()
+
+    @pytest.mark.parametrize("via", ["parse", "example_from_raw"])
+    def test_empty_training_answer_names_the_field(self, tmp_path, via):
+        with pytest.raises(D.MissingField, match="answer text"):
+            if via == "parse":
+                D.parse_qa_json(write_squad(tmp_path, [simple_paragraph(
+                    "a b", [qa("q1", "?", "", 0)])]), split="train")
+            else:
+                D.example_from_raw("q1", "a b", "?", "", 0)
+
     def test_missing_context_raises(self, tmp_path):
         path = write_squad(tmp_path, [{"qas": []}])
         with pytest.raises(D.MissingField):
@@ -187,6 +208,28 @@ class TestVectors:
         path.write_text("cat 1.0 oops", encoding="utf-8")
         with pytest.raises(D.BadVectorLine):
             D.load_word_vectors(path, dim=2, seed=0)
+
+    def test_empty_token_names_the_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("cat 1.0 2.0\n 1.0 2.0\n", encoding="utf-8")
+        with pytest.raises(D.BadVectorLine, match=r"^line 2: empty token$"):
+            D.load_word_vectors(path, dim=2, seed=0)
+
+    def test_blank_lines_skipped_and_first_occurrence_wins(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("cat 1.0 2.0\n\ndog 3.0 4.0\ncat 5.0 6.0\n",
+                        encoding="utf-8")
+        vocab, matrix = D.load_word_vectors(path, dim=2, seed=0)
+        assert vocab.words[2:] == ["cat", "dog"]
+        np.testing.assert_array_equal(matrix[2:], [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("words, chars", [
+        (["<unk>", "<pad>"], ["<pad>", "<unk>"]),
+        (["<pad>", "<unk>", "a"], ["a"]),
+    ], ids=["words", "chars"])
+    def test_stored_lists_must_start_with_pad_and_unk(self, words, chars):
+        with pytest.raises(ValueError, match="must start with pad/unk"):
+            D.Vocabulary.from_lists(words, chars)
 
     def test_wrong_width_raises(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -384,16 +384,17 @@ class TestEncoderStack:
 
     def test_shape_preserved(self):
         config, params, x = stack_setup()
-        out = E.encoder_stack_forward(Tensor(x), config, params, None)
-        assert out.shape == x.shape
+        out = E.encoder_stack_forward(Tensor(x[None]), config, params, None)
+        assert out.shape == (1,) + x.shape
 
     def test_batched_matches_single(self):
         config, params, x = stack_setup(n=4)
         xb = np.stack([x, x * 0.5])
         mask = np.ones((2, 4))
         out_b = E.encoder_stack_forward(Tensor(xb), config, params, mask).data
-        out_0 = E.encoder_stack_forward(Tensor(x), config, params, np.ones(4)).data
-        np.testing.assert_allclose(out_b[0], out_0, atol=1e-12)
+        out_0 = E.encoder_stack_forward(Tensor(x[None]), config, params,
+                                        np.ones((1, 4))).data
+        np.testing.assert_allclose(out_b[0], out_0[0], atol=1e-12)
 
     def test_zeroed_weights_leave_input_plus_position_signal(self):
         config, params, x = stack_setup(num_blocks=2, convs=1)
@@ -410,40 +411,40 @@ class TestEncoderStack:
             block.feed_forward.inner_b.data[...] = 0.0
             block.feed_forward.outer_w.data[...] = 0.0
             block.feed_forward.outer_b.data[...] = 0.0
-        out = E.encoder_stack_forward(Tensor(x), config, params, None).data
+        out = E.encoder_stack_forward(Tensor(x[None]), config, params, None).data
         signal = E.positional_encoding(x.shape[0], x.shape[1]).data
-        np.testing.assert_allclose(out, x + 2 * signal, atol=1e-12)
+        np.testing.assert_allclose(out[0], x + 2 * signal, atol=1e-12)
 
     def test_padded_positions_never_influence_real_ones(self):
         config, params, x = stack_setup(n=6)
-        mask = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-        base = E.encoder_stack_forward(Tensor(x), config, params, mask).data
-        x2 = x.copy()
-        x2[4:] = 123.0
+        mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+        base = E.encoder_stack_forward(Tensor(x[None]), config, params, mask).data
+        x2 = x[None].copy()
+        x2[:, 4:] = 123.0
         bumped = E.encoder_stack_forward(Tensor(x2), config, params, mask).data
-        assert np.array_equal(base[:4], bumped[:4])
+        assert np.array_equal(base[:, :4], bumped[:, :4])
 
     def test_train_mode_deterministic_under_seed(self):
         config, params, x = stack_setup()
-        mask = np.ones(5)
+        mask = np.ones((1, 5))
 
         def run():
             rng = np.random.default_rng(99)
-            return E.encoder_stack_forward(Tensor(x), config, params, mask,
+            return E.encoder_stack_forward(Tensor(x[None]), config, params, mask,
                                            train_mode=True, rng=rng).data
 
         assert np.array_equal(run(), run())
 
     def test_stack_gradients_toy_config(self):
-        """End-to-end stack gradient vs finite differences on a 6x16 input."""
+        """End-to-end stack gradient vs finite differences on a 1x6x16 input."""
         config = E.EncoderBlockConfig(num_blocks=1, num_conv_layers=1,
                                       kernel_size=3, hidden_dim=16,
                                       num_heads=2, dropout=0.0,
                                       survival_end=0.9)
         rng = np.random.default_rng(11)
         params = E.init_encoder_stack(config, rng)
-        x = rng.standard_normal((6, 16)) * 0.5
-        w = rng.standard_normal((6, 16))
+        x = rng.standard_normal((1, 6, 16)) * 0.5
+        w = rng.standard_normal((1, 6, 16))
         block = params.blocks[0]
         conv = block.convs[0]
         attn = block.attention

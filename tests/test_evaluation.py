@@ -150,6 +150,10 @@ class TestHandScored:
         assert result.exact_match == 100.0
         assert result.f1 == 100.0
 
+    def test_no_examples_refused(self):
+        with pytest.raises(ValueError, match="^no examples to evaluate$"):
+            evaluate({"q1": "cat"}, [])
+
     def test_missing_prediction(self):
         ex = example_from_raw("solo", "Words in context.", "q?", "Words", 0)
         with pytest.raises(MissingPrediction):

@@ -273,7 +273,22 @@ class TestCheckpoint:
         bad = self.rewrite(path, clip)
         with pytest.raises(ValueError) as err:
             load_checkpoint(bad)
-        assert f"at {clipped['name']}" in str(err.value)
+        assert f"{bad} at {clipped['name']}" in str(err.value)
+
+    @pytest.mark.parametrize("extra", [1, 8, 800])
+    def test_bytes_past_the_last_tensor_rejected(self, tmp_path, extra):
+        *_, path = self.roundtrip(tmp_path)
+        long = self.rewrite(path, lambda header, body: body + bytes(extra))
+        with pytest.raises(ValueError, match="runs on past its last tensor") as err:
+            load_checkpoint(long)
+        assert long in str(err.value)
+
+    def test_load_then_save_is_byte_identical(self, tmp_path):
+        *_, path = self.roundtrip(tmp_path)
+        again = os.path.join(tmp_path, "again.ckpt")
+        save_checkpoint(again, *load_checkpoint(path))
+        with open(path, "rb") as want, open(again, "rb") as got:
+            assert got.read() == want.read()
 
     def test_extra_tensor_rejected(self, tmp_path):
         *_, path = self.roundtrip(tmp_path)
