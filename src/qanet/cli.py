@@ -234,6 +234,13 @@ def _cmd_bench(args) -> int:
 # Parser
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="path to a flat JSON config file")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="report predict / train throughput")
     _add_config_flags(p)
-    p.add_argument("--batches", type=int, default=3)
+    p.add_argument("--batches", type=_positive_int, default=3)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .tensor import (
     DropoutMask, Tensor, add, dense,
     depthwise_separable_conv1d, dropout_mask, layernorm, matmul, relu,
-    scaled_dot_attention,
+    release, scaled_dot_attention,
 )
 
 
@@ -74,6 +74,10 @@ def residual_sublayer(x: Tensor, f, ln_gain: Tensor, ln_bias: Tensor,
     sublayer is skipped and ``x`` passes through untouched (no rescaling
     either way). Otherwise, with a positive ``dropout`` rate, the mask is
     drawn next, before ``f`` runs; ``f`` draws nothing.
+
+    As soon as ``f`` returns, the layernorm output's buffer is released:
+    the tape keeps ``x`` as the residual anyway, and backward rebuilds the
+    normalized input from it and layernorm's row statistics.
     """
     mask = None
     if train_mode:
@@ -81,7 +85,10 @@ def residual_sublayer(x: Tensor, f, ln_gain: Tensor, ln_bias: Tensor,
             return x
         if dropout > 0.0:
             mask = dropout_mask(rng, x.shape, dropout)
-    return f(layernorm(x, ln_gain, ln_bias), x, mask)
+    normed = layernorm(x, ln_gain, ln_bias)
+    out = f(normed, x, mask)
+    release(normed)
+    return out
 
 
 @dataclass

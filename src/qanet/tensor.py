@@ -30,7 +30,11 @@ their input. Beyond that:
   keeps the mask's one-byte ``keep`` and its ``scale``, as
   :func:`dropout_apply` does; no record keeps a float64 mask.
 - :func:`layernorm` keeps the per-row ``mean`` and ``inv`` beside its
-  input and rebuilds the normalized input in backward.
+  input and rebuilds the normalized input in backward. Its output can be
+  dropped with :func:`release` once its consumers have run: ``dense``,
+  ``matmul`` and the conv read their inputs' ``.data`` in backward, not
+  an array captured in forward, and a dropped output's ``.data`` is
+  rebuilt from the record, once per backward pass (see :func:`layernorm`).
 - :func:`scaled_dot_attention` runs every head at once.
 
 Masks in :func:`softmax` and attention give slots exactly zero weight, and
@@ -66,7 +70,7 @@ __all__ = [
     "concat", "reshape", "swap_last_axes", "reduce_sum",
     "max_over_axis", "embedding_lookup", "gather_last", "dropout_apply",
     "depthwise_separable_conv1d", "scaled_dot_attention", "dropout_mask",
-    "DropoutMask",
+    "DropoutMask", "release",
     "DimensionMismatch", "AxisOutOfRange", "EvenKernel", "NotScalar",
     "DetachedTensor", "IdOutOfRange",
 ]
@@ -137,16 +141,34 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
+    def __getattr__(self, name):
+        # Reached only for an unset slot: the ``data`` that release() dropped.
+        if name != "data":
+            raise AttributeError(name)
+        return self.op.rebuild()
+
 
 class TapeOp:
-    """One recorded operation: its inputs and its backward rule."""
+    """One recorded operation: its inputs, its backward rule and, for an op
+    whose output :func:`release` may drop, the rule that rebuilds it."""
 
-    __slots__ = ("name", "inputs", "backward_fn")
+    __slots__ = ("name", "inputs", "backward_fn", "rebuild")
 
-    def __init__(self, name, inputs, backward_fn):
+    def __init__(self, name, inputs, backward_fn, rebuild):
         self.name = name
         self.inputs = tuple(inputs)
         self.backward_fn = backward_fn
+        self.rebuild = rebuild
+
+
+def release(t: Tensor) -> None:
+    """Drop ``t``'s buffer when its record can rebuild it; a no-op otherwise.
+
+    Afterwards each ``t.data`` read rebuilds the array, bitwise as forward
+    made it. Call it once every op that reads ``t`` in forward has run.
+    """
+    if t.op is not None and t.op.rebuild is not None:
+        del t.data
 
 
 def backward(loss: Tensor) -> None:
@@ -176,26 +198,30 @@ def backward(loss: Tensor) -> None:
                     stack.append((t.op, False))
 
     adjoints: dict[int, np.ndarray] = {id(loss.op): np.ones_like(loss.data)}
-    for op in reversed(order):
-        for t, g in zip(op.inputs, op.backward_fn(adjoints.pop(id(op)))):
-            if g is None or not t.requires_grad:
-                continue
-            if t.op is None:
-                t.grad += g
-            else:
-                held = adjoints.get(id(t.op))
-                adjoints[id(t.op)] = g if held is None else held + g
+    _local.in_backward = True  # rebuilt outputs are shared until their op's turn
+    try:
+        for op in reversed(order):
+            for t, g in zip(op.inputs, op.backward_fn(adjoints.pop(id(op)))):
+                if g is None or not t.requires_grad:
+                    continue
+                if t.op is None:
+                    t.grad += g
+                else:
+                    held = adjoints.get(id(t.op))
+                    adjoints[id(t.op)] = g if held is None else held + g
+    finally:
+        _local.in_backward = False
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(name, inputs, out_data, backward_fn) -> Tensor:
+def _result(name, inputs, out_data, backward_fn, rebuild=None) -> Tensor:
     out = Tensor(out_data)
     if _grad_enabled() and any(t.requires_grad for t in inputs):
         out.requires_grad = True  # an op output's grad stays None
-        out.op = TapeOp(name, inputs, backward_fn)
+        out.op = TapeOp(name, inputs, backward_fn, rebuild)
     return out
 
 
@@ -269,12 +295,11 @@ def matmul(a, b) -> Tensor:
         out = a.data @ b.data
     except ValueError:
         raise DimensionMismatch(f"matmul: {a.shape} @ {b.shape}") from None
-    ad, bd = a.data, b.data
     sa, sb = a.shape, b.shape
 
     def bwd(g):
-        ga = _reduce_to(g @ np.swapaxes(bd, -1, -2), sa)
-        gb = _reduce_to(np.swapaxes(ad, -1, -2) @ g, sb)
+        ga = _reduce_to(g @ np.swapaxes(b.data, -1, -2), sa)
+        gb = _reduce_to(np.swapaxes(a.data, -1, -2) @ g, sb)
         return ga, gb
 
     return _result("matmul", (a, b), out, bwd)
@@ -284,7 +309,8 @@ def dense(x, w, b, residual=None, dropout=None) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of ``x``, as one op.
 
     ``x`` is (..., k), ``w`` (k, m) and ``b`` (m,). The bias is added in
-    place into the matmul's result, and the tape keeps ``x`` and ``w``.
+    place into the matmul's result, and the tape keeps ``x`` and ``w``;
+    backward reads ``x.data`` when it runs.
     With a ``residual`` tensor and/or a :class:`DropoutMask` ``dropout`` of
     the output's shape, the result is ``residual + dropout ⊙ (x @ w + b)``,
     formed in place in the same buffer (see :func:`_epilogue`).
@@ -292,15 +318,15 @@ def dense(x, w, b, residual=None, dropout=None) -> Tensor:
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
-    xd, wd = x.data, w.data
-    out = xd @ wd
+    wd = w.data
+    out = x.data @ wd
     out += b.data
     inputs = _epilogue("dense", out, (x, w, b), residual, dropout)
 
     def bwd(g):
         gh = g if dropout is None else _dropped(g, dropout)
         gx = gh @ wd.T
-        gw = _reduce_to(np.swapaxes(xd, -1, -2) @ gh, wd.shape)
+        gw = _reduce_to(np.swapaxes(x.data, -1, -2) @ gh, wd.shape)
         gb = gh.reshape(-1, gh.shape[-1]).sum(axis=0)
         return gx, gw, gb, g  # zip drops g when there is no residual
 
@@ -389,26 +415,48 @@ def layernorm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     The tape keeps the per-row ``mean`` and ``inv`` (..., 1) beside the
-    inputs; backward rebuilds ``xhat = (x - mean) * inv`` with the same
-    two operations, so it holds the same bits as the forward's.
+    inputs and the forward's ``gain`` and ``bias`` arrays. Backward
+    rebuilds ``xhat = (x - mean) * inv``, and the record rebuilds the output
+    ``xhat * gain + bias``, with the forward's operations in its order, so
+    both hold the forward's bits. Once :func:`release` drops the output,
+    the first ``.data`` read in a backward pass rebuilds it; later readers
+    and this op's own backward share that rebuild and its ``xhat``, which
+    go when this op's backward has run. A read outside backward rebuilds
+    the output afresh and keeps nothing.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     dim = x.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
         raise DimensionMismatch(
             f"layernorm: gain {gain.shape} / bias {bias.shape} vs feature dim {dim}")
-    xd, gd = x.data, gain.data
+    xd, gd, bd = x.data, gain.data, bias.data
     mean = xd.mean(axis=-1, keepdims=True)
     out = xd - mean
     var = np.einsum("...i,...i->...", out, out)[..., None] / dim
     inv = 1.0 / np.sqrt(var + _LAYERNORM_EPS)
     out *= inv
     out *= gd
-    out += bias.data
+    out += bd
+    shared = []  # [xhat, output] from a backward pass's first read
 
-    def bwd(g):
+    def normalized():
         xhat = xd - mean
         xhat *= inv
+        return xhat
+
+    def rebuild():
+        if not shared:
+            xhat = normalized()
+            rebuilt = xhat * gd
+            rebuilt += bd
+            if not getattr(_local, "in_backward", False):
+                return rebuilt
+            shared[:] = xhat, rebuilt
+        return shared[1]
+
+    def bwd(g):
+        xhat = shared[0] if shared else normalized()
+        shared.clear()
         g2 = g.reshape(-1, dim)
         dbias = g2.sum(axis=0)
         dgain = np.einsum("ni,ni->i", g2, xhat.reshape(-1, dim))
@@ -420,7 +468,7 @@ def layernorm(x, gain, bias) -> Tensor:
         dx *= inv
         return dx, dgain, dbias
 
-    return _result("layernorm", (x, gain, bias), out, bwd)
+    return _result("layernorm", (x, gain, bias), out, bwd, rebuild)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -597,7 +645,8 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
     in :func:`dense`: the result is ``residual + dropout ⊙ conv(x)``.
 
     The tape keeps the inputs and the depthwise output; backward rebuilds
-    the zero-padded input from ``x`` and ``mask`` rather than keeping it.
+    the zero-padded input from ``x.data``, read when it runs, and ``mask``
+    rather than keeping it.
     """
     x, depth_kernel = _as_tensor(x), _as_tensor(depth_kernel)
     point_kernel, bias = _as_tensor(point_kernel), _as_tensor(bias)
@@ -624,7 +673,7 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
 
     pad = (width - 1) // 2
 
-    def padded_input():  # zero margins around the masked input
+    def padded_input(xd):  # zero margins around the masked input
         padded = np.zeros((batch, length + width - 1, channels))
         if mask is None:
             padded[:, pad:pad + length] = xd
@@ -632,7 +681,7 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
             np.multiply(xd, mask, out=padded[:, pad:pad + length])
         return padded
 
-    windows = sliding_window_view(padded_input(), width, axis=1)  # (B, L, C, width)
+    windows = sliding_window_view(padded_input(xd), width, axis=1)  # (B, L, C, width)
     depth_out = np.einsum("blck,kc->blc", windows, depth_kernel.data)
     out = depth_out @ point_kernel.data
     out += bias.data
@@ -649,7 +698,7 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
         g_bias = g2.sum(axis=0)
         g_point = depth_out.reshape(-1, channels).T @ g2
         g_depth_out = (g2 @ pk.T).reshape(batch, length, channels)
-        padded = padded_input()
+        padded = padded_input(x.data)
         g_dk = np.einsum("blck,blc->kc", sliding_window_view(padded, width, axis=1),
                          g_depth_out)
         # x's gradient is g_depth_out convolved with the flipped kernel; the

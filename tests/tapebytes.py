@@ -1,9 +1,12 @@
-"""What a tape keeps alive: op outputs plus the arrays backward closures hold.
+"""What a tape keeps alive: op outputs plus the arrays records' closures hold.
 
 Every array is charged to the buffer that owns its memory, once however
 many views of it the tape holds. Views made by ``sliding_window_view``
 (and ``as_strided``) sit on a wrapper object whose ``base`` is the source
-array; :func:`owner` follows that link too.
+array; :func:`owner` follows that link too. An output that
+``qanet.tensor.release`` dropped costs nothing: reading its ``.data`` would
+rebuild a buffer the tape does not keep, so :func:`kept_data` reads the
+slot without rebuilding it.
 """
 from __future__ import annotations
 
@@ -23,8 +26,16 @@ def owner(a: np.ndarray) -> np.ndarray:
         a = base
 
 
+def kept_data(t) -> np.ndarray | None:
+    """``t``'s buffer, or None when it was released (without rebuilding it)."""
+    try:
+        return object.__getattribute__(t, "data")
+    except AttributeError:
+        return None
+
+
 def closure_arrays(fn) -> list[np.ndarray]:
-    """Arrays a function's closure holds, through nested functions and tuples."""
+    """Arrays a function's closure holds, through nested functions, tuples and lists."""
     found, pending, seen = [], [fn], set()
     while pending:
         item = pending.pop()
@@ -33,7 +44,7 @@ def closure_arrays(fn) -> list[np.ndarray]:
         seen.add(id(item))
         if isinstance(item, np.ndarray):
             found.append(item)
-        elif isinstance(item, tuple):
+        elif isinstance(item, (tuple, list)):
             pending.extend(item)
         elif isinstance(item, types.FunctionType):
             pending.extend(cell.cell_contents for cell in item.__closure__ or ())
@@ -52,11 +63,17 @@ def records(root):
         pending.extend(t.op.inputs)
 
 
+def held_arrays(op) -> list[np.ndarray]:
+    """Arrays a record's backward rule and rebuild rule hold."""
+    return closure_arrays((op.backward_fn, op.rebuild))
+
+
 def tape_bytes(root) -> int:
-    """Bytes of every buffer that op outputs or backward closures reach."""
+    """Bytes of every buffer that kept op outputs or record closures reach."""
     buffers = {}
     for out, op in records(root):
-        for a in [out.data] + closure_arrays(op.backward_fn):
+        data = kept_data(out)
+        for a in ([] if data is None else [data]) + held_arrays(op):
             buf = owner(a)
             buffers[id(buf)] = buf.nbytes
     return sum(buffers.values())

@@ -31,7 +31,7 @@ from qanet.tensor import (Tensor, add, backward, clamp_min, concat, dense,
                           depthwise_separable_conv1d, dropout_apply,
                           dropout_mask, embedding_lookup, gather_last,
                           layernorm, log, matmul, max_over_axis, multiply,
-                          reduce_sum, relu, reshape, scalar_scale,
+                          reduce_sum, release, relu, reshape, scalar_scale,
                           scaled_dot_attention, sigmoid, softmax, subtract,
                           swap_last_axes)
 from qanet.trainer import (adam_step, ema_update, init_train_state,
@@ -254,6 +254,20 @@ def _sweep_cases(rng):
     case("matmul:conv_layernorm_softmax_chain", 1e-6, chain,
          lambda ts: weighted_sum_loss(softmax(layernorm(depthwise_separable_conv1d(
              matmul(ts[0], ts[1]), *ts[2:5]), *ts[5:]), -1), wch))
+    # The attention sublayer's shape: one layernorm output feeds dense, matmul
+    # and the conv, and is dropped before backward, which rebuilds it.
+    shared = [rng.standard_normal(shape) for shape in
+              ((2, 5, 4), (4,), (4,), (4, 4), (4,), (4, 4), (3, 4), (4, 4), (4,))]
+    wsh = rng.standard_normal((2, 5, 4))
+
+    def released(ts):
+        normed = layernorm(*ts[:3])
+        out = add(add(dense(normed, *ts[3:5]), matmul(normed, ts[5])),
+                  depthwise_separable_conv1d(normed, *ts[6:]))
+        release(normed)
+        return weighted_sum_loss(out, wsh)
+
+    case("release:layernorm_into_dense_matmul_conv", 1e-6, shared, released)
     return cases
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from qanet.augmentation import (RuleTranslator, augment_examples,
                                  write_squad_json)
+import qanet.cli
 from qanet.cli import main
 from qanet.config import (
     AugmentationConfig,
@@ -858,3 +859,12 @@ class TestBenchCommand:
         assert "predict:" in captured.out
         assert "train_step:" in captured.out
         assert "variance" in captured.out
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_batches_below_one_refused_while_parsing(self, value, monkeypatch, capsys):
+        """Refused before a model is built, naming the flag."""
+        monkeypatch.setattr(qanet.cli, "new_run", lambda *args: pytest.fail("model built"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--batches", value])
+        assert exit_info.value.code == 2
+        assert f"argument --batches: must be at least 1, got {value}" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,7 @@ import qanet.encoder as E
 import qanet.tensor as T
 from qanet.tensor import Tensor, backward
 from gradcheck import check_gradients, weighted_sum_loss
-from tapebytes import closure_arrays, owner, records, tape_bytes
+from tapebytes import held_arrays, kept_data, owner, records, tape_bytes
 
 
 class TestPositionalEncoding:
@@ -346,24 +347,33 @@ class TestEncoderStack:
             assert a.tobytes() == b.tobytes(), i
 
     def test_train_mode_tape_keeps_only_what_backward_reads(self, monkeypatch):
-        """No record keeps a normalized input, a padded buffer, attention
-        weights or a float dropout mask, and the block's tape bytes are
-        pinned."""
-        drawn = []
+        """No record keeps a normalized input or a layernorm output's buffer,
+        a padded buffer, attention weights or a float dropout mask, and the
+        block's tape bytes are pinned."""
+        drawn, normed = [], []
 
         def spy(*args):
             drawn.append(T.dropout_mask(*args))
             return drawn[-1]
 
+        def layernorm_spy(*args):
+            out = T.layernorm(*args)
+            normed.append((out, weakref.ref(out.data)))
+            return out
+
         monkeypatch.setattr(E, "dropout_mask", spy)
+        monkeypatch.setattr(E, "layernorm", layernorm_spy)
         out, _, config = train_block()
+        assert len(normed) == 4
+        for t, buffer in normed:  # released once its sublayer ran, held by nothing
+            assert kept_data(t) is None and buffer() is None
         n, width = out.shape[-2], config.kernel_size
         held = {}
         for t, op in records(out):
-            inputs = {id(owner(i.data)) for i in op.inputs}
-            private = [a for a in closure_arrays(op.backward_fn)
-                       if id(owner(a)) not in inputs and owner(a) is not owner(t.data)]
-            for a in closure_arrays(op.backward_fn):
+            kept = [a for a in map(kept_data, (t,) + op.inputs) if a is not None]
+            inputs = {id(owner(a)) for a in kept}
+            private = [a for a in held_arrays(op) if id(owner(a)) not in inputs]
+            for a in held_arrays(op):
                 held.setdefault(id(owner(a)), []).append(op.name)
             if op.name == "layernorm":  # the row mean and scale, nothing (..., d)
                 assert all(a.shape[-1] == 1 for a in private), [a.shape for a in private]
@@ -372,7 +382,7 @@ class TestEncoderStack:
                     [a.shape for a in private]
             if op.name == "depthwise_separable_conv1d":  # no zero-padded input
                 assert all(owner(a).shape[1:2] != (n + width - 1,)
-                           for a in closure_arrays(op.backward_fn))
+                           for a in held_arrays(op))
             for a in private:  # no float copy of a dropout mask
                 assert not any(a.shape == m.keep.shape and np.array_equal(a, m.keep * m.scale)
                                for m in drawn), op.name
@@ -380,7 +390,7 @@ class TestEncoderStack:
         for m in drawn:  # one bool keep per sublayer, held by the sublayer's last op
             assert m.keep.dtype == np.bool_
             assert held[id(m.keep)] in (["dense"], ["depthwise_separable_conv1d"])
-        assert tape_bytes(out) == 17_056
+        assert tape_bytes(out) == 14_240
 
     def test_shape_preserved(self):
         config, params, x = stack_setup()

@@ -4,6 +4,8 @@ The finite-difference gate over every op is acceptance 01's sweep.
 """
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,6 +379,57 @@ class TestTape:
         x.grad[...] = 0.0
         backward(loss)
         np.testing.assert_allclose(x.grad, [4.0])
+
+    @staticmethod
+    def _layernorm_graph(release: bool):
+        """A layernorm output read by ``matmul`` and ``dense``, released or not
+        before backward: the loss, the output, its forward bits, the leaves."""
+        rng = np.random.default_rng(11)
+        leaves = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((2, 3, 4), (4,), (4,), (4, 5), (5,))]
+        x, gain, bias, w, b = leaves
+        normed = T.layernorm(x, gain, bias)
+        forward_bits = normed.data.tobytes()
+        loss = T.reduce_sum(T.sigmoid(T.add(T.matmul(normed, w), T.dense(normed, w, b))))
+        if release:
+            T.release(normed)
+        return loss, normed, forward_bits, leaves
+
+    def test_released_output_second_backward_accumulates(self):
+        """Each pass rebuilds a released output: the first gives the bits of
+        an unreleased graph, and a second one adds them again."""
+        loss, _, _, kept = self._layernorm_graph(release=False)
+        backward(loss)
+        loss, normed, _, leaves = self._layernorm_graph(release=True)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(normed, "data")
+        backward(loss)
+        for t, want in zip(leaves, kept):
+            assert t.grad.tobytes() == want.grad.tobytes()
+        backward(loss)
+        for t, want in zip(leaves, kept):
+            assert t.grad.tobytes() == (want.grad + want.grad).tobytes()
+
+    def test_released_output_read_after_backward(self):
+        """A ``.data`` read after backward gives the forward's bits, and
+        neither the tensor nor its record holds the rebuilt buffer."""
+        loss, normed, forward_bits, _ = self._layernorm_graph(release=True)
+        backward(loss)
+        rebuilt = normed.data
+        assert rebuilt.tobytes() == forward_bits
+        held = weakref.ref(rebuilt)
+        del rebuilt
+        assert held() is None
+        with pytest.raises(AttributeError):
+            object.__getattribute__(normed, "data")
+
+    def test_release_keeps_an_output_nothing_rebuilds(self):
+        x = Tensor(rand(2, 3), requires_grad=True)
+        for t in (x, T.relu(x), T.layernorm(Tensor(rand(2, 3)), Tensor(np.ones(3)),
+                                          Tensor(np.zeros(3)))):
+            data = t.data
+            T.release(t)
+            assert t.data is data
 
     def test_gradients_land_on_leaves_only(self):
         x = Tensor(rand(3), requires_grad=True)
