@@ -21,8 +21,8 @@ their input. Beyond that:
   it keeps ``x`` and ``w``.
 - :func:`depthwise_separable_conv1d` takes (batch, length, channels)
   input and an optional 0/1 position ``mask``, and zeroes padded positions
-  of its input and output itself. It keeps its inputs, the mask and the
-  depthwise output, and rebuilds the zero-padded input in backward.
+  of its input and output itself. It keeps its inputs and the mask, and
+  rebuilds the zero-padded input and the depthwise output in backward.
 - Both take an epilogue: given a ``residual`` and a :class:`DropoutMask`
   ``dropout``, the result is ``residual + dropout ⊙ op(x)``, formed in
   place in the op's own result buffer, so a residual sublayer ends in one
@@ -644,9 +644,10 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
     feed nothing, and in the output. ``residual`` and ``dropout`` work as
     in :func:`dense`: the result is ``residual + dropout ⊙ conv(x)``.
 
-    The tape keeps the inputs and the depthwise output; backward rebuilds
-    the zero-padded input from ``x.data``, read when it runs, and ``mask``
-    rather than keeping it.
+    The tape keeps the inputs and ``mask``. Backward rebuilds the
+    zero-padded input from ``x.data``, read when it runs, and the depthwise
+    output from that input's windows with the same einsum, so both carry
+    forward's bits and neither lives beyond the backward call.
     """
     x, depth_kernel = _as_tensor(x), _as_tensor(depth_kernel)
     point_kernel, bias = _as_tensor(point_kernel), _as_tensor(bias)
@@ -681,31 +682,31 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
             np.multiply(xd, mask, out=padded[:, pad:pad + length])
         return padded
 
+    dk, pk = depth_kernel.data, point_kernel.data
     windows = sliding_window_view(padded_input(xd), width, axis=1)  # (B, L, C, width)
-    depth_out = np.einsum("blck,kc->blc", windows, depth_kernel.data)
-    out = depth_out @ point_kernel.data
+    out = np.einsum("blck,kc->blc", windows, dk) @ pk
     out += bias.data
     if mask is not None:
         out *= mask
     inputs = _epilogue("depthwise_separable_conv1d", out,
                        (x, depth_kernel, point_kernel, bias), residual, dropout)
-    dk, pk = depth_kernel.data, point_kernel.data
 
     def bwd(g):
         g2 = (g if dropout is None else _dropped(g, dropout)).reshape(-1, out_channels)
         if mask is not None:
             g2 = g2 * mask.reshape(-1, 1)
         g_bias = g2.sum(axis=0)
-        g_point = depth_out.reshape(-1, channels).T @ g2
-        g_depth_out = (g2 @ pk.T).reshape(batch, length, channels)
         padded = padded_input(x.data)
-        g_dk = np.einsum("blck,blc->kc", sliding_window_view(padded, width, axis=1),
-                         g_depth_out)
+        windows = sliding_window_view(padded, width, axis=1)
+        # The depthwise output, rebuilt as forward made it, lives for one product.
+        g_point = np.einsum("blck,kc->blc", windows, dk).reshape(-1, channels).T @ g2
+        g_depth_out = (g2 @ pk.T).reshape(batch, length, channels)
+        g_dk = np.einsum("blck,blc->kc", windows, g_depth_out)
         # x's gradient is g_depth_out convolved with the flipped kernel; the
-        # padded buffer's zero margins serve again around it.
+        # padded buffer's zero margins serve again around it, and the
+        # windows, a view of that buffer, now show it.
         padded[:, pad:pad + length] = g_depth_out
-        gx = np.einsum("blck,kc->blc", sliding_window_view(padded, width, axis=1),
-                       dk[::-1])
+        gx = np.einsum("blck,kc->blc", windows, dk[::-1])
         if mask is not None:
             gx *= mask
         return gx, g_dk, g_point, g_bias, g  # zip drops g when there is no residual

@@ -68,12 +68,29 @@ def held_arrays(op) -> list[np.ndarray]:
     return closure_arrays((op.backward_fn, op.rebuild))
 
 
-def tape_bytes(root) -> int:
-    """Bytes of every buffer that kept op outputs or record closures reach."""
-    buffers = {}
+def _kept_buffers(root):
+    """``(op name, owning buffer)`` for each buffer the tape keeps, once, with
+    the first record that reaches it in :func:`records`' order from ``root``."""
+    seen = set()
     for out, op in records(root):
         data = kept_data(out)
         for a in ([] if data is None else [data]) + held_arrays(op):
             buf = owner(a)
-            buffers[id(buf)] = buf.nbytes
-    return sum(buffers.values())
+            if id(buf) not in seen:
+                seen.add(id(buf))
+                yield op.name, buf
+
+
+def tape_bytes(root) -> int:
+    """Bytes of every buffer that kept op outputs or record closures reach."""
+    return sum(buf.nbytes for _, buf in _kept_buffers(root))
+
+
+def bytes_by_op(root) -> dict[str, int]:
+    """:func:`tape_bytes` split by op name, largest first: each buffer is
+    charged to the first op that reaches it from ``root``, so the rows sum
+    to the total, but a buffer two ops share shows under one of them only."""
+    rows = {}
+    for name, buf in _kept_buffers(root):
+        rows[name] = rows.get(name, 0) + buf.nbytes
+    return dict(sorted(rows.items(), key=lambda row: -row[1]))

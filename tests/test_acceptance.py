@@ -59,6 +59,11 @@ def _verdict(num: int, label: str, body) -> None:
 # Public names of qanet.tensor that record no tape op of their own.
 _NOT_DIFFERENTIABLE = {"backward", "no_grad", "dropout_mask"}
 
+# Graphs whose backward rebuilds what the tape dropped: a released output
+# with three readers, and one set of conv kernels over two inputs.
+_REQUIRED_CASES = {"release:layernorm_into_dense_matmul_conv",
+                   "depthwise_separable_conv1d:shared_kernels_two_inputs"}
+
 # Seeded draws of every sweep case; each draw makes fresh inputs, weights,
 # dropout masks, lookup ids and attention key masks.
 _SWEEP_DRAWS = 20
@@ -247,6 +252,16 @@ def _sweep_cases(rng):
          lambda ts: weighted_sum_loss(depthwise_separable_conv1d(
              *ts[:4], residual=ts[4], dropout=cdrop._replace(keep=cdrop.keep[1:2])),
              wmc[1:2]))
+    # The embedding encoder's shape: one set of kernels convolves a context and
+    # a question of another length in one graph; each record rebuilds its
+    # depthwise output from its own input.
+    qx = rng.standard_normal((3, 4, 4))
+    wqc = rng.standard_normal((3, 4, 3))
+    case("depthwise_separable_conv1d:shared_kernels_two_inputs", 1e-6,
+         [mx.copy(), qx, dk.copy(), pk.copy(), cb.copy()],
+         lambda ts: add(
+             weighted_sum_loss(depthwise_separable_conv1d(ts[0], *ts[2:], mask=rows), wmc),
+             weighted_sum_loss(depthwise_separable_conv1d(*ts[1:], mask=rows[:, :4]), wqc)))
     # layernorm(conv(x W)) squeezed through softmax: mixed second derivatives.
     chain = [rng.standard_normal(shape) for shape in
              ((1, 4, 3), (3, 4), (3, 4), (4, 4), (4,), (4,), (4,))]
@@ -276,11 +291,14 @@ def _op_sweep(seed):
     tolerance."""
     draws = [_sweep_cases(np.random.default_rng(s))
              for s in np.random.SeedSequence(seed).spawn(_SWEEP_DRAWS)]
-    swept = {name.split(":")[0] for name, _, _, _ in draws[0]}
+    names = {name for name, _, _, _ in draws[0]}
+    swept = {name.split(":")[0] for name in names}
     ops = {name for name in qanet.tensor.__all__
            if not isinstance(getattr(qanet.tensor, name), type)}
     unswept = sorted(ops - _NOT_DIFFERENTIABLE - swept)
     assert not unswept, f"differentiable ops without a sweep case: {unswept}"
+    missing = sorted(_REQUIRED_CASES - names)
+    assert not missing, f"sweep cases a tape rebuild relies on are gone: {missing}"
     for draw, cases in enumerate(draws):
         for name, tol, arrays, loss in cases:
             worst = check_gradients(loss, arrays, tol=np.inf)

@@ -12,7 +12,7 @@ import qanet.encoder as E
 import qanet.tensor as T
 from qanet.tensor import Tensor, backward
 from gradcheck import check_gradients, weighted_sum_loss
-from tapebytes import held_arrays, kept_data, owner, records, tape_bytes
+from tapebytes import bytes_by_op, held_arrays, kept_data, owner, records, tape_bytes
 
 
 class TestPositionalEncoding:
@@ -348,8 +348,8 @@ class TestEncoderStack:
 
     def test_train_mode_tape_keeps_only_what_backward_reads(self, monkeypatch):
         """No record keeps a normalized input or a layernorm output's buffer,
-        a padded buffer, attention weights or a float dropout mask, and the
-        block's tape bytes are pinned."""
+        a padded buffer or a depthwise output, attention weights or a float
+        dropout mask, and the block's tape bytes are pinned."""
         drawn, normed = [], []
 
         def spy(*args):
@@ -380,9 +380,11 @@ class TestEncoderStack:
             if op.name == "scaled_dot_attention":  # row statistics, no (..., n, m) weights
                 assert private and all(a.shape[-1] == 1 for a in private), \
                     [a.shape for a in private]
-            if op.name == "depthwise_separable_conv1d":  # no zero-padded input
+            if op.name == "depthwise_separable_conv1d":  # no padded input, no depthwise output
                 assert all(owner(a).shape[1:2] != (n + width - 1,)
                            for a in held_arrays(op))
+                assert not any(a.dtype.kind == "f" and owner(a).shape == op.inputs[0].shape
+                               for a in private), [a.shape for a in private]
             for a in private:  # no float copy of a dropout mask
                 assert not any(a.shape == m.keep.shape and np.array_equal(a, m.keep * m.scale)
                                for m in drawn), op.name
@@ -390,7 +392,15 @@ class TestEncoderStack:
         for m in drawn:  # one bool keep per sublayer, held by the sublayer's last op
             assert m.keep.dtype == np.bool_
             assert held[id(m.keep)] in (["dense"], ["depthwise_separable_conv1d"])
-        assert tape_bytes(out) == 14_240
+        assert tape_bytes(out) == 12_960
+
+    def test_bytes_by_op_rows_sum_to_tape_bytes(self):
+        """Each buffer is charged to one op, so the rows add up to the total."""
+        out, _, _ = train_block()
+        rows = bytes_by_op(out)
+        assert set(rows) <= set(op_counts(out))
+        assert list(rows.values()) == sorted(rows.values(), reverse=True)
+        assert sum(rows.values()) == tape_bytes(out)
 
     def test_shape_preserved(self):
         config, params, x = stack_setup()

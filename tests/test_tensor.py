@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qanet.tensor as T
 from qanet.tensor import Tensor, backward
 from gradcheck import check_gradients, weighted_sum_loss
+from tapebytes import bytes_by_op, tape_bytes
 
 RNG = np.random.default_rng(20240817)
 
@@ -422,6 +423,38 @@ class TestTape:
         assert held() is None
         with pytest.raises(AttributeError):
             object.__getattribute__(normed, "data")
+
+    @staticmethod
+    def _conv_graph():
+        """A masked conv with a residual-and-dropout epilogue on leaves: the
+        loss, the conv's output, the leaves, the mask and the dropout mask."""
+        rng = np.random.default_rng(23)
+        leaves = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((2, 5, 4), (3, 4), (4, 3), (3,), (2, 5, 3))]
+        rows = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
+        drop = T.dropout_mask(rng, (2, 5, 3), 0.3)
+        out = T.depthwise_separable_conv1d(*leaves[:4], mask=rows, residual=leaves[4],
+                                           dropout=drop)
+        return T.reduce_sum(T.sigmoid(out)), out, leaves, rows, drop
+
+    def test_conv_second_backward_accumulates(self):
+        """The conv rebuilds its padded input and depthwise output in each
+        pass and keeps neither: a second pass adds the first pass's bits."""
+        loss, _, leaves, _, _ = self._conv_graph()
+        backward(loss)
+        first = [t.grad.copy() for t in leaves]
+        backward(loss)
+        for t, want in zip(leaves, first):
+            assert t.grad.tobytes() == (want + want).tobytes()
+
+    def test_conv_tape_bytes_pinned(self):
+        """The record keeps its output, the float mask, the one-byte dropout
+        keep and the two kernels it reads in backward, nothing (2, 5, 4)."""
+        _, out, leaves, rows, drop = self._conv_graph()
+        want = {"depthwise_separable_conv1d": out.data.nbytes + rows.nbytes
+                + drop.keep.nbytes + leaves[1].data.nbytes + leaves[2].data.nbytes}
+        assert bytes_by_op(out) == want
+        assert tape_bytes(out) == 542
 
     def test_release_keeps_an_output_nothing_rebuilds(self):
         x = Tensor(rand(2, 3), requires_grad=True)
