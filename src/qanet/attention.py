@@ -66,29 +66,27 @@ def trilinear_similarity(C: Tensor, Q: Tensor, weights: TrilinearWeights) -> Ten
     return add(add(c_term, q_term), cross)
 
 
-def context_query_attention(context: Tensor, query: Tensor,
-                            weights: TrilinearWeights,
-                            context_mask: np.ndarray | None = None,
-                            question_mask: np.ndarray | None = None) -> AttentionMatrices:
+def context_query_attention(context: Tensor, query: Tensor, weights: TrilinearWeights,
+                            context_mask: np.ndarray,
+                            question_mask: np.ndarray) -> AttentionMatrices:
     """Full layer: similarity, both softmaxes, both attention summaries.
 
-    Masks are (..., n) and (..., m) arrays of 1.0/0.0 marking real tokens.
+    The required masks are (..., n) and (..., m) arrays of 1.0/0.0 marking
+    real tokens; the row softmax masks padded questions, the column softmax
+    padded context.
     """
     S = trilinear_similarity(context, query, weights)
-    q_mask = None if question_mask is None else np.asarray(question_mask)[..., None, :]
-    c_mask = None if context_mask is None else np.asarray(context_mask)[..., :, None]
-    S_row = softmax(S, axis=-1, mask=q_mask)
-    S_col = softmax(S, axis=-2, mask=c_mask)
+    S_row = softmax(S, axis=-1, mask=np.asarray(question_mask)[..., None, :])
+    S_col = softmax(S, axis=-2, mask=np.asarray(context_mask)[..., :, None])
     A = matmul(S_row, query)
     B = matmul(matmul(S_row, swap_last_axes(S_col)), context)
     return AttentionMatrices(S=S, S_row=S_row, S_col=S_col, A=A, B=B)
 
 
-def cq_attention_forward(context: Tensor, query: Tensor,
-                         params: CqAttentionParams,
-                         context_mask: np.ndarray | None = None,
-                         question_mask: np.ndarray | None = None) -> Tensor:
-    """Fused and projected attention output, (..., n, d)."""
+def cq_attention_forward(context: Tensor, query: Tensor, params: CqAttentionParams,
+                         context_mask: np.ndarray, question_mask: np.ndarray) -> Tensor:
+    """Fused and projected attention output, (..., n, d); the masks are
+    required, as in :func:`context_query_attention`."""
     m = context_query_attention(context, query, params.weights,
                                 context_mask, question_mask)
     fused = concat([context, m.A, multiply(context, m.A),

@@ -353,13 +353,14 @@ def _word_spans(text: str) -> list[tuple[int, int]]:
 
 
 def paraphrase_document(example: QaExample, endpoint, k: int, rng,
-                        threshold: float,
-                        new_id: str | None = None) -> QaExample | None:
+                        threshold: float, new_id: str) -> QaExample | None:
     """Rebuild a document from per-sentence paraphrases, realigning the answer.
 
     The sentences the answer overlaps are paraphrased together, as one unit.
     Sentences with no surviving candidate stay as they are; the answer's
-    unit additionally requires a realigned answer in any replacement.
+    unit additionally requires a realigned answer in any replacement. The
+    rebuilt example takes ``new_id``; an unchanged document comes back as
+    ``example`` itself, and an unlabeled one as None.
     """
     if example.answer_span is None:
         return None
@@ -414,7 +415,7 @@ def paraphrase_document(example: QaExample, endpoint, k: int, rng,
         texts.append(text)
         offset += len(text) + 1  # single-space joins
     new_context = " ".join(texts)
-    return example_from_raw(new_id or example.id, new_context,
+    return example_from_raw(new_id, new_context,
                             example.question_text, answer_text, answer_start,
                             gold_answers=[answer_text])
 
@@ -437,17 +438,24 @@ def _mix_shares(weights) -> np.ndarray:
     return raw / raw.sum()
 
 
-def mixed_sampler(pools, weights, seed: int):
-    """Infinite stream drawing a pool by its share of ``weights``, then a
-    uniform example. Validation happens up front, not on the first draw.
-    """
-    pools = [list(p) for p in pools]
+def check_pools(pools, weights) -> np.ndarray:
+    """The mixing shares of the original, fr and de ``pools``; refuses a
+    pool count other than three and, by name, an empty pool with weight."""
     if len(pools) != 3:
         raise ValueError(f"want 3 pools, got {len(pools)}")
     probs = _mix_shares(weights)
-    for pool, w in zip(pools, probs):
+    for name, pool, w in zip(("original", "fr", "de"), pools, probs):
         if w > 0 and not pool:
-            raise EmptyWeightedPool(f"pool with weight {w:.3f} is empty")
+            raise EmptyWeightedPool(f"the {name} pool is empty but has mixing weight {w:.3f}")
+    return probs
+
+
+def mixed_sampler(pools, weights, seed: int):
+    """Infinite stream drawing a pool by its share of ``weights``, then a
+    uniform example. :func:`check_pools` runs up front, not on the first draw.
+    """
+    pools = [list(p) for p in pools]
+    probs = check_pools(pools, weights)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3A3]))
 
     def stream():

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from .augmentation import (HttpTranslator, RuleTranslator, augment_examples,
-                           mixed_sampler, write_squad_json)
+                           check_pools, mixed_sampler, write_squad_json)
 from .config import RunConfig, from_flat, parse_override, resolve_config, to_flat
 from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
@@ -68,7 +68,14 @@ def _cmd_train(args) -> int:
     dev = None
     if paths.dev_data:
         dev = _parse_qa(paths.dev_data, "eval", config.model)
-    check_eval_every(config, dev)  # before vectors or a checkpoint are read
+    pools = None
+    if paths.augmented_fr or paths.augmented_de:
+        pools = [examples] + [_parse_qa(path, "train", config.model) if path else []
+                              for path in (paths.augmented_fr, paths.augmented_de)]
+        mix = config.augment
+        weights = (mix.mix_orig, mix.mix_fr, mix.mix_de)
+        check_pools(pools, weights)
+    check_eval_every(config, dev)  # like check_pools, before vectors or a checkpoint
 
     # On resume the weights, vocabulary and seed come from the checkpoint,
     # and differing settings fail here; train makes its own refusals before
@@ -91,16 +98,7 @@ def _cmd_train(args) -> int:
                                          config.seed)
         params, state = new_run(config.model, vocab, matrix, config.seed)
 
-    sampler = None
-    if paths.augmented_fr or paths.augmented_de:
-        def pool(path):
-            if not path:
-                return []
-            return _parse_qa(path, "train", config.model)
-        mix = config.augment
-        sampler = mixed_sampler(
-            [examples, pool(paths.augmented_fr), pool(paths.augmented_de)],
-            (mix.mix_orig, mix.mix_fr, mix.mix_de), seed=state.seed)
+    sampler = None if pools is None else mixed_sampler(pools, weights, seed=state.seed)
 
     result = train(examples, vocab, params, state, config, dev_examples=dev,
                    sampler=sampler)
@@ -170,11 +168,14 @@ def _cmd_augment(args) -> int:
 
 
 def _bench_examples(config: RunConfig, count: int):
-    """Synthetic fixed-length examples over a throwaway vocabulary."""
+    """Synthetic fixed-length examples over a throwaway vocabulary, each with
+    a two-token answer that ends before the context's last token."""
+    n_ctx = config.model.max_context_len
+    if n_ctx < 3:
+        raise ValueError(f"bench needs model.max_context_len of at least 3, got {n_ctx}")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBE2C]))
     words = [f"w{i}" for i in range(200)]
     vocab = Vocabulary.from_words(words)
-    n_ctx = config.model.max_context_len
     examples = []
     for i in range(count):
         toks = [words[int(rng.integers(len(words)))] for _ in range(n_ctx)]

@@ -102,19 +102,18 @@ class AttentionParams:
     out_b: Tensor
 
 
-def multi_head_self_attention(x: Tensor, params: AttentionParams,
-                              num_heads: int, mask: np.ndarray | None = None,
-                              residual: Tensor | None = None,
-                              dropout: DropoutMask | None = None) -> Tensor:
-    """Multi-head scaled dot-product self-attention over the last-but-one axis.
+def multi_head_self_attention(x: Tensor, params: AttentionParams, num_heads: int,
+                              mask: np.ndarray, residual: Tensor | None,
+                              dropout: DropoutMask | None) -> Tensor:
+    """Multi-head scaled dot-product self-attention over positions.
 
-    ``x`` is (..., n, d). The q/k/v projections feed one
+    ``x`` is (batch, n, d). The q/k/v projections feed one
     :func:`~qanet.tensor.scaled_dot_attention` op, whose tape record keeps
-    no (..., heads, n, n) weights, only two (..., heads, n, 1) row
-    statistics, and an output projection follows. ``mask`` (1.0 real, 0.0
-    padding) is the key mask: padded keys get exactly zero attention
-    weight. ``residual`` and ``dropout`` pass to the output projection's
-    epilogue.
+    no (batch, heads, n, n) weights, only two (batch, heads, n, 1) row
+    statistics, and an output projection follows. ``mask`` (batch, n), 1.0
+    real and 0.0 padding, is the required key mask: padded keys get exactly
+    zero attention weight. ``residual`` and ``dropout`` (None when the
+    sublayer draws no mask) pass to the output projection's epilogue.
 
     The key projection has no bias: a key bias ``b`` would add ``q·b`` to
     every logit of a query's softmax row, a shift softmax ignores.
@@ -204,10 +203,10 @@ def init_encoder_stack(config: EncoderBlockConfig, rng) -> EncoderStackParams:
 
 
 def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
-                          params: EncoderStackParams, mask: np.ndarray | None,
+                          params: EncoderStackParams, mask: np.ndarray,
                           train_mode: bool = False, rng=None) -> Tensor:
-    """Run the full stack over ``x`` (batch, n, d). ``mask`` is None or
-    (batch, n) with 1.0 on real tokens.
+    """Run the full stack over ``x`` (batch, n, d). ``mask`` is the required
+    (batch, n) array with 1.0 on real tokens and 0.0 on padding.
 
     Convolution inputs and outputs are zeroed on padded positions so no
     information bleeds through the receptive field; attention masks its

@@ -59,8 +59,9 @@ def _logits(first: Tensor, second: Tensor, w: Tensor) -> Tensor:
 
 
 def span_distributions(M0: Tensor, M1: Tensor, M2: Tensor, W1: Tensor,
-                       W2: Tensor, mask: np.ndarray | None = None) -> SpanDistributions:
-    """Start reads [M0; M1], end reads [M0; M2]; both softmax over positions."""
+                       W2: Tensor, mask: np.ndarray) -> SpanDistributions:
+    """Start reads [M0; M1], end reads [M0; M2]; both softmax over the
+    positions that the required (..., n) ``mask`` marks 1.0."""
     p1 = softmax(_logits(M0, M1, W1), axis=-1, mask=mask)
     p2 = softmax(_logits(M0, M2, W2), axis=-1, mask=mask)
     return SpanDistributions(p1=p1, p2=p2)

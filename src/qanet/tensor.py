@@ -8,6 +8,9 @@ the leaves only: ``requires_grad`` tensors no op produced. A loss that no
 op produced has nothing to walk and is refused. The adjoints of
 op outputs live only while ``backward`` runs, so an output's ``.grad``
 stays None. Repeated calls accumulate until the leaves' grads are zeroed.
+Ops take Tensors as operands and wrap nothing: a constant is made a
+``Tensor`` by its caller. Masks and lookup ids are arrays, and a dropout
+mask is a :class:`DropoutMask`.
 
 A record holds its input tensors and, in its backward closure, only what
 the rule reads beyond them. ``add`` and ``subtract`` keep shapes;
@@ -35,13 +38,16 @@ their input. Beyond that:
   ``matmul`` and the conv read their inputs' ``.data`` in backward, not
   an array captured in forward, and a dropped output's ``.data`` is
   rebuilt from the record, once per backward pass (see :func:`layernorm`).
-- :func:`scaled_dot_attention` runs every head at once.
+- :func:`scaled_dot_attention` runs every head at once over (batch, n, d)
+  inputs, and refuses any other rank.
 
-Masks in :func:`softmax` and attention give slots exactly zero weight, and
-a slice with no usable slot is zero throughout. Attention keeps no
-(..., heads, n, m) array: it walks cache-sized blocks of whole heads, and
-its record keeps two (..., heads, n, 1) row statistics, the max shift and
-the inverse row sum, beside the inputs, the key mask and the output.
+:func:`softmax` and attention require a mask; the model always has one,
+and an all-ones mask leaves every slot usable. A mask gives slots exactly
+zero weight, and a slice with no usable slot is zero throughout. Attention
+keeps no (batch, heads, n, m) array: it walks cache-sized blocks of whole
+heads, and its record keeps two (batch, heads, n, 1) row statistics, the
+max shift and the inverse row sum, beside the inputs, the key mask and the
+output.
 Backward recomputes each block's weights from them, bitwise as forward made
 them (FlashAttention, arXiv 2205.14135), and uses
 ``rowsum(dP * P) == rowsum(dO * O)`` (FlashAttention-2, arXiv 2307.08691),
@@ -213,10 +219,6 @@ def backward(loss: Tensor) -> None:
         _local.in_backward = False
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _result(name, inputs, out_data, backward_fn, rebuild=None) -> Tensor:
     out = Tensor(out_data)
     if _grad_enabled() and any(t.requires_grad for t in inputs):
@@ -243,7 +245,6 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data + b.data
     except ValueError:
@@ -255,7 +256,6 @@ def add(a, b) -> Tensor:
 
 
 def subtract(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data - b.data
     except ValueError:
@@ -267,7 +267,6 @@ def subtract(a, b) -> Tensor:
 
 
 def multiply(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data * b.data
     except ValueError:
@@ -282,15 +281,13 @@ def multiply(a, b) -> Tensor:
 
 
 def scalar_scale(x, c: float) -> Tensor:
-    x = _as_tensor(x)
     c = float(c)
     return _result("scalar_scale", (x,), x.data * c, lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
-        raise DimensionMismatch("matmul operands need at least 2 dims")
+        raise DimensionMismatch(f"matmul needs 2 dims or more: {a.shape} @ {b.shape}")
     try:
         out = a.data @ b.data
     except ValueError:
@@ -315,7 +312,6 @@ def dense(x, w, b, residual=None, dropout=None) -> Tensor:
     the output's shape, the result is ``residual + dropout ⊙ (x @ w + b)``,
     formed in place in the same buffer (see :func:`_epilogue`).
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
     wd = w.data
@@ -334,14 +330,12 @@ def dense(x, w, b, residual=None, dropout=None) -> Tensor:
 
 
 def relu(x) -> Tensor:
-    x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
     positive = x.data > 0.0
     return _result("relu", (x,), out, lambda g: (g * positive,))
 
 
 def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
     xd = x.data
     out = np.empty_like(xd)
     pos = xd >= 0
@@ -352,15 +346,13 @@ def sigmoid(x) -> Tensor:
 
 
 def log(x) -> Tensor:
-    x = _as_tensor(x)
-    if np.any(x.data <= 0.0):
-        raise ValueError("log: inputs must be strictly positive")
     xd = x.data
+    if np.any(xd <= 0.0):
+        raise ValueError(f"log: inputs must be strictly positive, got min {xd.min()}")
     return _result("log", (x,), np.log(xd), lambda g: (g / xd,))
 
 
 def clamp_min(x, floor: float) -> Tensor:
-    x = _as_tensor(x)
     floor = float(floor)
     out = np.maximum(x.data, floor)
     above = x.data > floor
@@ -370,42 +362,30 @@ def clamp_min(x, floor: float) -> Tensor:
 _MASK_PENALTY = 1e30  # added to masked logits; their exp underflows to exactly 0
 
 
-def _softmax_forward(z: np.ndarray, axis: int, mask) -> np.ndarray:
-    """Overwrite ``z`` with its softmax along ``axis``.
-
-    ``mask`` is None or a 0/1 array broadcasting to ``z``; slots with mask 0
-    get exactly zero weight. The result is multiplied by the mask, so a
-    slice with no usable slot is all zeros, not left uniform.
-    """
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        mask = mask.reshape((1,) * (z.ndim - mask.ndim) + mask.shape)
-        try:
-            z += (mask - 1.0) * _MASK_PENALTY
-        except ValueError:
-            raise DimensionMismatch(f"mask {mask.shape} vs {z.shape}") from None
-    z -= z.max(axis=axis, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
-    if mask is not None:
-        z *= mask
-    return z
-
-
-def _softmax_backward(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
-    """Overwrite ``g``, the gradient at softmax output ``p``, with the input's."""
-    g -= (g * p).sum(axis=axis, keepdims=True)
-    g *= p
-    return g
-
-
-def softmax(x, axis: int = -1, mask=None) -> Tensor:
-    """Softmax along ``axis``; a 0/1 ``mask`` broadcasting to ``x`` zeroes slots."""
-    x = _as_tensor(x)
+def softmax(x, axis: int, mask) -> Tensor:
+    """Softmax along ``axis`` under a required 0/1 ``mask`` broadcasting to
+    ``x``: slots with mask 0 get exactly zero weight, and the result is
+    multiplied by the mask, so a slice with no usable slot is all zeros, not
+    left uniform. An all-ones mask leaves every slot usable."""
     ax = _normalize_axis(axis, x.ndim)
-    out = _softmax_forward(x.data.copy(), ax, mask)
-    return _result("softmax", (x,), out,
-                   lambda g: (_softmax_backward(g.copy(), out, ax),))
+    mask = np.asarray(mask, dtype=np.float64)
+    out = x.data.copy()
+    try:
+        out += (mask - 1.0) * _MASK_PENALTY
+    except ValueError:
+        raise DimensionMismatch(f"mask {mask.shape} vs {x.shape}") from None
+    out -= out.max(axis=ax, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=ax, keepdims=True)
+    out *= mask
+
+    def bwd(g):  # the input's gradient, formed in a copy of the output's
+        g = g.copy()
+        g -= (g * out).sum(axis=ax, keepdims=True)
+        g *= out
+        return (g,)
+
+    return _result("softmax", (x,), out, bwd)
 
 
 _LAYERNORM_EPS = 1e-6
@@ -424,7 +404,6 @@ def layernorm(x, gain, bias) -> Tensor:
     go when this op's backward has run. A read outside backward rebuilds
     the output afresh and keeps nothing.
     """
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     dim = x.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
         raise DimensionMismatch(
@@ -472,13 +451,13 @@ def layernorm(x, gain, bias) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = list(tensors)
     if not tensors:
-        raise DimensionMismatch("concat: need at least one tensor")
+        raise DimensionMismatch("concat: need at least one tensor, got none")
     ax = _normalize_axis(axis, tensors[0].ndim)
     for t in tensors[1:]:
         if t.ndim != tensors[0].ndim:
-            raise DimensionMismatch("concat: rank mismatch")
+            raise DimensionMismatch(f"concat: rank of {tensors[0].shape} vs {t.shape}")
         for i, (da, db) in enumerate(zip(tensors[0].shape, t.shape)):
             if i != ax and da != db:
                 raise DimensionMismatch(f"concat: {tensors[0].shape} vs {t.shape} on axis {ax}")
@@ -489,7 +468,6 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
     shape = tuple(int(s) for s in shape)
     try:
         out = x.data.reshape(shape)
@@ -500,16 +478,14 @@ def reshape(x, shape) -> Tensor:
 
 
 def swap_last_axes(x) -> Tensor:
-    x = _as_tensor(x)
     if x.ndim < 2:
-        raise DimensionMismatch("swap_last_axes needs at least 2 dims")
+        raise DimensionMismatch(f"swap_last_axes needs at least 2 dims, got {x.shape}")
     out = np.swapaxes(x.data, -1, -2)
     return _result("swap_last_axes", (x,), out,
                    lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reduce_sum(x) -> Tensor:
-    x = _as_tensor(x)
     out = x.data.sum()
     shape = x.shape
     return _result("reduce_sum", (x,), out,
@@ -518,7 +494,6 @@ def reduce_sum(x) -> Tensor:
 
 def max_over_axis(x, axis: int) -> Tensor:
     """Max along an axis; gradient flows to the first maximal element."""
-    x = _as_tensor(x)
     ax = _normalize_axis(axis, x.ndim)
     xd = x.data
     out = xd.max(axis=ax)
@@ -535,7 +510,7 @@ def max_over_axis(x, axis: int) -> Tensor:
 def _check_ids(ids, limit: int) -> np.ndarray:
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError("indices must be integers")
+        raise ValueError(f"indices must be integers, got {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= limit):
         raise IdOutOfRange(f"index outside [0, {limit})")
     return ids
@@ -543,7 +518,6 @@ def _check_ids(ids, limit: int) -> np.ndarray:
 
 def embedding_lookup(table, ids) -> Tensor:
     """Row lookup ``table[ids]``; duplicate ids accumulate gradient."""
-    table = _as_tensor(table)
     ids = _check_ids(ids, table.shape[0])
     out = table.data[ids]
     tshape = table.shape
@@ -558,7 +532,6 @@ def embedding_lookup(table, ids) -> Tensor:
 
 def gather_last(x, ids) -> Tensor:
     """Pick one element along the last axis per leading position."""
-    x = _as_tensor(x)
     ids = _check_ids(ids, x.shape[-1])
     if ids.shape != x.shape[:-1]:
         raise DimensionMismatch(f"gather_last: ids {ids.shape} vs {x.shape}")
@@ -607,7 +580,6 @@ def _epilogue(name, out, inputs, residual, dropout):
         _dropped(out, dropout, out=out)
     if residual is None:
         return inputs
-    residual = _as_tensor(residual)
     if residual.shape != out.shape:
         raise DimensionMismatch(f"{name}: residual {residual.shape} vs output {out.shape}")
     out += residual.data
@@ -616,7 +588,6 @@ def _epilogue(name, out, inputs, residual, dropout):
 
 def dropout_apply(x, mask: DropoutMask) -> Tensor:
     """Multiply by a :func:`dropout_mask` mask; the record keeps its bool ``keep``."""
-    x = _as_tensor(x)
     if mask.keep.shape != x.shape:
         raise DimensionMismatch(f"dropout mask {mask.keep.shape} vs {x.shape}")
     return _result("dropout_apply", (x,), _dropped(x.data, mask),
@@ -649,8 +620,6 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
     output from that input's windows with the same einsum, so both carry
     forward's bits and neither lives beyond the backward call.
     """
-    x, depth_kernel = _as_tensor(x), _as_tensor(depth_kernel)
-    point_kernel, bias = _as_tensor(point_kernel), _as_tensor(bias)
     xd = x.data
     if xd.ndim != 3:
         raise DimensionMismatch(f"conv input must be 3-D, got {x.shape}")
@@ -744,59 +713,55 @@ def _attention_blocks(batch: int, heads: int, rows: int, cols: int):
 
 
 def _logit_operands(qh: np.ndarray, kh: np.ndarray, scale: float, mask):
-    """The pair whose per-head product is the scaled, masked logits. A key
-    mask (..., 1, m, 1) rides in as one column, [q · scale, 1] · [k, penalty],
+    """The pair whose per-head product is the scaled, masked logits. The key
+    mask (batch, 1, m, 1) rides in as one column, [q · scale, 1] · [k, penalty],
     so no pass over an (n, m) array masks the logits."""
-    if mask is None:
-        return qh * scale, kh
     return _with_columns(qh * scale, 1.0), _with_columns(kh, (mask[..., 0] - 1.0) * _MASK_PENALTY)
 
 
-def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
+def scaled_dot_attention(q, k, v, num_heads: int, key_mask) -> Tensor:
     """Multi-head scaled dot-product attention with every head in one op.
 
-    ``q`` is (..., n, d); ``k`` and ``v`` are (..., m, d). The features split
+    ``q`` is (batch, n, d); ``k`` and ``v`` are (batch, m, d); one sequence
+    is a batch of one, and any other rank is refused. The features split
     into ``num_heads`` contiguous heads of width dh = d / num_heads, each head
     computes ``softmax(q kᵀ / sqrt(dh)) v`` over the keys, and the heads
-    merge back to (..., n, d). ``key_mask`` is an optional 0/1 array that
-    broadcasts to (..., m); a key with mask 0 gets exactly zero weight, and
+    merge back to (batch, n, d). ``key_mask`` is a required 0/1 array that
+    broadcasts to (batch, m); a key with mask 0 gets exactly zero weight, and
     a query with no usable key attends to nothing and outputs zeros.
 
-    No (..., heads, n, m) array outlives the block that formed it. Forward
+    No (batch, heads, n, m) array outlives the block that formed it. Forward
     walks blocks of whole heads, each within ``_BLOCK_BYTES`` of weights:
     it forms the logits, shifts them by their row max, exponentiates them to
     ``E`` and takes ``E @ [v, 1]``, whose last column is the row sum, so
     ``P = E * inv`` is never formed either. The tape keeps only the row max
-    ``shift`` and ``inv``, both (..., heads, n, 1), beside the inputs, the
+    ``shift`` and ``inv``, both (batch, heads, n, 1), beside the inputs, the
     key mask and the output ``O``. Backward recomputes each block's ``E``
     from the inputs and ``shift``, with the same matmuls, so it is bitwise
     the forward's, and works through ``dS = P * (dP - rowsum(dO * O))``,
     where ``rowsum(dO * O)`` equals the softmax term ``rowsum(dP * P)`` at
-    (..., heads, n, dh) rather than (..., heads, n, m) cost. ``1/sqrt(dh)``
-    scales the (n, dh) arrays q, dq and dk, never an (n, m) one.
+    (batch, heads, n, dh) rather than (batch, heads, n, m) cost.
+    ``1/sqrt(dh)`` scales the (n, dh) arrays q, dq and dk, never an (n, m) one.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (q.ndim < 2 or k.shape != v.shape or k.ndim != q.ndim
-            or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1]):
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
+            or k.shape[0] != q.shape[0] or k.shape[-1] != q.shape[-1]):
         raise DimensionMismatch(
-            f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+            f"attention wants (batch, n, d) inputs: q {q.shape}, k {k.shape}, v {v.shape}")
     d = q.shape[-1]
     if d % num_heads:
         raise DimensionMismatch(f"dim {d} not divisible by {num_heads} heads")
     head_dim = d // num_heads
     scale = 1.0 / math.sqrt(head_dim)
-    batch, n, m = math.prod(q.shape[:-2]), q.shape[-2], k.shape[-2]
-    if key_mask is not None:
-        keys = q.shape[:-2] + (m,)
-        try:
-            key_mask = np.broadcast_to(np.asarray(key_mask, dtype=np.float64), keys)
-        except ValueError:
-            raise DimensionMismatch(f"key mask {np.shape(key_mask)} vs keys {keys}") from None
-        key_mask = key_mask.reshape(batch, 1, m, 1)
+    batch, n, m = q.shape[0], q.shape[1], k.shape[1]
+    try:
+        key_mask = np.broadcast_to(np.asarray(key_mask, dtype=np.float64), (batch, m))
+    except ValueError:
+        raise DimensionMismatch(f"key mask {np.shape(key_mask)} vs keys {(batch, m)}") from None
+    key_mask = key_mask.reshape(batch, 1, m, 1)
     blocks, buffer_size = _attention_blocks(batch, num_heads, n, m)
 
-    def split(a):  # (..., rows, d) -> (batch, h, rows, dh), a view when a is contiguous
-        return np.swapaxes(a.reshape(batch, a.shape[-2], num_heads, head_dim), 1, 2)
+    def split(a):  # (batch, rows, d) -> (batch, h, rows, dh), a view when a is contiguous
+        return np.swapaxes(a.reshape(batch, a.shape[1], num_heads, head_dim), 1, 2)
 
     def logits(buffer, blk, qa, ka_t):  # a block's scaled, masked logits, in buffer
         a, b = qa[blk], ka_t[blk]
@@ -807,7 +772,7 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
     qa, ka = _logit_operands(qh, kh, scale, key_mask)
     ka_t, vw = np.swapaxes(ka, -1, -2), _with_columns(vh, 1.0)
     shift, inv = np.empty((batch, num_heads, n, 1)), np.empty((batch, num_heads, n, 1))
-    has_key = None if key_mask is None else np.any(key_mask, axis=-2, keepdims=True)
+    has_key = np.any(key_mask, axis=-2, keepdims=True)
     out = np.empty(q.shape)
     out_h, buffer = split(out), np.empty(buffer_size)
     for blk in blocks:
@@ -817,8 +782,7 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask=None) -> Tensor:
         np.exp(e, out=e)
         mixed = e @ vw[blk]  # (b, h, n, dh + 1); each row sum is at least 1
         np.divide(1.0, mixed[..., -1:], out=inv[blk])
-        if has_key is not None:  # a row with no usable key gets inv 0
-            inv[blk] *= has_key[blk[0]]
+        inv[blk] *= has_key[blk[0]]  # a row with no usable key gets inv 0
         np.multiply(mixed[..., :-1], inv[blk], out=out_h[blk])
 
     def bwd(g):

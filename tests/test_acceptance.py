@@ -128,10 +128,11 @@ def _sweep_cases(rng):
     around_one[np.abs(around_one - 1.0) < 0.05] += 0.1  # clear of the floor
     case("log:of_clamp_min", 1e-6, [around_one],
          lambda ts: weighted_sum_loss(log(clamp_min(ts[0], 1.0)), w2))
+    # An all-ones mask leaves every slot usable.
     case("softmax:last", 1e-6, [a.copy()],
-         lambda ts: weighted_sum_loss(softmax(ts[0], -1), w))
+         lambda ts: weighted_sum_loss(softmax(ts[0], -1, np.ones(a.shape)), w))
     case("softmax:mid", 1e-6, [a.copy()],
-         lambda ts: weighted_sum_loss(softmax(ts[0], -2), w))
+         lambda ts: weighted_sum_loss(softmax(ts[0], -2, np.ones(a.shape)), w))
     # 0/1 masks with one wholly masked slice: zero weight, zero gradient.
     last_mask = np.array([[[1, 0, 1, 1]], [[0, 0, 0, 0]]], dtype=np.float64)
     case("softmax:masked_last", 1e-6, [a.copy()],
@@ -193,8 +194,8 @@ def _sweep_cases(rng):
     padded = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
     case("scaled_dot_attention:batched_padded", 1e-6, qkv,
          lambda ts: weighted_sum_loss(scaled_dot_attention(*ts, 2, padded), wa))
-    case("scaled_dot_attention:single", 1e-6, [a[0] for a in qkv],
-         lambda ts: weighted_sum_loss(scaled_dot_attention(*ts, 2), wa[0]))
+    case("scaled_dot_attention:single", 1e-6, [a[:1] for a in qkv],
+         lambda ts: weighted_sum_loss(scaled_dot_attention(*ts, 2, np.ones((1, 4))), wa[:1]))
 
     def blocked(ts):  # a budget below one head's weights: one head per block
         budget, qanet.tensor._BLOCK_BYTES = qanet.tensor._BLOCK_BYTES, 1
@@ -268,7 +269,7 @@ def _sweep_cases(rng):
     wch = rng.standard_normal((1, 4, 4))
     case("matmul:conv_layernorm_softmax_chain", 1e-6, chain,
          lambda ts: weighted_sum_loss(softmax(layernorm(depthwise_separable_conv1d(
-             matmul(ts[0], ts[1]), *ts[2:5]), *ts[5:]), -1), wch))
+             matmul(ts[0], ts[1]), *ts[2:5]), *ts[5:]), -1, np.ones(wch.shape)), wch))
     # The attention sublayer's shape: one layernorm output feeds dense, matmul
     # and the conv, and is dropped before backward, which rebuilds it.
     shared = [rng.standard_normal(shape) for shape in

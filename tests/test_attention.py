@@ -22,6 +22,16 @@ def rand_weights(d, rng):
                             w_qc=Tensor(rng.standard_normal(d)))
 
 
+def all_real(x):
+    """The all-ones mask over ``x``'s positions: every token is real."""
+    return np.ones(np.shape(x)[:-1])
+
+
+def cq_unpadded(C, Q, w):
+    """The full layer over a context and question with no padding."""
+    return context_query_attention(C, Q, w, all_real(C.data), all_real(Q.data))
+
+
 def naive_similarity(C, Q, w):
     """Direct dot product against the concatenated 3d weight vector."""
     n, m = C.shape[0], Q.shape[0]
@@ -46,8 +56,8 @@ class TestTrilinear:
         rng = np.random.default_rng(0)
         w = TrilinearWeights(w_q=Tensor(np.zeros(4)), w_c=Tensor(np.zeros(4)),
                              w_qc=Tensor(np.zeros(4)))
-        out = context_query_attention(Tensor(rng.standard_normal((3, 4))),
-                                      Tensor(rng.standard_normal((5, 4))), w)
+        out = cq_unpadded(Tensor(rng.standard_normal((3, 4))),
+                          Tensor(rng.standard_normal((5, 4))), w)
         np.testing.assert_array_equal(out.S.data, np.zeros((3, 5)))
         np.testing.assert_allclose(out.S_row.data, np.full((3, 5), 0.2),
                                    atol=1e-12)
@@ -93,7 +103,7 @@ class TestAttentionHops:
         C = np.hstack([np.eye(4)[[2, 0]], np.zeros((2, 3))])
         w = TrilinearWeights(w_q=Tensor(np.zeros(7)), w_c=Tensor(np.zeros(7)),
                              w_qc=Tensor(np.r_[np.full(4, 50.0), np.zeros(3)]))
-        out = context_query_attention(Tensor(C), Tensor(Q), w)
+        out = cq_unpadded(Tensor(C), Tensor(Q), w)
         np.testing.assert_allclose(out.A.data[0], Q[2], atol=1e-12)
         np.testing.assert_allclose(out.A.data[1], Q[0], atol=1e-12)
 
@@ -102,8 +112,7 @@ class TestAttentionHops:
         Q = rng.standard_normal((4, 3))
         zero = TrilinearWeights(w_q=Tensor(np.zeros(3)), w_c=Tensor(np.zeros(3)),
                                 w_qc=Tensor(np.zeros(3)))
-        out = context_query_attention(Tensor(rng.standard_normal((2, 3))),
-                                      Tensor(Q), zero)
+        out = cq_unpadded(Tensor(rng.standard_normal((2, 3))), Tensor(Q), zero)
         np.testing.assert_array_equal(out.S_row.data, np.full((2, 4), 0.25))
         np.testing.assert_allclose(out.A.data,
                                    np.broadcast_to(Q.mean(axis=0), (2, 3)),
@@ -113,7 +122,7 @@ class TestAttentionHops:
         rng = np.random.default_rng(6)
         C = rng.standard_normal((5, 3))
         Q = rng.standard_normal((4, 3))
-        out = context_query_attention(Tensor(C), Tensor(Q), rand_weights(3, rng))
+        out = cq_unpadded(Tensor(C), Tensor(Q), rand_weights(3, rng))
         S_row = out.S_row.data
         expect = np.array([[sum(S_row[i, j] * Q[j, k] for j in range(4))
                             for k in range(3)] for i in range(5)])
@@ -122,8 +131,7 @@ class TestAttentionHops:
     def test_q2c_singleton_returns_context(self):
         rng = np.random.default_rng(7)
         C = Tensor([[2.0, -1.0, 3.0]])
-        out = context_query_attention(C, Tensor(rng.standard_normal((1, 3))),
-                                      rand_weights(3, rng))
+        out = cq_unpadded(C, Tensor(rng.standard_normal((1, 3))), rand_weights(3, rng))
         np.testing.assert_array_equal(out.B.data, C.data)
 
     def test_q2c_near_permutation(self):
@@ -132,15 +140,15 @@ class TestAttentionHops:
         C = np.eye(3)
         w = TrilinearWeights(w_q=Tensor(np.zeros(3)), w_c=Tensor(np.zeros(3)),
                              w_qc=Tensor(np.full(3, 50.0)))
-        out = context_query_attention(Tensor(C), Tensor(np.eye(3)), w)
+        out = cq_unpadded(Tensor(C), Tensor(np.eye(3)), w)
         np.testing.assert_allclose(out.S.data, np.eye(3) * 50.0, atol=0)
         np.testing.assert_allclose(out.B.data, C, atol=1e-9)
 
     def test_q2c_matches_brute_force(self):
         rng = np.random.default_rng(8)
         C = rng.standard_normal((5, 3))
-        out = context_query_attention(Tensor(C), Tensor(rng.standard_normal((4, 3))),
-                                      rand_weights(3, rng))
+        out = cq_unpadded(Tensor(C), Tensor(rng.standard_normal((4, 3))),
+                          rand_weights(3, rng))
         S_row, S_col = out.S_row.data, out.S_col.data
         expect = np.zeros((5, 3))
         for i in range(5):
@@ -155,7 +163,8 @@ def fused_output(C, Q, weights):
     width = 4 * C.shape[-1]
     params = CqAttentionParams(weights=weights, proj_w=Tensor(np.eye(width)),
                                proj_b=Tensor(np.zeros(width)))
-    return cq_attention_forward(Tensor(C), Tensor(Q), params).data
+    return cq_attention_forward(Tensor(C), Tensor(Q), params,
+                                all_real(C), all_real(Q)).data
 
 
 class TestFuse:
@@ -164,7 +173,7 @@ class TestFuse:
         C = rng.standard_normal((3, 2))
         Q = rng.standard_normal((4, 2))
         w = rand_weights(2, rng)
-        m = context_query_attention(Tensor(C), Tensor(Q), w)
+        m = cq_unpadded(Tensor(C), Tensor(Q), w)
         A, B = m.A.data, m.B.data
         np.testing.assert_array_equal(fused_output(C, Q, w),
                                       np.concatenate([C, A, C * A, C * B], axis=-1))
@@ -173,7 +182,7 @@ class TestFuse:
         rng = np.random.default_rng(11)
         Q = rng.standard_normal((4, 2))
         w = rand_weights(2, rng)
-        m = context_query_attention(Tensor(np.ones((3, 2))), Tensor(Q), w)
+        m = cq_unpadded(Tensor(np.ones((3, 2))), Tensor(Q), w)
         out = fused_output(np.ones((3, 2)), Q, w)
         np.testing.assert_array_equal(out[:, 4:6], m.A.data)
         np.testing.assert_array_equal(out[:, 6:8], m.B.data)
@@ -239,10 +248,11 @@ def reference_masked_softmax(logits, mask, axis):
 
     Masked logits get a -1e30 bias, a plain softmax runs, and a multiply by
     the mask pins masked slots (and wholly masked slices) to exact zeros.
+    The middle softmax's all-ones mask leaves every slot usable.
     """
     mask = np.asarray(mask, dtype=np.float64)
     shifted = add(logits, Tensor((mask - 1.0) * 1e30))
-    return multiply(softmax(shifted, axis=axis), Tensor(mask))
+    return multiply(softmax(shifted, axis=axis, mask=np.ones(mask.shape)), Tensor(mask))
 
 
 class TestMaskedSoftmaxMatchesChain:
@@ -306,7 +316,7 @@ class TestForward:
         params = init_cq_attention(4, rng)
         out = cq_attention_forward(Tensor(rng.standard_normal((2, 6, 4))),
                                    Tensor(rng.standard_normal((2, 5, 4))),
-                                   params)
+                                   params, np.ones((2, 6)), np.ones((2, 5)))
         assert out.shape == (2, 6, 4)
 
     @settings(max_examples=20, deadline=None)
@@ -316,9 +326,8 @@ class TestForward:
         rng = np.random.default_rng(seed)
         w = rand_weights(d, rng)
         with no_grad():
-            out = context_query_attention(
-                Tensor(rng.standard_normal((n, d))),
-                Tensor(rng.standard_normal((m, d))), w)
+            out = cq_unpadded(Tensor(rng.standard_normal((n, d))),
+                              Tensor(rng.standard_normal((m, d))), w)
         np.testing.assert_allclose(out.S_row.data.sum(axis=-1), np.ones(n),
                                    atol=1e-9)
         np.testing.assert_allclose(out.S_col.data.sum(axis=-2), np.ones(m),

@@ -310,7 +310,8 @@ class TestRuleTranslator:
             "Department of Pre-Professional Studies",
             context.index("Department of Pre-Professional"))
         got = paraphrase_document(ex, RuleTranslator("fr"), k=5,
-                                  rng=np.random.default_rng(0), threshold=0.5)
+                                  rng=np.random.default_rng(0), threshold=0.5,
+                                  new_id="t1-fr-1")
         assert got is not None and got is not ex
         assert got.answer_text == "Department of Preparatory Studies"
         lo, hi = got.answer_char_range()
@@ -543,7 +544,8 @@ class TestParaphraseDocument:
         script[("back", "F1")] = ["The roof was blue."]
         ex = _doc_example()
         got = paraphrase_document(ex, ScriptedTranslator(script), k=5,
-                                  rng=np.random.default_rng(0), threshold=0.5)
+                                  rng=np.random.default_rng(0), threshold=0.5,
+                                  new_id="q1-fr-1")
         assert got is not None
         assert "Its roof was red." in got.context_text
         assert "The large house" in got.context_text
@@ -552,7 +554,8 @@ class TestParaphraseDocument:
     def test_identity_endpoint_is_noop(self):
         ex = _doc_example()
         got = paraphrase_document(ex, ScriptedTranslator(), k=5,
-                                  rng=np.random.default_rng(0), threshold=0.5)
+                                  rng=np.random.default_rng(0), threshold=0.5,
+                                  new_id="q1-fr-1")
         assert got is ex
 
     def test_unlabeled_example_skipped(self):
@@ -560,7 +563,7 @@ class TestParaphraseDocument:
         ex.answer_span = None
         assert paraphrase_document(ex, ScriptedTranslator(_doc_script()), k=5,
                                    rng=np.random.default_rng(0),
-                                   threshold=0.5) is None
+                                   threshold=0.5, new_id="q1-fr-1") is None
 
     def test_cross_sentence_answer(self):
         """The sentences an answer spans travel as one unit, whole answer
@@ -570,7 +573,8 @@ class TestParaphraseDocument:
                               context.index("hill"))
         endpoint = CountingTranslator("fr")
         got = paraphrase_document(ex, endpoint, k=2,
-                                  rng=np.random.default_rng(0), threshold=0.5)
+                                  rng=np.random.default_rng(0), threshold=0.5,
+                                  new_id="x-fr-1")
         assert endpoint.requests[0] == (
             "forward", ["The road led to a hill. Its roof was red.",
                         "The big gate shut."])
@@ -587,7 +591,7 @@ class TestParaphraseDocument:
         for seed in range(40):
             got = paraphrase_document(ex, ScriptedTranslator(script), k=5,
                                       rng=np.random.default_rng(seed),
-                                      threshold=0.5)
+                                      threshold=0.5, new_id="q1-fr-1")
             for option in script[("back", "F1")]:
                 if option in got.context_text:
                     seen.add(option)
@@ -596,7 +600,8 @@ class TestParaphraseDocument:
     def test_validates_on_construction(self):
         ex = _doc_example()
         got = paraphrase_document(ex, ScriptedTranslator(_doc_script()), k=5,
-                                  rng=np.random.default_rng(3), threshold=0.5)
+                                  rng=np.random.default_rng(3), threshold=0.5,
+                                  new_id="q1-fr-1")
         got.validate()
 
 
@@ -623,10 +628,13 @@ class TestMixedSampler:
         draws = [next(stream) for _ in range(500)]
         assert set(draws) == {"a", "b"}
 
-    def test_empty_weighted_pool_raises(self):
-        with pytest.raises(EmptyWeightedPool):
-            mixed_sampler([["a"], [], ["b"]], (1.0, 1.0, 1.0),
-                          seed=0).__next__()
+    @pytest.mark.parametrize("empty,name", [(0, "original"), (1, "fr"), (2, "de")])
+    def test_empty_weighted_pool_raises(self, empty, name):
+        pools = [["a"], ["b"], ["c"]]
+        pools[empty] = []
+        with pytest.raises(EmptyWeightedPool,
+                           match=f"the {name} pool is empty but has mixing weight"):
+            mixed_sampler(pools, (1.0, 1.0, 2.0), seed=0)
 
     def test_deterministic_under_seed(self):
         pools = [list(range(4)), list(range(4, 7)), list(range(7, 9))]

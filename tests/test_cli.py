@@ -338,6 +338,24 @@ class TestTrainCommand:
         assert "error: empty training set" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("unread", ["vectors", "checkpoint"])
+    def test_empty_weighted_pool_named_before_vectors_or_checkpoint(
+            self, trained, tmp_path, capsys, unread):
+        """Only paths.augmented_fr is set, so the de pool is empty under the
+        default mix; the refusal names it before a missing vector file or
+        --resume checkpoint is opened."""
+        out, missing = tmp_path / "run", str(tmp_path / "absent.bin")
+        extra = {"paths.augmented_fr": _dataset(tmp_path / "fr.json", n=2)}
+        resume = ["--resume", missing] if unread == "checkpoint" else []
+        if unread == "vectors":
+            extra["paths.vectors"] = missing
+        cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
+                           extra=extra)
+        assert main(["train", "--config", cfg] + resume) == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == "error: the de pool is empty but has mixing weight 0.200"
+        assert not out.exists()
+
     def test_library_run_writes_the_cli_config_json(self, trained, tmp_path,
                                                     capsys):
         """train writes config.json itself, so a library run with the
@@ -859,6 +877,16 @@ class TestBenchCommand:
         assert "predict:" in captured.out
         assert "train_step:" in captured.out
         assert "variance" in captured.out
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_context_below_three_refused_before_model(self, length, monkeypatch, capsys):
+        """The synthetic answer needs two tokens before the context's last;
+        a shorter context is refused by key, before a model is built."""
+        monkeypatch.setattr(qanet.cli, "new_run", lambda *args: pytest.fail("model built"))
+        code = main(["bench", "--set", f"model.max_context_len={length}"])
+        assert code == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == f"error: bench needs model.max_context_len of at least 3, got {length}"
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_batches_below_one_refused_while_parsing(self, value, monkeypatch, capsys):

@@ -179,6 +179,19 @@ class TestParse:
         assert ex.gold_answers == ["cat", "the cat"]
 
 
+@pytest.mark.parametrize("case", ["unknown split", "empty batch"])
+def test_malformed_input_refused_by_value(tmp_path, case):
+    """Each refusal names the value at fault."""
+    if case == "unknown split":
+        path = write_squad(tmp_path, [simple_paragraph(
+            "the cat sat", [qa("q1", "what sat?", "cat", 4)])])
+        with pytest.raises(ValueError, match="unknown split 'dev'"):
+            D.parse_qa_json(path, split="dev")
+    else:
+        with pytest.raises(D.EmptyDataset, match="empty batch"):
+            D.build_batch([], D.Vocabulary.from_words(["w"]), char_limit=4)
+
+
 class TestVectors:
     def test_two_word_fixture(self, tmp_path):
         dim = 300

@@ -89,14 +89,19 @@ def tiny_attention_params(d, rng):
     return E.AttentionParams(qw, qb, kw, vw, vb, ow, ob)
 
 
+def attend(x, params, num_heads, mask):
+    """Self-attention alone: no residual and no dropout in its epilogue."""
+    return E.multi_head_self_attention(x, params, num_heads, mask, None, None)
+
+
 class TestSelfAttention:
     def test_single_position_passthrough(self):
         """With one position, attention reduces to the value/output projections."""
         rng = np.random.default_rng(0)
         d = 8
         params = tiny_attention_params(d, rng)
-        x = rng.standard_normal((1, d))
-        out = E.multi_head_self_attention(Tensor(x), params, num_heads=2)
+        x = rng.standard_normal((1, 1, d))
+        out = attend(Tensor(x), params, 2, np.ones((1, 1)))
         expected = (x @ params.value_w.data + params.value_b.data) \
             @ params.out_w.data + params.out_b.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -106,24 +111,24 @@ class TestSelfAttention:
         rng = np.random.default_rng(1)
         d = 8
         params = tiny_attention_params(d, rng)
-        x = rng.standard_normal((5, d))
-        mask = np.zeros(5)
-        mask[2] = 1.0
-        out = E.multi_head_self_attention(Tensor(x), params, 2, mask)
-        solo = E.multi_head_self_attention(Tensor(x[2:3]), params, 2)
-        np.testing.assert_allclose(out.data[2], solo.data[0], atol=1e-12)
+        x = rng.standard_normal((1, 5, d))
+        mask = np.zeros((1, 5))
+        mask[0, 2] = 1.0
+        out = attend(Tensor(x), params, 2, mask)
+        solo = attend(Tensor(x[:, 2:3]), params, 2, np.ones((1, 1)))
+        np.testing.assert_allclose(out.data[0, 2], solo.data[0, 0], atol=1e-12)
 
     def test_masked_positions_cannot_influence_real_ones(self):
         rng = np.random.default_rng(2)
         d = 8
         params = tiny_attention_params(d, rng)
-        x = rng.standard_normal((6, d))
-        mask = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-        base = E.multi_head_self_attention(Tensor(x), params, 2, mask).data
+        x = rng.standard_normal((1, 6, d))
+        mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+        base = attend(Tensor(x), params, 2, mask).data
         x2 = x.copy()
-        x2[4:] += 1000.0
-        bumped = E.multi_head_self_attention(Tensor(x2), params, 2, mask).data
-        assert np.array_equal(base[:4], bumped[:4])
+        x2[:, 4:] += 1000.0
+        bumped = attend(Tensor(x2), params, 2, mask).data
+        assert np.array_equal(base[:, :4], bumped[:, :4])
 
     def test_uniform_weights_average_values(self):
         """Equal keys give equal weights: output row = mean of value rows."""
@@ -132,29 +137,28 @@ class TestSelfAttention:
         params = tiny_attention_params(d, rng)
         params.key_w = Tensor(np.zeros((d, d)))  # all logits identical
         x = rng.standard_normal((5, d))
-        out = E.multi_head_self_attention(Tensor(x), params, 2)
+        out = attend(Tensor(x[None]), params, 2, np.ones((1, 5)))
         v = x @ params.value_w.data + params.value_b.data
         expected = np.tile(v.mean(axis=0), (5, 1)) @ params.out_w.data + params.out_b.data
-        np.testing.assert_allclose(out.data, expected, atol=1e-10)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-10)
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
         d, n = 4, 3
-        x = rng.standard_normal((n, d))
+        x = rng.standard_normal((1, n, d))
         mats = [rng.standard_normal((d, d)) * 0.5 for _ in range(4)]
         vecs = [rng.standard_normal(d) * 0.1 for _ in range(3)]
-        w = rng.standard_normal((n, d))
+        w = rng.standard_normal((1, n, d))
 
         def loss(ts):
             params = E.AttentionParams(ts[1], ts[5], ts[2], ts[3], ts[6],
                                        ts[4], ts[7])
-            return weighted_sum_loss(
-                E.multi_head_self_attention(ts[0], params, 2), w)
+            return weighted_sum_loss(attend(ts[0], params, 2, np.ones((1, n))), w)
 
         check_gradients(loss, [x] + mats + vecs, tol=1e-5)
 
 
-def reference_self_attention(x, params, num_heads, mask=None):
+def reference_self_attention(x, params, num_heads, mask):
     """Per-head loop built from primitive tape ops: the fused op's oracle.
 
     Each head's features are picked by a 0/1 selector matmul, which copies
@@ -168,7 +172,7 @@ def reference_self_attention(x, params, num_heads, mask=None):
     q = T.add(T.matmul(x, params.query_w), params.query_b)
     k = T.matmul(x, params.key_w)
     v = T.add(T.matmul(x, params.value_w), params.value_b)
-    rows = None if mask is None else np.asarray(mask)[..., None, :]
+    rows = np.asarray(mask)[..., None, :]
     heads = []
     for h in range(num_heads):
         pick = Tensor(np.eye(d)[:, h * head_dim:(h + 1) * head_dim])
@@ -195,11 +199,11 @@ class TestFusedAttentionMatchesLoop:
     @pytest.mark.parametrize("shape,mask", [
         ((3, 7), MIXED_PADDING),
         ((3, 7), NO_USABLE_KEY),
-        ((3, 7), None),
-        ((7,), MIXED_PADDING[1]),
-        ((7,), None),
-    ], ids=["batched-padded", "batched-no-usable-key", "batched-nomask",
-            "single-padded", "single-nomask"])
+        ((3, 7), np.ones((3, 7))),
+        ((1, 7), MIXED_PADDING[1:2]),
+        ((1, 7), np.ones((1, 7))),
+    ], ids=["batched-padded", "batched-no-usable-key", "batched-all-real",
+            "single-padded", "single-all-real"])
     def test_matches_reference(self, d, shape, mask):
         rng = np.random.default_rng(d + len(shape))
         params = tiny_attention_params(d, rng)
@@ -216,7 +220,7 @@ class TestFusedAttentionMatchesLoop:
             backward(weighted_sum_loss(out, w))
             return [out.data] + [t.grad.copy() for t in leaves]
 
-        fused = run(E.multi_head_self_attention)
+        fused = run(attend)
         looped = run(reference_self_attention)
         names = ["output", "x"] + [f.name for f in fields(E.AttentionParams)]
         for name, a, b in zip(names, fused, looped):
@@ -270,8 +274,8 @@ def unfused_stack(x, config, params, mask, train_mode, rng):
             x = sublayer(x, lambda xn, c=c: T.depthwise_separable_conv1d(
                 xn, c.depth_kernel, c.point_kernel, c.bias, mask), c.ln_gain, c.ln_bias)
         a, f = block.attention, block.feed_forward
-        x = sublayer(x, lambda xn: E.multi_head_self_attention(
-            xn, a.attention, config.num_heads, mask), a.ln_gain, a.ln_bias)
+        x = sublayer(x, lambda xn: attend(xn, a.attention, config.num_heads, mask),
+                     a.ln_gain, a.ln_bias)
         x = sublayer(x, lambda xn: T.dense(T.relu(T.dense(xn, f.inner_w, f.inner_b)),
                                            f.outer_w, f.outer_b), f.ln_gain, f.ln_bias)
     return x
@@ -404,7 +408,7 @@ class TestEncoderStack:
 
     def test_shape_preserved(self):
         config, params, x = stack_setup()
-        out = E.encoder_stack_forward(Tensor(x[None]), config, params, None)
+        out = E.encoder_stack_forward(Tensor(x[None]), config, params, np.ones((1, 5)))
         assert out.shape == (1,) + x.shape
 
     def test_batched_matches_single(self):
@@ -431,7 +435,7 @@ class TestEncoderStack:
             block.feed_forward.inner_b.data[...] = 0.0
             block.feed_forward.outer_w.data[...] = 0.0
             block.feed_forward.outer_b.data[...] = 0.0
-        out = E.encoder_stack_forward(Tensor(x[None]), config, params, None).data
+        out = E.encoder_stack_forward(Tensor(x[None]), config, params, np.ones((1, 5))).data
         signal = E.positional_encoding(x.shape[0], x.shape[1]).data
         np.testing.assert_allclose(out[0], x + 2 * signal, atol=1e-12)
 
@@ -485,7 +489,7 @@ class TestEncoderStack:
                                       ts[7], attn.attention.out_b)),
                 feed_forward=E.FeedForwardSublayerParams(
                     ts[12], ffn.ln_bias, ts[8], ffn.inner_b, ts[9], ffn.outer_b))])
-            out = E.encoder_stack_forward(ts[0], config, p, None)
+            out = E.encoder_stack_forward(ts[0], config, p, np.ones((1, 6)))
             return weighted_sum_loss(out, w)
 
         check_gradients(loss, arrays, tol=1e-4)

@@ -35,7 +35,7 @@ class TestDistributions:
     def test_zero_weights_uniform(self):
         (M0, M1, M2), _ = head_inputs()
         dist = span_distributions(Tensor(M0), Tensor(M1), Tensor(M2),
-                                  Tensor(np.zeros(8)), Tensor(np.zeros(8)))
+                                  Tensor(np.zeros(8)), Tensor(np.zeros(8)), np.ones(6))
         np.testing.assert_allclose(dist.p1.data, np.full(6, 1 / 6), atol=1e-12)
         np.testing.assert_allclose(dist.p2.data, np.full(6, 1 / 6), atol=1e-12)
 
@@ -65,10 +65,10 @@ class TestDistributions:
         (M0, M1, M2), _ = head_inputs()
         with pytest.raises(DimensionMismatch):
             span_distributions(Tensor(M0), Tensor(M1[:4]), Tensor(M2),
-                               Tensor(np.zeros(8)), Tensor(np.zeros(8)))
+                               Tensor(np.zeros(8)), Tensor(np.zeros(8)), np.ones(6))
         with pytest.raises(DimensionMismatch):
             span_distributions(Tensor(M0), Tensor(M1), Tensor(M2),
-                               Tensor(np.zeros(7)), Tensor(np.zeros(8)))
+                               Tensor(np.zeros(7)), Tensor(np.zeros(8)), np.ones(6))
 
 
 class TestLoss:
@@ -129,6 +129,11 @@ class TestInference:
                                 np.array([0.2, 0.3, 0.5]), max_len=30)
         assert (got.start, got.end) == (1, 2)
         assert got.score == pytest.approx(0.30, abs=1e-12)
+
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_max_len_below_one_refused(self, max_len):
+        with pytest.raises(ValueError, match=f"max_len must be positive, got {max_len}"):
+            dp_span_inference(np.array([0.5, 0.5]), np.array([0.5, 0.5]), max_len)
 
     def test_single_position(self):
         got = dp_span_inference(np.array([1.0]), np.array([1.0]), max_len=30)

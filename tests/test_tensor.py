@@ -40,31 +40,31 @@ class TestForwardValues:
             T.concat([Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2)))], axis=-1)
 
     def test_softmax_hand_value(self):
-        out = T.softmax(Tensor([0.0, np.log(3.0)]), axis=-1)
+        out = T.softmax(Tensor([0.0, np.log(3.0)]), axis=-1, mask=np.ones(2))
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
 
     def test_softmax_shift_invariance_and_sum(self):
         x = rand(5, 7)
-        a = T.softmax(Tensor(x), axis=-1).data
-        b = T.softmax(Tensor(x + 123.456), axis=-1).data
+        a = T.softmax(Tensor(x), axis=-1, mask=np.ones(x.shape)).data
+        b = T.softmax(Tensor(x + 123.456), axis=-1, mask=np.ones(x.shape)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
         np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_softmax_extreme_logits_finite(self):
-        out = T.softmax(Tensor([1e30, 0.0, -1e30]), axis=-1)
+        out = T.softmax(Tensor([1e30, 0.0, -1e30]), axis=-1, mask=np.ones(3))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-12)
 
     def test_softmax_monotone_in_logit(self):
         x = rand(9)
-        base = T.softmax(Tensor(x), axis=0).data[3]
+        base = T.softmax(Tensor(x), axis=0, mask=np.ones(9)).data[3]
         x2 = x.copy()
         x2[3] += 0.5
-        assert T.softmax(Tensor(x2), axis=0).data[3] > base
+        assert T.softmax(Tensor(x2), axis=0, mask=np.ones(9)).data[3] > base
 
     def test_softmax_axis_out_of_range(self):
         with pytest.raises(T.AxisOutOfRange):
-            T.softmax(Tensor(np.ones((2, 2))), axis=2)
+            T.softmax(Tensor(np.ones((2, 2))), axis=2, mask=np.ones((2, 2)))
 
     def test_layernorm_hand_value(self):
         out = T.layernorm(Tensor([1.0, 3.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
@@ -132,10 +132,11 @@ class TestForwardValues:
 
     def test_scaled_dot_attention_shape_errors(self):
         x = Tensor(np.ones((2, 4, 6)))
+        keys = np.ones((2, 4))
         with pytest.raises(T.DimensionMismatch, match="heads"):
-            T.scaled_dot_attention(x, x, x, 4)
+            T.scaled_dot_attention(x, x, x, 4, keys)
         with pytest.raises(T.DimensionMismatch):
-            T.scaled_dot_attention(x, x, Tensor(np.ones((2, 3, 6))), 2)
+            T.scaled_dot_attention(x, x, Tensor(np.ones((2, 3, 6))), 2, keys)
         with pytest.raises(T.DimensionMismatch, match="mask"):
             T.scaled_dot_attention(x, x, x, 2, np.zeros((2, 5)))
 
@@ -155,13 +156,69 @@ class TestForwardValues:
     def test_finite_outputs_on_finite_inputs(self):
         x = rand(6, 8, scale=50.0)
         outs = [
-            T.softmax(Tensor(x), axis=-1),
+            T.softmax(Tensor(x), axis=-1, mask=np.ones(x.shape)),
             T.layernorm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8))),
             T.relu(Tensor(x)),
             T.sigmoid(Tensor(x)),
         ]
         for o in outs:
             assert np.all(np.isfinite(o.data))
+
+
+def ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+# Each refusal of a malformed operand: the call, the error it raises, and a
+# pattern its message must match, naming the shapes or values at fault.
+REFUSALS = {
+    "getattr:other_name": (lambda: ones(2).grad_fn, AttributeError, "grad_fn"),
+    "add:shapes": (lambda: T.add(ones(2, 3), ones(4)), T.DimensionMismatch,
+                   r"add: \(2, 3\) vs \(4,\)"),
+    "subtract:shapes": (lambda: T.subtract(ones(2, 3), ones(2, 2)), T.DimensionMismatch,
+                        r"subtract: \(2, 3\) vs \(2, 2\)"),
+    "matmul:rank": (lambda: T.matmul(ones(3), ones(3, 2)), T.DimensionMismatch,
+                    r"\(3,\) @ \(3, 2\)"),
+    "log:not_positive": (lambda: T.log(Tensor([1.0, -2.0])), ValueError, "got min -2.0"),
+    "layernorm:gain": (lambda: T.layernorm(ones(2, 4), ones(3), ones(4)),
+                       T.DimensionMismatch, r"gain \(3,\) / bias \(4,\) vs feature dim 4"),
+    "layernorm:bias": (lambda: T.layernorm(ones(2, 4), ones(4), ones(4, 1)),
+                       T.DimensionMismatch, r"gain \(4,\) / bias \(4, 1\)"),
+    "concat:empty": (lambda: T.concat([], axis=0), T.DimensionMismatch, "got none"),
+    "concat:rank": (lambda: T.concat([ones(2, 3), ones(3)], axis=0), T.DimensionMismatch,
+                    r"rank of \(2, 3\) vs \(3,\)"),
+    "swap_last_axes:rank": (lambda: T.swap_last_axes(ones(3)), T.DimensionMismatch,
+                            r"got \(3,\)"),
+    "embedding_lookup:float_ids": (lambda: T.embedding_lookup(ones(4, 2), np.array([0.5])),
+                                   ValueError, "got float64"),
+    "gather_last:ids_shape": (lambda: T.gather_last(ones(3, 5), np.array([0, 1])),
+                              T.DimensionMismatch, r"ids \(2,\) vs \(3, 5\)"),
+    "dropout_apply:mask_shape": (
+        lambda: T.dropout_apply(ones(2, 3), T.dropout_mask(np.random.default_rng(0), (3, 2), 0.5)),
+        T.DimensionMismatch, r"dropout mask \(3, 2\) vs \(2, 3\)"),
+    "conv:depth_kernel": (
+        lambda: T.depthwise_separable_conv1d(ones(1, 4, 2), ones(3, 5), ones(2, 2), ones(2)),
+        T.DimensionMismatch, r"depth kernel \(3, 5\) vs 2 channels"),
+    "conv:point_kernel": (
+        lambda: T.depthwise_separable_conv1d(ones(1, 4, 2), ones(3, 2), ones(5, 2), ones(2)),
+        T.DimensionMismatch, r"point kernel \(5, 2\) vs 2 channels"),
+    "conv:bias": (
+        lambda: T.depthwise_separable_conv1d(ones(1, 4, 2), ones(3, 2), ones(2, 3), ones(2)),
+        T.DimensionMismatch, r"bias \(2,\) vs 3 out channels"),
+    "attention:2d": (lambda: T.scaled_dot_attention(ones(4, 6), ones(4, 6), ones(4, 6), 2,
+                                                    np.ones(4)),
+                     T.DimensionMismatch, r"\(batch, n, d\).*q \(4, 6\)"),
+    "attention:4d": (lambda: T.scaled_dot_attention(ones(1, 2, 4, 6), ones(1, 2, 4, 6),
+                                                    ones(1, 2, 4, 6), 2, np.ones((1, 2, 4))),
+                     T.DimensionMismatch, r"\(batch, n, d\).*q \(1, 2, 4, 6\)"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_malformed_operand_refused_by_shape_or_value(case):
+    call, error, pattern = REFUSALS[case]
+    with pytest.raises(error, match=pattern):
+        call()
 
 
 class TestFusedOpsMatchComposites:
@@ -277,7 +334,7 @@ class TestFusedOpsMatchComposites:
         with pytest.raises(T.DimensionMismatch, match="residual"):
             T.depthwise_separable_conv1d(
                 Tensor(np.ones((1, 5, 3))), Tensor(np.ones((3, 3))),
-                Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), residual=np.ones((1, 5, 3)))
+                Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), residual=Tensor(np.ones((1, 5, 3))))
 
     @pytest.mark.parametrize("rate", [0.0, 1.0, -0.1])
     def test_dropout_mask_rate_outside_open_interval_refused(self, rate):
@@ -317,14 +374,14 @@ class TestAttentionBlocks:
             assert (head_slice == slice(None)) == whole  # whole examples while one fits
         assert np.all(covered == 1)
 
-    @pytest.mark.parametrize("case", ["padded", "no_mask", "no_real_key"])
+    @pytest.mark.parametrize("case", ["padded", "all_real", "no_real_key"])
     def test_any_tiling_gives_the_same_bits(self, monkeypatch, case):
         batch, n, m, d, heads = 3, 5, 7, 12, 3
         rng = np.random.default_rng(31)
         q, w = rng.standard_normal((batch, n, d)), rng.standard_normal((batch, n, d))
         k, v = rng.standard_normal((batch, m, d)), rng.standard_normal((batch, m, d))
-        mask = None
-        if case != "no_mask":
+        mask = np.ones((batch, m))
+        if case != "all_real":
             mask = (rng.random((batch, m)) < 0.6).astype(np.float64)
             mask[:, 0] = 1.0
             if case == "no_real_key":
@@ -502,7 +559,7 @@ class TestTape:
             rng = np.random.default_rng(7)
             x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
             w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-            loss = T.reduce_sum(T.softmax(T.matmul(x, w), axis=-1))
+            loss = T.reduce_sum(T.softmax(T.matmul(x, w), axis=-1, mask=np.ones((4, 3))))
             backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -515,7 +572,7 @@ class TestTape:
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
 def test_softmax_rows_sum_to_one(rows, cols, seed):
     x = np.random.default_rng(seed).standard_normal((rows, cols)) * 10
-    out = T.softmax(Tensor(x), axis=-1).data
+    out = T.softmax(Tensor(x), axis=-1, mask=np.ones(x.shape)).data
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(out >= 0)
 
