@@ -4,8 +4,11 @@ Word vectors stay fixed for the whole run; only the unknown-word row
 trains, modeled as a separate vector added wherever the unknown id appears
 (the frozen table keeps zeros in that slot). Characters embed into a
 trainable table, run through a narrow depthwise-separable convolution, and
-max-pool per channel over positions. The concatenation is projected to the
-model width and refined by a two-layer gated highway.
+max-pool per channel over positions, in one op. The concatenation is
+projected to the model width and refined by a two-layer gated highway.
+On the training tape the char path keeps ids, the one-byte dropout keep
+and the conv's max positions, no float per character: backward rebuilds
+the released lookup and dropout outputs.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ import numpy as np
 from .data import UNK_ID
 from .tensor import (
     Tensor, add, concat, dense, depthwise_separable_conv1d, dropout_apply,
-    dropout_mask, embedding_lookup, max_over_axis, multiply, relu, reshape,
-    sigmoid, subtract,
+    dropout_mask, embedding_lookup, multiply, release, relu, reshape, sigmoid,
+    subtract,
 )
 from .encoder import glorot
 
@@ -102,16 +105,17 @@ def embed(params: EmbeddingParams, word_ids: np.ndarray, char_ids: np.ndarray,
     if train_mode and word_dropout > 0.0:
         words = dropout_apply(words, dropout_mask(rng, words.shape, word_dropout))
 
-    chars = embedding_lookup(params.char_table, char_ids)  # (..., n, L, c)
+    # One row per token; reshaping the ids leaves no record a float view.
+    looked = embedding_lookup(params.char_table, char_ids.reshape(-1, char_ids.shape[-1]))
+    chars = looked
     if train_mode and char_dropout > 0.0:
-        chars = dropout_apply(chars, dropout_mask(rng, chars.shape, char_dropout))
-    lead = chars.shape[:-2]
-    char_limit, char_dim = chars.shape[-2], chars.shape[-1]
-    flat = reshape(chars, (-1, char_limit, char_dim))
-    convolved = depthwise_separable_conv1d(
-        flat, params.char_depth_kernel, params.char_point_kernel, params.char_bias)
-    pooled = max_over_axis(convolved, axis=1)
-    pooled = reshape(pooled, lead + (char_dim,))
+        chars = dropout_apply(looked, dropout_mask(rng, looked.shape, char_dropout))
+    pooled = depthwise_separable_conv1d(
+        chars, params.char_depth_kernel, params.char_point_kernel, params.char_bias,
+        pool=True)
+    release(chars)
+    release(looked)
+    pooled = reshape(pooled, char_ids.shape[:-1] + pooled.shape[-1:])
 
     fused = concat([words, pooled], axis=-1)
     projected = dense(fused, params.proj_w, params.proj_b)

@@ -17,8 +17,7 @@ the rule reads beyond them. ``add`` and ``subtract`` keep shapes;
 ``multiply`` keeps each operand's values only for the other's gradient; and
 an operand that does not require grad gets None, not a gradient nobody
 reads. ``relu`` and ``clamp_min`` keep a bool mask,
-``sigmoid`` and ``softmax`` their output, ``log`` and ``max_over_axis``
-their input. Beyond that:
+``sigmoid`` and ``softmax`` their output, ``log`` its input. Beyond that:
 
 - :func:`dense` is ``x @ w + b`` in one record, the bias added in place;
   it keeps ``x`` and ``w``.
@@ -26,6 +25,8 @@ their input. Beyond that:
   input and an optional 0/1 position ``mask``, and zeroes padded positions
   of its input and output itself. It keeps its inputs and the mask, and
   rebuilds the zero-padded input and the depthwise output in backward.
+  With ``pool=True`` it returns the max over positions and keeps each
+  max's position as an integer, not the output it pooled.
 - Both take an epilogue: given a ``residual`` and a :class:`DropoutMask`
   ``dropout``, the result is ``residual + dropout ⊙ op(x)``, formed in
   place in the op's own result buffer, so a residual sublayer ends in one
@@ -33,11 +34,12 @@ their input. Beyond that:
   keeps the mask's one-byte ``keep`` and its ``scale``, as
   :func:`dropout_apply` does; no record keeps a float64 mask.
 - :func:`layernorm` keeps the per-row ``mean`` and ``inv`` beside its
-  input and rebuilds the normalized input in backward. Its output can be
-  dropped with :func:`release` once its consumers have run: ``dense``,
-  ``matmul`` and the conv read their inputs' ``.data`` in backward, not
-  an array captured in forward, and a dropped output's ``.data`` is
-  rebuilt from the record, once per backward pass (see :func:`layernorm`).
+  input and rebuilds the normalized input in backward.
+- :func:`release` drops an output its record can rebuild, once its
+  consumers have run: ``dense``, ``matmul`` and the conv read their inputs'
+  ``.data`` in backward, not an array captured in forward. ``layernorm``
+  rebuilds once per backward pass, ``embedding_lookup`` from the ids and
+  the table array forward read, ``dropout_apply`` from its input and mask.
 - :func:`scaled_dot_attention` runs every head at once over (batch, n, d)
   inputs, and refuses any other rank.
 
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +76,7 @@ __all__ = [
     "add", "subtract", "multiply", "scalar_scale", "matmul", "dense",
     "relu", "sigmoid", "log", "clamp_min", "softmax", "layernorm",
     "concat", "reshape", "swap_last_axes", "reduce_sum",
-    "max_over_axis", "embedding_lookup", "gather_last", "dropout_apply",
+    "embedding_lookup", "gather_last", "dropout_apply",
     "depthwise_separable_conv1d", "scaled_dot_attention", "dropout_mask",
     "DropoutMask", "release",
     "DimensionMismatch", "AxisOutOfRange", "EvenKernel", "NotScalar",
@@ -172,9 +174,11 @@ def release(t: Tensor) -> None:
 
     Afterwards each ``t.data`` read rebuilds the array, bitwise as forward
     made it. Call it once every op that reads ``t`` in forward has run.
+    A second call changes nothing.
     """
     if t.op is not None and t.op.rebuild is not None:
-        del t.data
+        with suppress(AttributeError):  # already released
+            del t.data
 
 
 def backward(loss: Tensor) -> None:
@@ -219,9 +223,14 @@ def backward(loss: Tensor) -> None:
         _local.in_backward = False
 
 
+def _recording(inputs) -> bool:
+    """Whether an op over ``inputs`` hangs a record off its output."""
+    return _grad_enabled() and any(t.requires_grad for t in inputs)
+
+
 def _result(name, inputs, out_data, backward_fn, rebuild=None) -> Tensor:
     out = Tensor(out_data)
-    if _grad_enabled() and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True  # an op output's grad stays None
         out.op = TapeOp(name, inputs, backward_fn, rebuild)
     return out
@@ -368,6 +377,8 @@ def softmax(x, axis: int, mask) -> Tensor:
     multiplied by the mask, so a slice with no usable slot is all zeros, not
     left uniform. An all-ones mask leaves every slot usable."""
     ax = _normalize_axis(axis, x.ndim)
+    if mask is None:
+        raise TypeError("softmax: mask is None; an all-ones mask leaves every slot usable")
     mask = np.asarray(mask, dtype=np.float64)
     out = x.data.copy()
     try:
@@ -492,21 +503,6 @@ def reduce_sum(x) -> Tensor:
                    lambda g: (np.full(shape, float(g)),))
 
 
-def max_over_axis(x, axis: int) -> Tensor:
-    """Max along an axis; gradient flows to the first maximal element."""
-    ax = _normalize_axis(axis, x.ndim)
-    xd = x.data
-    out = xd.max(axis=ax)
-
-    def bwd(g):  # the argmax, which picks the first tie, only when it is needed
-        gx = np.zeros(xd.shape)
-        np.put_along_axis(gx, np.expand_dims(xd.argmax(axis=ax), ax),
-                          np.expand_dims(g, ax), ax)
-        return (gx,)
-
-    return _result("max_over_axis", (x,), out, bwd)
-
-
 def _check_ids(ids, limit: int) -> np.ndarray:
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
@@ -517,9 +513,11 @@ def _check_ids(ids, limit: int) -> np.ndarray:
 
 
 def embedding_lookup(table, ids) -> Tensor:
-    """Row lookup ``table[ids]``; duplicate ids accumulate gradient."""
+    """Row lookup ``table[ids]``; duplicate ids accumulate gradient. A
+    released output is rebuilt from the ids and the table array forward read."""
     ids = _check_ids(ids, table.shape[0])
-    out = table.data[ids]
+    td = table.data
+    out = td[ids]
     tshape = table.shape
 
     def bwd(g):
@@ -527,7 +525,7 @@ def embedding_lookup(table, ids) -> Tensor:
         np.add.at(gt, ids.reshape(-1), g.reshape((ids.size,) + tshape[1:]))
         return (gt,)
 
-    return _result("embedding_lookup", (table,), out, bwd)
+    return _result("embedding_lookup", (table,), out, bwd, lambda: td[ids])
 
 
 def gather_last(x, ids) -> Tensor:
@@ -587,11 +585,12 @@ def _epilogue(name, out, inputs, residual, dropout):
 
 
 def dropout_apply(x, mask: DropoutMask) -> Tensor:
-    """Multiply by a :func:`dropout_mask` mask; the record keeps its bool ``keep``."""
+    """Multiply by a :func:`dropout_mask` mask; the record keeps its bool
+    ``keep`` and rebuilds a released output from ``x.data``."""
     if mask.keep.shape != x.shape:
         raise DimensionMismatch(f"dropout mask {mask.keep.shape} vs {x.shape}")
     return _result("dropout_apply", (x,), _dropped(x.data, mask),
-                   lambda g: (_dropped(g, mask),))
+                   lambda g: (_dropped(g, mask),), lambda: _dropped(x.data, mask))
 
 
 def dropout_mask(rng, shape, rate: float) -> DropoutMask:
@@ -603,7 +602,8 @@ def dropout_mask(rng, shape, rate: float) -> DropoutMask:
 
 
 def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
-                               mask=None, residual=None, dropout=None) -> Tensor:
+                               mask=None, residual=None, dropout=None,
+                               pool=False) -> Tensor:
     """Per-channel conv over positions, then a pointwise channel mix.
 
     ``x`` is (batch, length, channels); one sequence is a batch of one.
@@ -614,12 +614,16 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
     channel axis; positions with mask 0 are zeroed in the input, so they
     feed nothing, and in the output. ``residual`` and ``dropout`` work as
     in :func:`dense`: the result is ``residual + dropout ⊙ conv(x)``.
+    ``pool=True`` returns the max over positions, (batch, out_channels),
+    takes no epilogue, and keeps each max's position, the first on ties.
 
     The tape keeps the inputs and ``mask``. Backward rebuilds the
     zero-padded input from ``x.data``, read when it runs, and the depthwise
     output from that input's windows with the same einsum, so both carry
     forward's bits and neither lives beyond the backward call.
     """
+    if pool and (residual is not None or dropout is not None):
+        raise ValueError("conv: pool=True takes no residual or dropout epilogue")
     xd = x.data
     if xd.ndim != 3:
         raise DimensionMismatch(f"conv input must be 3-D, got {x.shape}")
@@ -659,8 +663,18 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
         out *= mask
     inputs = _epilogue("depthwise_separable_conv1d", out,
                        (x, depth_kernel, point_kernel, bias), residual, dropout)
+    first_max = None
+    if pool:
+        pooled = out.max(axis=1)
+        if _recording(inputs):  # argmax's indices, first tie first, found faster
+            first_max = (out == pooled[:, None]).argmax(axis=1)[:, None]
+        out = pooled
 
     def bwd(g):
+        if pool:
+            g_full = np.zeros((batch, length, out_channels))
+            np.put_along_axis(g_full, first_max, g[:, None], axis=1)
+            g = g_full
         g2 = (g if dropout is None else _dropped(g, dropout)).reshape(-1, out_channels)
         if mask is not None:
             g2 = g2 * mask.reshape(-1, 1)
@@ -753,6 +767,8 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask) -> Tensor:
     head_dim = d // num_heads
     scale = 1.0 / math.sqrt(head_dim)
     batch, n, m = q.shape[0], q.shape[1], k.shape[1]
+    if key_mask is None:
+        raise TypeError("attention: key_mask is None; an all-ones mask leaves every key usable")
     try:
         key_mask = np.broadcast_to(np.asarray(key_mask, dtype=np.float64), (batch, m))
     except ValueError:

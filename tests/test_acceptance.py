@@ -30,7 +30,7 @@ import qanet.tensor
 from qanet.tensor import (Tensor, add, backward, clamp_min, concat, dense,
                           depthwise_separable_conv1d, dropout_apply,
                           dropout_mask, embedding_lookup, gather_last,
-                          layernorm, log, matmul, max_over_axis, multiply,
+                          layernorm, log, matmul, multiply,
                           reduce_sum, release, relu, reshape, scalar_scale,
                           scaled_dot_attention, sigmoid, softmax, subtract,
                           swap_last_axes)
@@ -60,9 +60,24 @@ def _verdict(num: int, label: str, body) -> None:
 _NOT_DIFFERENTIABLE = {"backward", "no_grad", "dropout_mask"}
 
 # Graphs whose backward rebuilds what the tape dropped: a released output
-# with three readers, and one set of conv kernels over two inputs.
+# with three readers, a released lookup and dropout under a pooling conv,
+# and one set of conv kernels over two inputs.
 _REQUIRED_CASES = {"release:layernorm_into_dense_matmul_conv",
+                   "release:lookup_dropout_into_pooled_conv",
                    "depthwise_separable_conv1d:shared_kernels_two_inputs"}
+
+# Every max pooled in the sweep leads its runner-up by more than this, so no
+# finite-difference probe (``gradcheck.H`` on one input) moves an argmax.
+_MAX_LEAD = 1e-3
+
+
+def _clear_max(full: np.ndarray) -> None:
+    """Check that each (row, channel) max of a conv output over positions
+    leads the runner-up by more than ``_MAX_LEAD``."""
+    top = np.sort(full, axis=1)
+    lead = float((top[:, -1] - top[:, -2]).min())
+    assert lead > _MAX_LEAD, f"a pooled max leads by {lead:.1e} only"
+
 
 # Seeded draws of every sweep case; each draw makes fresh inputs, weights,
 # dropout masks, lookup ids and attention key masks.
@@ -164,10 +179,10 @@ def _sweep_cases(rng):
 
     case("concat:leading_then_reshape_swap", 1e-6, [p1.copy(), p2.copy()], stacked)
     case("reduce_sum", 1e-7, [c.copy()], lambda ts: reduce_sum(ts[0]))
-    spread = (rng.permutation(24).astype(np.float64) * 0.1).reshape(2, 3, 4)
-    wx = rng.standard_normal((2, 4))
-    case("max_over_axis", 1e-6, [spread],
-         lambda ts: weighted_sum_loss(max_over_axis(ts[0], 1), wx))
+    pool_x = (rng.permutation(24).astype(np.float64) * 0.1).reshape(2, 3, 4)
+    pool_w = rng.standard_normal((2, 4))
+    # The max-pool case's kernels come after every other case's draws, so
+    # adding its cases moved none of them.
     table = rng.standard_normal((7, 4))
     ids = rng.integers(0, 7, size=(3, 4))  # 12 ids in 7 rows: some repeat
     we = rng.standard_normal((3, 4, 4))
@@ -284,6 +299,30 @@ def _sweep_cases(rng):
         return weighted_sum_loss(out, wsh)
 
     case("release:layernorm_into_dense_matmul_conv", 1e-6, shared, released)
+    # Max pooling over positions: the char embedding's conv, which takes no
+    # mask; then that conv over a char lookup and dropout, both released
+    # before backward, which rebuilds them.
+    kernels = [rng.standard_normal((3, 4)), rng.standard_normal((4, 4)) * 0.5,
+               rng.standard_normal(4) * 0.1]
+    _clear_max(depthwise_separable_conv1d(*map(Tensor, [pool_x] + kernels)).data)
+    case("depthwise_separable_conv1d:max_pool", 1e-6, [pool_x] + kernels,
+         lambda ts: weighted_sum_loss(depthwise_separable_conv1d(*ts, pool=True), pool_w))
+    char_ids = rng.integers(0, 7, size=(3, 6))  # rows of the sweep's (7, 4) table
+    char_drop = dropout_mask(rng, (3, 6, 4), 0.3)
+    wcp = rng.standard_normal((3, 4))
+    dropped = table[char_ids] * char_drop.scale * char_drop.keep
+    _clear_max(depthwise_separable_conv1d(*map(Tensor, [dropped] + kernels)).data)
+
+    def char_path(ts):
+        looked = embedding_lookup(ts[0], char_ids)
+        dropped = dropout_apply(looked, char_drop)
+        pooled = depthwise_separable_conv1d(dropped, *ts[1:], pool=True)
+        release(dropped)
+        release(looked)
+        return weighted_sum_loss(pooled, wcp)
+
+    case("release:lookup_dropout_into_pooled_conv", 1e-6,
+         [table.copy()] + [k.copy() for k in kernels], char_path)
     return cases
 
 

@@ -6,9 +6,11 @@ from qanet.data import PAD_ID, UNK_ID
 from qanet.embedding import (
     EmbeddingParams, HighwayLayerParams, embed, highway, init_embedding_params,
 )
+import qanet.embedding
 from qanet.tensor import Tensor, backward, no_grad, reduce_sum, multiply
 
 from gradcheck import check_gradients, weighted_sum_loss
+from tapebytes import held_arrays, kept_data, owner, records, tape_bytes
 
 WORD_DIM = 6
 CHAR_DIM = 4
@@ -151,6 +153,50 @@ class TestCharSensitivity:
             a = embed(params, words, chars).data
             b = embed(params, words, flipped).data
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def embed_train(char_dropout):
+    """A train-mode embed over make_ids(): its output and the char path's
+    lookup and dropout outputs (the same tensor without char dropout)."""
+    params = make_params()
+    words, chars = make_ids()
+    out = embed(params, words, chars, word_dropout=0.1, char_dropout=char_dropout,
+                train_mode=True, rng=np.random.default_rng(7))
+    # The frozen word lookup records nothing.
+    looked = next(t for t, op in records(out) if op.name == "embedding_lookup")
+    dropped = [t for t, op in records(out)
+               if op.name == "dropout_apply" and op.inputs[0] is looked]
+    return out, looked, (dropped or [None])[0]
+
+
+class TestCharTape:
+    def test_char_path_keeps_no_float_buffer_of_its_shape(self):
+        """The conv keeps integer max positions, and the lookup and dropout
+        outputs are released: nothing (tokens, chars, channels) or (batch, n,
+        chars, channels) stays on the tape as float64. The tape was 14,404
+        bytes when the lookup output, a reshaped view of the dropout output
+        and the conv's output stayed; it now holds the char table array the
+        lookup rebuilds from and the conv's integer max positions instead."""
+        out, looked, dropped = embed_train(char_dropout=0.2)
+        assert kept_data(looked) is None and kept_data(dropped) is None
+        char_shapes = {(6, CHAR_LIMIT, CHAR_DIM), (2, 3, CHAR_LIMIT, CHAR_DIM)}
+        for t, op in records(out):
+            kept = [] if kept_data(t) is None else [kept_data(t)]
+            for a in map(owner, kept + held_arrays(op)):
+                assert not (a.dtype.kind == "f" and a.shape in char_shapes), op.name
+        assert tape_bytes(out) == 12_100
+
+    @pytest.mark.parametrize("char_dropout", [0.0, 0.2])
+    def test_released_char_outputs_read_as_forward_made_them(self, monkeypatch, char_dropout):
+        _, looked, dropped = embed_train(char_dropout)
+        monkeypatch.setattr(qanet.embedding, "release", lambda t: None)
+        _, kept_looked, kept_dropped = embed_train(char_dropout)
+        assert kept_data(looked) is None and kept_data(kept_looked) is not None
+        np.testing.assert_array_equal(looked.data, kept_looked.data)
+        assert (dropped is None) == (kept_dropped is None) == (char_dropout == 0.0)
+        if dropped is not None:
+            assert kept_data(dropped) is None
+            np.testing.assert_array_equal(dropped.data, kept_dropped.data)
 
 
 class TestHighway:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qanet.tensor as T
 from qanet.tensor import Tensor, backward
 from gradcheck import check_gradients, weighted_sum_loss
-from tapebytes import bytes_by_op, tape_bytes
+from tapebytes import bytes_by_op, kept_data, tape_bytes
 
 RNG = np.random.default_rng(20240817)
 
@@ -107,12 +107,23 @@ class TestForwardValues:
                 Tensor(x[i:i + 1]), Tensor(dk), Tensor(pk), Tensor(b)).data
             np.testing.assert_allclose(batched[i:i + 1], one_row, atol=1e-12)
 
-    def test_max_over_axis_first_tie_wins(self):
-        x = Tensor(np.array([[1.0, 5.0, 5.0, 2.0]]), requires_grad=True)
-        out = T.max_over_axis(x, axis=1)
-        assert out.data[0] == 5.0
+    def test_pooled_conv_first_tie_wins(self):
+        """A zero point kernel and bias tie every position at 0; through a
+        unit width-1 depth kernel the point kernel's gradient is then the
+        input at the position the gradient went to, which must be the first."""
+        x = rand(2, 4, 3)
+        point = Tensor(np.zeros((3, 2)), requires_grad=True)
+        out = T.depthwise_separable_conv1d(Tensor(x), Tensor(np.ones((1, 3))), point,
+                                           Tensor(np.zeros(2)), pool=True)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
         backward(T.reduce_sum(out))
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(point.grad, np.repeat(x[:, 0].sum(axis=0)[:, None], 2, 1))
+
+    def test_pooled_conv_is_the_max_of_the_conv(self):
+        x, dk, pk, b = (Tensor(a) for a in (rand(3, 6, 4), rand(5, 4), rand(4, 2), rand(2)))
+        full = T.depthwise_separable_conv1d(x, dk, pk, b).data
+        pooled = T.depthwise_separable_conv1d(x, dk, pk, b, pool=True).data
+        assert pooled.tobytes() == full.max(axis=1).tobytes()
 
     def test_embedding_lookup_and_duplicate_grads(self):
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
@@ -205,6 +216,20 @@ REFUSALS = {
     "conv:bias": (
         lambda: T.depthwise_separable_conv1d(ones(1, 4, 2), ones(3, 2), ones(2, 3), ones(2)),
         T.DimensionMismatch, r"bias \(2,\) vs 3 out channels"),
+    "conv:pool_residual": (
+        lambda: T.depthwise_separable_conv1d(ones(1, 4, 2), ones(3, 2), ones(2, 2), ones(2),
+                                             residual=ones(1, 4, 2), pool=True),
+        ValueError, "pool=True takes no residual or dropout"),
+    "conv:pool_dropout": (
+        lambda: T.depthwise_separable_conv1d(
+            ones(1, 4, 2), ones(3, 2), ones(2, 2), ones(2), pool=True,
+            dropout=T.dropout_mask(np.random.default_rng(0), (1, 4, 2), 0.5)),
+        ValueError, "pool=True takes no residual or dropout"),
+    "softmax:mask_none": (lambda: T.softmax(ones(2, 3), -1, None), TypeError,
+                          "softmax: mask is None"),
+    "attention:mask_none": (lambda: T.scaled_dot_attention(ones(1, 4, 6), ones(1, 4, 6),
+                                                           ones(1, 4, 6), 2, None),
+                            TypeError, "attention: key_mask is None"),
     "attention:2d": (lambda: T.scaled_dot_attention(ones(4, 6), ones(4, 6), ones(4, 6), 2,
                                                     np.ones(4)),
                      T.DimensionMismatch, r"\(batch, n, d\).*q \(4, 6\)"),
@@ -512,6 +537,17 @@ class TestTape:
                 + drop.keep.nbytes + leaves[1].data.nbytes + leaves[2].data.nbytes}
         assert bytes_by_op(out) == want
         assert tape_bytes(out) == 542
+
+    def test_second_release_changes_nothing(self):
+        """A tensor released twice, as a conv input that is also the lookup
+        output is, stays released and still reads as forward made it."""
+        table = Tensor(rand(5, 3), requires_grad=True)
+        looked = T.embedding_lookup(table, np.array([[4, 0], [2, 2]]))
+        forward_bits = looked.data.tobytes()
+        T.release(looked)
+        T.release(looked)
+        assert kept_data(looked) is None
+        assert looked.data.tobytes() == forward_bits
 
     def test_release_keeps_an_output_nothing_rebuilds(self):
         x = Tensor(rand(2, 3), requires_grad=True)
