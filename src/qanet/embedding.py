@@ -19,8 +19,7 @@ import numpy as np
 from .data import UNK_ID
 from .tensor import (
     Tensor, add, concat, dense, depthwise_separable_conv1d, dropout_apply,
-    dropout_mask, embedding_lookup, multiply, release, relu, reshape, sigmoid,
-    subtract,
+    dropout_mask, embedding_lookup, multiply, release, reshape, subtract,
 )
 from .encoder import glorot
 
@@ -78,10 +77,11 @@ def init_embedding_params(word_matrix: np.ndarray, char_vocab_size: int,
 
 
 def highway(x: Tensor, layers: list[HighwayLayerParams]) -> Tensor:
-    """y = g * T(x) + (1 - g) * x per layer, with sigmoid gates g."""
+    """y = g * T(x) + (1 - g) * x per layer: T's relu and the gate g's
+    sigmoid each run inside its ``dense``, so no pre-activation is kept."""
     for layer in layers:
-        transformed = relu(dense(x, layer.transform_w, layer.transform_b))
-        gate = sigmoid(dense(x, layer.gate_w, layer.gate_b))
+        transformed = dense(x, layer.transform_w, layer.transform_b, activation="relu")
+        gate = dense(x, layer.gate_w, layer.gate_b, activation="sigmoid")
         carried = multiply(subtract(Tensor(1.0), gate), x)
         x = add(multiply(gate, transformed), carried)
     return x

@@ -3,9 +3,10 @@
 Each block adds sinusoidal position information, then runs its sublayers
 inside pre-norm residual wrappers: ``x + f(layernorm(x))``, with ``f``'s
 output dropped out before the residual add. Each sublayer's last op, a
-``dense`` or the conv, forms that sum in its own result buffer, so ``f``'s
-output before the add never becomes a tensor the tape keeps. During
-training a sublayer is skipped entirely with probability ``1 - p_l``
+``dense`` or the conv, forms that sum in its own result buffer, and the
+feed-forward's first ``dense`` applies its relu there, so neither ``f``'s
+output before the add nor a pre-activation becomes a tensor the tape keeps.
+During training a sublayer is skipped entirely with probability ``1 - p_l``
 (stochastic depth), where ``p_l`` decays linearly with global sublayer
 index down to the configured final survival rate.
 """
@@ -18,9 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import (
-    DropoutMask, Tensor, add, dense,
-    depthwise_separable_conv1d, dropout_mask, layernorm, matmul, relu,
-    release, scaled_dot_attention,
+    DropoutMask, Tensor, add, dense, depthwise_separable_conv1d, dropout_mask,
+    layernorm, matmul, release, scaled_dot_attention,
 )
 
 
@@ -243,7 +243,7 @@ def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
         ffn = block.feed_forward
 
         def ffn_f(xn, residual, drop, ffn=ffn):
-            h = relu(dense(xn, ffn.inner_w, ffn.inner_b))
+            h = dense(xn, ffn.inner_w, ffn.inner_b, activation="relu")
             return dense(h, ffn.outer_w, ffn.outer_b, residual, drop)
 
         x = sublayer(x, ffn_f, ffn.ln_gain, ffn.ln_bias)

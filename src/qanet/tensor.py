@@ -16,11 +16,12 @@ A record holds its input tensors and, in its backward closure, only what
 the rule reads beyond them. ``add`` and ``subtract`` keep shapes;
 ``multiply`` keeps each operand's values only for the other's gradient; and
 an operand that does not require grad gets None, not a gradient nobody
-reads. ``relu`` and ``clamp_min`` keep a bool mask,
-``sigmoid`` and ``softmax`` their output, ``log`` its input. Beyond that:
+reads. ``clamp_min`` keeps a bool mask, ``softmax`` its output, ``log``
+its input. Beyond that:
 
-- :func:`dense` is ``x @ w + b`` in one record, the bias added in place;
-  it keeps ``x`` and ``w``.
+- :func:`dense` is ``x @ w + b`` in one record, the bias and any relu or
+  sigmoid ``activation`` applied in place; it keeps ``x`` and ``w``, and
+  backward reads the activation's derivative from the output.
 - :func:`depthwise_separable_conv1d` takes (batch, length, channels)
   input and an optional 0/1 position ``mask``, and zeroes padded positions
   of its input and output itself. It keeps its inputs and the mask, and
@@ -74,7 +75,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "Tensor", "backward", "no_grad",
     "add", "subtract", "multiply", "scalar_scale", "matmul", "dense",
-    "relu", "sigmoid", "log", "clamp_min", "softmax", "layernorm",
+    "log", "clamp_min", "softmax", "layernorm",
     "concat", "reshape", "swap_last_axes", "reduce_sum",
     "embedding_lookup", "gather_last", "dropout_apply",
     "depthwise_separable_conv1d", "scaled_dot_attention", "dropout_mask",
@@ -311,7 +312,7 @@ def matmul(a, b) -> Tensor:
     return _result("matmul", (a, b), out, bwd)
 
 
-def dense(x, w, b, residual=None, dropout=None) -> Tensor:
+def dense(x, w, b, residual=None, dropout=None, activation=None) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of ``x``, as one op.
 
     ``x`` is (..., k), ``w`` (k, m) and ``b`` (m,). The bias is added in
@@ -319,39 +320,37 @@ def dense(x, w, b, residual=None, dropout=None) -> Tensor:
     backward reads ``x.data`` when it runs.
     With a ``residual`` tensor and/or a :class:`DropoutMask` ``dropout`` of
     the output's shape, the result is ``residual + dropout ⊙ (x @ w + b)``,
-    formed in place in the same buffer (see :func:`_epilogue`).
+    formed in place in the same buffer (see :func:`_epilogue`); an
+    ``activation``, "relu" or "sigmoid", is applied there instead.
     """
+    if activation not in (None, "relu", "sigmoid"):
+        raise ValueError(f"dense: unknown activation {activation!r}; use 'relu' or 'sigmoid'")
+    if activation and (residual is not None or dropout is not None):
+        raise ValueError(f"dense: activation={activation!r} takes no residual or dropout epilogue")
     if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
     wd = w.data
     out = x.data @ wd
     out += b.data
     inputs = _epilogue("dense", out, (x, w, b), residual, dropout)
+    if activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif activation == "sigmoid":  # 1 / (1 + e^-z) for z >= 0, else e^z / (1 + e^z)
+        ex = np.exp(-np.abs(out))
+        np.divide(np.where(out >= 0, 1.0, ex), 1.0 + ex, out=out)
 
     def bwd(g):
         gh = g if dropout is None else _dropped(g, dropout)
+        if activation == "relu":
+            gh = gh * (out > 0.0)
+        elif activation == "sigmoid":
+            gh = gh * out * (1.0 - out)
         gx = gh @ wd.T
         gw = _reduce_to(np.swapaxes(x.data, -1, -2) @ gh, wd.shape)
         gb = gh.reshape(-1, gh.shape[-1]).sum(axis=0)
         return gx, gw, gb, g  # zip drops g when there is no residual
 
     return _result("dense", inputs, out, bwd)
-
-
-def relu(x) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-    positive = x.data > 0.0
-    return _result("relu", (x,), out, lambda g: (g * positive,))
-
-
-def sigmoid(x) -> Tensor:
-    xd = x.data
-    out = np.empty_like(xd)
-    pos = xd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return _result("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
 
 
 def log(x) -> Tensor:

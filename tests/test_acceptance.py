@@ -31,8 +31,8 @@ from qanet.tensor import (Tensor, add, backward, clamp_min, concat, dense,
                           depthwise_separable_conv1d, dropout_apply,
                           dropout_mask, embedding_lookup, gather_last,
                           layernorm, log, matmul, multiply,
-                          reduce_sum, release, relu, reshape, scalar_scale,
-                          scaled_dot_attention, sigmoid, softmax, subtract,
+                          reduce_sum, release, reshape, scalar_scale,
+                          scaled_dot_attention, softmax, subtract,
                           swap_last_axes)
 from qanet.trainer import (adam_step, ema_update, init_train_state,
                            load_checkpoint, lr_schedule, new_run, train,
@@ -130,12 +130,8 @@ def _sweep_cases(rng):
     # Keep kinked ops away from their kinks by more than the FD step.
     kinked = rng.standard_normal((3, 4))
     kinked += np.sign(kinked) * 0.1
-    case("relu", 1e-6, [kinked.copy()],
-         lambda ts: weighted_sum_loss(relu(ts[0]), w2))
     case("clamp_min", 1e-6, [kinked.copy()],
          lambda ts: weighted_sum_loss(clamp_min(ts[0], 0.0), w2))
-    case("sigmoid", 1e-6, [c.copy()],
-         lambda ts: weighted_sum_loss(sigmoid(ts[0]), w2))
     positive = np.abs(rng.standard_normal((3, 4))) + 0.5
     case("log", 1e-6, [positive],
          lambda ts: weighted_sum_loss(log(ts[0]), w2))
@@ -227,7 +223,10 @@ def _sweep_cases(rng):
     # Three heads of width 2 over fewer keys than queries, the key mask drawn.
     kv = [rng.standard_normal((2, 3, 6)) for _ in range(2)]
     drawn = (rng.random((2, 3)) < 0.6).astype(np.float64)
-    drawn[:, 0] = 1.0  # every row keeps at least one key
+    drawn[:, 0] = 1.0
+    # Every row keeps two keys or more: with one, its weights are exactly
+    # one-hot and its q and k gradients rounding noise (see _one_key_rows).
+    drawn[drawn.sum(axis=1) < 2, 1] = 1.0
     case("scaled_dot_attention:drawn_mask", 1e-6, [qkv[0].copy()] + kv,
          lambda ts: weighted_sum_loss(scaled_dot_attention(*ts, 3, drawn), wa))
     dx = rng.standard_normal((2, 3, 4))
@@ -323,6 +322,19 @@ def _sweep_cases(rng):
 
     case("release:lookup_dropout_into_pooled_conv", 1e-6,
          [table.copy()] + [k.copy() for k in kernels], char_path)
+    # Activation epilogues of dense. relu's loss ignores pre-activations
+    # within 0.1 of its kink, so no probe crosses it where it counts; the
+    # pre-activations take both signs, so both of sigmoid's branches run.
+    ax, aw, ab = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)
+    wact = rng.standard_normal((2, 3, 5))
+    pre = ax @ aw + ab
+    assert (pre[0] > 0).any() and (pre[0] < 0).any()
+    off_kink = np.where(np.abs(pre) > 0.1, wact, 0.0)
+    for act, wts in (("relu", off_kink), ("sigmoid", wact)):
+        case(f"dense:{act}_batched", 1e-6, [ax.copy(), aw.copy(), ab.copy()],
+             lambda ts, act=act, wts=wts: weighted_sum_loss(dense(*ts, activation=act), wts))
+        case(f"dense:{act}_single", 1e-6, [ax[0].copy(), aw.copy(), ab.copy()],
+             lambda ts, act=act, wts=wts: weighted_sum_loss(dense(*ts, activation=act), wts[0]))
     return cases
 
 
@@ -343,6 +355,35 @@ def _op_sweep(seed):
         for name, tol, arrays, loss in cases:
             worst = check_gradients(loss, arrays, tol=np.inf)
             assert worst < tol, f"{name}, draw {draw}: rel err {worst:.2e} >= {tol:.0e}"
+
+
+def _one_key_rows(seed):
+    """Attention whose rows keep key 0 alone, over ``_SWEEP_DRAWS`` draws.
+
+    Each query's weights are exactly one-hot, so its output is v's first
+    row: v's gradient must match finite differences, and q and k move
+    nothing. The masked keys' gradients are exactly zero. The rest are
+    rounding noise, as ``dP - rowsum(dO * O)`` subtracts two sums of the
+    same products formed by different routines; a relative error would
+    read that noise against the finite differences' own.
+    """
+    lone_key = np.zeros((2, 3))
+    lone_key[:, 0] = 1.0
+    for s in np.random.SeedSequence(seed).spawn(_SWEEP_DRAWS):
+        rng = np.random.default_rng(s)
+        q, k, v = (rng.standard_normal(shape) for shape in ((2, 4, 6), (2, 3, 6), (2, 3, 6)))
+        weights = rng.standard_normal((2, 4, 6))
+
+        def loss(ts):
+            return weighted_sum_loss(scaled_dot_attention(*ts, 3, lone_key), weights)
+
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        backward(loss(leaves))
+        assert not np.any(leaves[1].grad[:, 1:]), "a masked key got a gradient"
+        noise = max(np.abs(leaves[0].grad).max(), np.abs(leaves[1].grad).max())
+        assert noise < 1e-13, f"q or k gradient {noise:.1e} beyond rounding"
+        worst = check_gradients(loss, [q, k, v], tol=np.inf, check=[2])
+        assert worst < 1e-6, f"one key per row: v's rel err {worst:.2e}"
 
 
 def _toy_end_to_end():
@@ -399,6 +440,7 @@ def test_01_gradient_gate():
     def body():
         t0 = time.monotonic()
         _op_sweep(5)
+        _one_key_rows(5)
         _toy_end_to_end()
         elapsed = time.monotonic() - t0
         assert elapsed < 120.0, f"gradient gate took {elapsed:.1f}s"

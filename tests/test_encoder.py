@@ -255,7 +255,7 @@ def param_leaves(obj):
 def unfused_stack(x, config, params, mask, train_mode, rng):
     """The stack as separate ops: a sublayer draws its dropout mask after its
     output exists, applies it with ``dropout_apply`` and adds the residual
-    with ``add``."""
+    with ``add``; the feed-forward relu is a ``clamp_min`` at 0."""
     index = 0
 
     def sublayer(x, body, ln_gain, ln_bias):
@@ -276,13 +276,13 @@ def unfused_stack(x, config, params, mask, train_mode, rng):
         a, f = block.attention, block.feed_forward
         x = sublayer(x, lambda xn: attend(xn, a.attention, config.num_heads, mask),
                      a.ln_gain, a.ln_bias)
-        x = sublayer(x, lambda xn: T.dense(T.relu(T.dense(xn, f.inner_w, f.inner_b)),
+        x = sublayer(x, lambda xn: T.dense(T.clamp_min(T.dense(xn, f.inner_w, f.inner_b), 0.0),
                                            f.outer_w, f.outer_b), f.ln_gain, f.ln_bias)
     return x
 
 
 PADDED = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
-BLOCK_RECORDS = {"add": 1, "dense": 5, "matmul": 1, "relu": 1, "layernorm": 4,
+BLOCK_RECORDS = {"add": 1, "dense": 5, "matmul": 1, "layernorm": 4,
                  "scaled_dot_attention": 1, "depthwise_separable_conv1d": 2}
 
 
@@ -308,16 +308,17 @@ class TestEncoderStack:
         """One block at a fixed padded shape records exactly these ops.
 
         The conv sublayers mask inside the conv op, every affine map is one
-        ``dense`` op (the bias-free key projection one ``matmul``), and each
-        sublayer's last op adds the residual itself; unfused, the same block
-        records 28 ops (two multiplies more per conv sublayer, a matmul and
-        an add per dense, an add per sublayer).
+        ``dense`` op (the bias-free key projection one ``matmul``), the
+        feed-forward relu rides in its first ``dense``, and each sublayer's
+        last op adds the residual itself; unfused, the same block records 28
+        ops (two multiplies more per conv sublayer, a matmul and an add per
+        dense, a relu, an add per sublayer).
         """
         config, params, x = stack_setup(n=5)
         out = E.encoder_stack_forward(
             Tensor(np.stack([x, x]), requires_grad=True), config, params, PADDED)
         assert op_counts(out) == BLOCK_RECORDS
-        assert sum(BLOCK_RECORDS.values()) == 15
+        assert sum(BLOCK_RECORDS.values()) == 14
 
     def test_train_mode_record_set_pinned(self):
         """Train mode records the same ops: dropout and the residual add ride
@@ -352,8 +353,9 @@ class TestEncoderStack:
 
     def test_train_mode_tape_keeps_only_what_backward_reads(self, monkeypatch):
         """No record keeps a normalized input or a layernorm output's buffer,
-        a padded buffer or a depthwise output, attention weights or a float
-        dropout mask, and the block's tape bytes are pinned."""
+        a padded buffer or a depthwise output, attention weights, a float
+        dropout mask or a pre-activation, and the block's tape bytes are
+        pinned."""
         drawn, normed = [], []
 
         def spy(*args):
@@ -396,7 +398,14 @@ class TestEncoderStack:
         for m in drawn:  # one bool keep per sublayer, held by the sublayer's last op
             assert m.keep.dtype == np.bool_
             assert held[id(m.keep)] in (["dense"], ["depthwise_separable_conv1d"])
-        assert tape_bytes(out) == 12_960
+        # The feed-forward's relu dense, the one dense fed to another, keeps no
+        # float array of its output's shape but that output.
+        (hidden,) = [op.inputs[0] for _, op in records(out) if op.name == "dense"
+                     and op.inputs[0].op is not None and op.inputs[0].op.name == "dense"]
+        kept = [kept_data(t) for t in hidden.op.inputs] + held_arrays(hidden.op)
+        assert not any(a is not None and a.dtype.kind == "f" and a.shape == hidden.shape
+                       and owner(a) is not owner(hidden.data) for a in kept), hidden.op.name
+        assert tape_bytes(out) == 12_240
 
     def test_bytes_by_op_rows_sum_to_tape_bytes(self):
         """Each buffer is charged to one op, so the rows add up to the total."""

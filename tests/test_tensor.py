@@ -169,8 +169,8 @@ class TestForwardValues:
         outs = [
             T.softmax(Tensor(x), axis=-1, mask=np.ones(x.shape)),
             T.layernorm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8))),
-            T.relu(Tensor(x)),
-            T.sigmoid(Tensor(x)),
+            T.dense(Tensor(x), Tensor(np.eye(8)), Tensor(np.zeros(8)), activation="relu"),
+            T.dense(Tensor(x), Tensor(np.eye(8)), Tensor(np.zeros(8)), activation="sigmoid"),
         ]
         for o in outs:
             assert np.all(np.isfinite(o.data))
@@ -225,6 +225,15 @@ REFUSALS = {
             ones(1, 4, 2), ones(3, 2), ones(2, 2), ones(2), pool=True,
             dropout=T.dropout_mask(np.random.default_rng(0), (1, 4, 2), 0.5)),
         ValueError, "pool=True takes no residual or dropout"),
+    "dense:unknown_activation": (lambda: T.dense(ones(2, 3), ones(3, 2), ones(2), activation="tanh"),
+                                 ValueError, "dense: unknown activation 'tanh'"),
+    "dense:activation_residual": (
+        lambda: T.dense(ones(2, 3), ones(3, 2), ones(2), residual=ones(2, 2), activation="relu"),
+        ValueError, "activation='relu' takes no residual or dropout"),
+    "dense:activation_dropout": (
+        lambda: T.dense(ones(2, 3), ones(3, 2), ones(2), activation="sigmoid",
+                        dropout=T.dropout_mask(np.random.default_rng(0), (2, 2), 0.5)),
+        ValueError, "activation='sigmoid' takes no residual or dropout"),
     "softmax:mask_none": (lambda: T.softmax(ones(2, 3), -1, None), TypeError,
                           "softmax: mask is None"),
     "attention:mask_none": (lambda: T.scaled_dot_attention(ones(1, 4, 6), ones(1, 4, 6),
@@ -267,6 +276,33 @@ class TestFusedOpsMatchComposites:
         chained = self.run(lambda x, m, b: T.add(T.matmul(x, m), b), arrays, w)
         for name, a, b in zip(["out", "x", "w", "b"], fused, chained):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("lead", [(3, 5), (5,)], ids=["batched", "single"])
+    def test_dense_activation_bitwise_equal_to_numpy_reference(self, activation, lead):
+        """The epilogue against the rules of separate activation ops: relu
+        ``max(z, 0)`` with gradient ``g * (z > 0)``, sigmoid in two branches
+        by the sign of ``z`` with gradient ``g * s * (1 - s)``, where ``z``
+        is ``x @ w + b``. The draw holds pre-activations of both signs."""
+        rng = np.random.default_rng(35)
+        x, w, b = rng.standard_normal(lead + (4,)), rng.standard_normal((4, 6)), rng.standard_normal(6)
+        g = rng.standard_normal(lead + (6,))
+        z = x @ w
+        z += b
+        assert (z > 0).any() and (z < 0).any()
+        if activation == "relu":
+            out, gz = np.maximum(z, 0.0), g * (z > 0.0)
+        else:
+            out, pos = np.empty_like(z), z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ex = np.exp(z[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            gz = g * out * (1.0 - out)
+        gw = (np.swapaxes(x, -1, -2) @ gz).reshape(-1, 4, 6).sum(axis=0)
+        want = [out, gz @ w.T, gw, gz.reshape(-1, 6).sum(axis=0)]
+        got = self.run(lambda *ts: T.dense(*ts, activation=activation), [x, w, b], g)
+        for name, a, b in zip(["out", "x", "w", "b"], got, want):
+            assert a.tobytes() == b.tobytes(), name
 
     def test_dense_shape_errors(self):
         x = Tensor(np.ones((2, 3, 4)))
@@ -432,14 +468,14 @@ class TestTape:
         # consumer's contribution before it passes y's adjoint on.
         def diamond(ts):
             x, = ts
-            y = T.relu(T.matmul(x, x))
+            y = T.clamp_min(T.matmul(x, x), 0.0)
             return T.reduce_sum(T.multiply(y, T.add(y, x)))
         check_gradients(diamond, [rand(3, 3, rng=np.random.default_rng(3))])
 
     def test_backward_requires_scalar(self):
         x = Tensor(rand(2, 2), requires_grad=True)
         with pytest.raises(T.NotScalar):
-            backward(T.relu(x))
+            backward(T.scalar_scale(x, 2.0))
 
     @pytest.mark.parametrize("requires_grad", [False, True])
     def test_backward_detached(self, requires_grad):
@@ -473,7 +509,8 @@ class TestTape:
         x, gain, bias, w, b = leaves
         normed = T.layernorm(x, gain, bias)
         forward_bits = normed.data.tobytes()
-        loss = T.reduce_sum(T.sigmoid(T.add(T.matmul(normed, w), T.dense(normed, w, b))))
+        mixed = T.add(T.matmul(normed, w), T.dense(normed, w, b))
+        loss = T.reduce_sum(T.multiply(mixed, mixed))
         if release:
             T.release(normed)
         return loss, normed, forward_bits, leaves
@@ -517,7 +554,7 @@ class TestTape:
         drop = T.dropout_mask(rng, (2, 5, 3), 0.3)
         out = T.depthwise_separable_conv1d(*leaves[:4], mask=rows, residual=leaves[4],
                                            dropout=drop)
-        return T.reduce_sum(T.sigmoid(out)), out, leaves, rows, drop
+        return T.reduce_sum(T.multiply(out, out)), out, leaves, rows, drop
 
     def test_conv_second_backward_accumulates(self):
         """The conv rebuilds its padded input and depthwise output in each
@@ -551,7 +588,7 @@ class TestTape:
 
     def test_release_keeps_an_output_nothing_rebuilds(self):
         x = Tensor(rand(2, 3), requires_grad=True)
-        for t in (x, T.relu(x), T.layernorm(Tensor(rand(2, 3)), Tensor(np.ones(3)),
+        for t in (x, T.clamp_min(x, 0.0), T.layernorm(Tensor(rand(2, 3)), Tensor(np.ones(3)),
                                           Tensor(np.zeros(3)))):
             data = t.data
             T.release(t)
