@@ -17,8 +17,8 @@ from .data import Batch, QaExample, Vocabulary, build_batch
 from .embedding import EmbeddingParams, embed, init_embedding_params
 from .encoder import EncoderBlockConfig, EncoderStackParams, encoder_stack_forward, init_encoder_stack
 from .span import (
-    SpanDistributions, SpanHeadParams, SpanPrediction, dp_span_inference,
-    init_span_head, span_distributions, span_loss,
+    SpanHeadParams, SpanLogits, SpanPrediction, dp_span_inference,
+    init_span_head, span_distributions, span_logits, span_loss,
 )
 from .tensor import Tensor, no_grad
 
@@ -129,7 +129,7 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 
 
 def model_forward(params: ModelParams, config: ModelConfig, batch: Batch,
-                  train_mode: bool = False, rng=None) -> SpanDistributions:
+                  train_mode: bool = False, rng=None) -> SpanLogits:
     emb_cfg = config.embedding_encoder()
     model_cfg = config.model_encoder()
 
@@ -151,16 +151,14 @@ def model_forward(params: ModelParams, config: ModelConfig, batch: Batch,
             stacked[-1], model_cfg, params.model_encoder, batch.context_mask,
             train_mode=train_mode, rng=rng))
     M0, M1, M2 = stacked[1], stacked[2], stacked[3]
-    return span_distributions(M0, M1, M2, params.span.w1, params.span.w2,
-                              batch.context_mask)
+    return span_logits(M0, M1, M2, params.span.w1, params.span.w2,
+                       batch.context_mask)
 
 
 def model_loss(params: ModelParams, config: ModelConfig, batch: Batch,
-               train_mode: bool = False, rng=None) -> tuple[Tensor, SpanDistributions]:
-    dist = model_forward(params, config, batch, train_mode=train_mode, rng=rng)
-    spans = np.asarray(batch.spans)
-    loss = span_loss(dist, spans[:, 0], spans[:, 1])
-    return loss, dist
+               train_mode: bool = False, rng=None) -> tuple[Tensor, SpanLogits]:
+    logits = model_forward(params, config, batch, train_mode=train_mode, rng=rng)
+    return span_loss(logits, batch.spans[:, 0], batch.spans[:, 1]), logits
 
 
 def predict_spans(params: ModelParams, config: ModelConfig,
@@ -169,9 +167,8 @@ def predict_spans(params: ModelParams, config: ModelConfig,
     out = []
     for i in range(batch.size):
         with no_grad():
-            dist = model_forward(params, config, batch.row(i), train_mode=False)
-        out.append(dp_span_inference(dist.p1.data[0], dist.p2.data[0],
-                                     max_len=config.max_answer_len))
+            p1, p2 = span_distributions(model_forward(params, config, batch.row(i)))
+        out.append(dp_span_inference(p1.data[0], p2.data[0], max_len=config.max_answer_len))
     return out
 
 

@@ -1,10 +1,11 @@
-"""Answer span head: start/end distributions, loss, and DP inference.
+"""Answer span head: start/end logits, the loss, distributions and DP inference.
 
 The three stacked model-encoder outputs share their first block: start
 logits read [M0; M1] and end logits read [M0; M2], each through a single
-2d-length weight vector. Inference maximizes p1[s] * p2[e] over pairs with
-s <= e and a width cap, by a linear sweep that tracks the best start inside
-the sliding window.
+2d-length weight vector. The loss takes their masked log-softmax, exactly;
+prediction their softmax. Inference maximizes p1[s] * p2[e] over pairs
+with s <= e and a width cap, by a linear sweep that tracks the best start
+inside the sliding window.
 """
 from __future__ import annotations
 
@@ -15,11 +16,9 @@ import numpy as np
 
 from .encoder import glorot
 from .tensor import (
-    DimensionMismatch, Tensor, add, clamp_min, concat, gather_last, log,
-    matmul, reduce_sum, reshape, scalar_scale, softmax,
+    DimensionMismatch, Tensor, add, concat, gather_last, log_softmax, matmul,
+    reduce_sum, reshape, scalar_scale, softmax,
 )
-
-PROB_FLOOR = 1e-30
 
 
 class EmptyDistribution(ValueError):
@@ -27,9 +26,10 @@ class EmptyDistribution(ValueError):
 
 
 @dataclass
-class SpanDistributions:
-    p1: Tensor  # (..., n) start probabilities
-    p2: Tensor  # (..., n) end probabilities
+class SpanLogits:
+    start: Tensor  # (..., n) start logits
+    end: Tensor  # (..., n) end logits
+    mask: np.ndarray  # (..., n) 1.0 at real positions, 0.0 at padding
 
 
 @dataclass
@@ -51,32 +51,28 @@ def init_span_head(dim: int, rng) -> SpanHeadParams:
         w2=Tensor(glorot(rng, 2 * dim, 1, (2 * dim,)), requires_grad=True))
 
 
-def _logits(first: Tensor, second: Tensor, w: Tensor) -> Tensor:
-    width = first.shape[-1] + second.shape[-1]
-    joined = concat([first, second], axis=-1)
-    out = matmul(joined, reshape(w, (width, 1)))
-    return reshape(out, out.shape[:-1])
+def span_logits(M0: Tensor, M1: Tensor, M2: Tensor, W1: Tensor, W2: Tensor,
+                mask: np.ndarray) -> SpanLogits:
+    """Start reads [M0; M1], end reads [M0; M2]; the required (..., n)
+    ``mask`` marks the usable positions with 1.0."""
+    def head(second, w):  # [M0; second] @ w, without the product's trailing 1
+        return reshape(matmul(concat([M0, second], axis=-1), reshape(w, (-1, 1))), M0.shape[:-1])
+    return SpanLogits(start=head(M1, W1), end=head(M2, W2), mask=mask)
 
 
-def span_distributions(M0: Tensor, M1: Tensor, M2: Tensor, W1: Tensor,
-                       W2: Tensor, mask: np.ndarray) -> SpanDistributions:
-    """Start reads [M0; M1], end reads [M0; M2]; both softmax over the
-    positions that the required (..., n) ``mask`` marks 1.0."""
-    p1 = softmax(_logits(M0, M1, W1), axis=-1, mask=mask)
-    p2 = softmax(_logits(M0, M2, W2), axis=-1, mask=mask)
-    return SpanDistributions(p1=p1, p2=p2)
+def span_distributions(logits: SpanLogits) -> tuple[Tensor, Tensor]:
+    """Start and end probabilities over the usable positions, for prediction."""
+    return (softmax(logits.start, axis=-1, mask=logits.mask),
+            softmax(logits.end, axis=-1, mask=logits.mask))
 
 
-def span_loss(dist: SpanDistributions, starts, ends) -> Tensor:
-    """Mean of -(log p1[start] + log p2[end]); probabilities floored at 1e-30.
+def span_loss(logits: SpanLogits, starts, ends) -> Tensor:
+    """Mean of -(log p1[start] + log p2[end]), each term ``logit − logsumexp``
+    with no floor, so a gold position far below the max keeps its gradient.
     Labels index real positions, as ``QaExample.validate`` ensures."""
-    starts = np.asarray(starts)
-    ends = np.asarray(ends)
-    p1, p2 = dist.p1, dist.p2
-    count = int(np.prod(starts.shape))
-    gold_terms = add(log(clamp_min(gather_last(p1, starts), PROB_FLOOR)),
-                     log(clamp_min(gather_last(p2, ends), PROB_FLOOR)))
-    return scalar_scale(reduce_sum(gold_terms), -1.0 / count)
+    gold_terms = add(gather_last(log_softmax(logits.start, -1, logits.mask), starts),
+                     gather_last(log_softmax(logits.end, -1, logits.mask), ends))
+    return scalar_scale(reduce_sum(gold_terms), -1.0 / np.size(starts))
 
 
 def dp_span_inference(p1: np.ndarray, p2: np.ndarray,

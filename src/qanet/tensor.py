@@ -16,8 +16,7 @@ A record holds its input tensors and, in its backward closure, only what
 the rule reads beyond them. ``add`` and ``subtract`` keep shapes;
 ``multiply`` keeps each operand's values only for the other's gradient; and
 an operand that does not require grad gets None, not a gradient nobody
-reads. ``clamp_min`` keeps a bool mask, ``softmax`` its output, ``log``
-its input. Beyond that:
+reads. ``softmax`` and ``log_softmax`` keep their output. Beyond that:
 
 - :func:`dense` is ``x @ w + b`` in one record, the bias and any relu or
   sigmoid ``activation`` applied in place; it keeps ``x`` and ``w``, and
@@ -44,13 +43,13 @@ its input. Beyond that:
 - :func:`scaled_dot_attention` runs every head at once over (batch, n, d)
   inputs, and refuses any other rank.
 
-:func:`softmax` and attention require a mask; the model always has one,
-and an all-ones mask leaves every slot usable. A mask gives slots exactly
-zero weight, and a slice with no usable slot is zero throughout. Attention
-keeps no (batch, heads, n, m) array: it walks cache-sized blocks of whole
-heads, and its record keeps two (batch, heads, n, 1) row statistics, the
-max shift and the inverse row sum, beside the inputs, the key mask and the
-output.
+:func:`softmax`, :func:`log_softmax` and attention require a mask; the
+model always has one, and an all-ones mask leaves every slot usable. A
+masked slot comes out exactly 0, and so does a slice with no usable slot.
+Attention keeps no (batch, heads, n, m) array: it walks cache-sized blocks
+of whole heads, and its record keeps two (batch, heads, n, 1) row
+statistics, the max shift and the inverse row sum, beside the inputs, the
+key mask and the output.
 Backward recomputes each block's weights from them, bitwise as forward made
 them (FlashAttention, arXiv 2205.14135), and uses
 ``rowsum(dP * P) == rowsum(dO * O)`` (FlashAttention-2, arXiv 2307.08691),
@@ -75,7 +74,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "Tensor", "backward", "no_grad",
     "add", "subtract", "multiply", "scalar_scale", "matmul", "dense",
-    "log", "clamp_min", "softmax", "layernorm",
+    "softmax", "log_softmax", "layernorm",
     "concat", "reshape", "swap_last_axes", "reduce_sum",
     "embedding_lookup", "gather_last", "dropout_apply",
     "depthwise_separable_conv1d", "scaled_dot_attention", "dropout_mask",
@@ -353,31 +352,17 @@ def dense(x, w, b, residual=None, dropout=None, activation=None) -> Tensor:
     return _result("dense", inputs, out, bwd)
 
 
-def log(x) -> Tensor:
-    xd = x.data
-    if np.any(xd <= 0.0):
-        raise ValueError(f"log: inputs must be strictly positive, got min {xd.min()}")
-    return _result("log", (x,), np.log(xd), lambda g: (g / xd,))
-
-
-def clamp_min(x, floor: float) -> Tensor:
-    floor = float(floor)
-    out = np.maximum(x.data, floor)
-    above = x.data > floor
-    return _result("clamp_min", (x,), out, lambda g: (g * above,))
-
-
 _MASK_PENALTY = 1e30  # added to masked logits; their exp underflows to exactly 0
 
 
-def softmax(x, axis: int, mask) -> Tensor:
-    """Softmax along ``axis`` under a required 0/1 ``mask`` broadcasting to
-    ``x``: slots with mask 0 get exactly zero weight, and the result is
-    multiplied by the mask, so a slice with no usable slot is all zeros, not
-    left uniform. An all-ones mask leaves every slot usable."""
+def _masked_shift(name, x, axis, mask):
+    """The masked-softmax rule: ``x`` copied, the 0 slots of a required 0/1
+    ``mask`` that broadcasts to it pushed ``_MASK_PENALTY`` down, and each
+    slice along ``axis`` shifted by its max. The caller multiplies its result
+    by the float mask returned: masked slots and empty slices come out 0."""
     ax = _normalize_axis(axis, x.ndim)
     if mask is None:
-        raise TypeError("softmax: mask is None; an all-ones mask leaves every slot usable")
+        raise TypeError(f"{name}: mask is None; an all-ones mask leaves every slot usable")
     mask = np.asarray(mask, dtype=np.float64)
     out = x.data.copy()
     try:
@@ -385,6 +370,12 @@ def softmax(x, axis: int, mask) -> Tensor:
     except ValueError:
         raise DimensionMismatch(f"mask {mask.shape} vs {x.shape}") from None
     out -= out.max(axis=ax, keepdims=True)
+    return out, ax, mask
+
+
+def softmax(x, axis: int, mask) -> Tensor:
+    """Softmax along ``axis`` under a required mask (:func:`_masked_shift`)."""
+    out, ax, mask = _masked_shift("softmax", x, axis, mask)
     np.exp(out, out=out)
     out /= out.sum(axis=ax, keepdims=True)
     out *= mask
@@ -396,6 +387,22 @@ def softmax(x, axis: int, mask) -> Tensor:
         return (g,)
 
     return _result("softmax", (x,), out, bwd)
+
+
+def log_softmax(x, axis: int, mask) -> Tensor:
+    """Log of :func:`softmax`, as ``shifted − log(sum(exp(shifted)))``: exact
+    far below the max, where softmax underflows. Masked slots come out 0 and
+    get zero gradient; the record keeps the output."""
+    out, ax, mask = _masked_shift("log_softmax", x, axis, mask)
+    out -= np.log(np.exp(out).sum(axis=ax, keepdims=True))
+    out *= mask
+
+    def bwd(g):  # g − softmax · rowsum(g), over the usable slots
+        g = g * mask
+        g -= np.exp(out) * mask * g.sum(axis=ax, keepdims=True)
+        return (g,)
+
+    return _result("log_softmax", (x,), out, bwd)
 
 
 _LAYERNORM_EPS = 1e-6

@@ -25,12 +25,13 @@ from qanet.encoder import residual_sublayer, survival_probability
 from qanet.evaluation import (evaluate, exact_match_score, f1_score,
                               metric_max_over_ground_truths)
 from qanet.model import ModelConfig, init_model_params, model_loss, predict_all
-from qanet.span import SpanHeadParams, dp_span_inference, span_distributions
+from qanet.span import (SpanHeadParams, dp_span_inference, span_distributions,
+                        span_logits)
 import qanet.tensor
-from qanet.tensor import (Tensor, add, backward, clamp_min, concat, dense,
+from qanet.tensor import (Tensor, add, backward, concat, dense,
                           depthwise_separable_conv1d, dropout_apply,
                           dropout_mask, embedding_lookup, gather_last,
-                          layernorm, log, matmul, multiply,
+                          layernorm, log_softmax, matmul, multiply,
                           reduce_sum, release, reshape, scalar_scale,
                           scaled_dot_attention, softmax, subtract,
                           swap_last_axes)
@@ -127,30 +128,22 @@ def _sweep_cases(rng):
     case("matmul:broadcast_2d", 1e-7, [b1.copy(), m2.copy()],
          lambda ts: weighted_sum_loss(matmul(ts[0], ts[1]), wb))
 
-    # Keep kinked ops away from their kinks by more than the FD step.
-    kinked = rng.standard_normal((3, 4))
-    kinked += np.sign(kinked) * 0.1
-    case("clamp_min", 1e-6, [kinked.copy()],
-         lambda ts: weighted_sum_loss(clamp_min(ts[0], 0.0), w2))
-    positive = np.abs(rng.standard_normal((3, 4))) + 0.5
-    case("log", 1e-6, [positive],
-         lambda ts: weighted_sum_loss(log(ts[0]), w2))
-    around_one = rng.random((3, 4)) + 0.5
-    around_one[np.abs(around_one - 1.0) < 0.05] += 0.1  # clear of the floor
-    case("log:of_clamp_min", 1e-6, [around_one],
-         lambda ts: weighted_sum_loss(log(clamp_min(ts[0], 1.0)), w2))
-    # An all-ones mask leaves every slot usable.
-    case("softmax:last", 1e-6, [a.copy()],
-         lambda ts: weighted_sum_loss(softmax(ts[0], -1, np.ones(a.shape)), w))
-    case("softmax:mid", 1e-6, [a.copy()],
-         lambda ts: weighted_sum_loss(softmax(ts[0], -2, np.ones(a.shape)), w))
-    # 0/1 masks with one wholly masked slice: zero weight, zero gradient.
+    # log_softmax's own input and weights; drawn here, so that no later
+    # case's draws move.
+    ls_x = np.stack([rng.standard_normal((3, 4)), rng.standard_normal((3, 4))])
+    ls_w = rng.random((3, 4)) - 0.5
+    # An all-ones mask leaves every slot usable; 0/1 masks with one wholly
+    # masked slice give zero weight and zero gradient.
     last_mask = np.array([[[1, 0, 1, 1]], [[0, 0, 0, 0]]], dtype=np.float64)
-    case("softmax:masked_last", 1e-6, [a.copy()],
-         lambda ts: weighted_sum_loss(softmax(ts[0], -1, mask=last_mask), w))
     mid_mask = np.array([[1, 1, 0], [0, 1, 0]], dtype=np.float64)[:, :, None]
-    case("softmax:masked_mid", 1e-6, [a.copy()],
-         lambda ts: weighted_sum_loss(softmax(ts[0], -2, mask=mid_mask), w))
+    for op, x, wts in ((softmax, a, w), (log_softmax, ls_x, ls_w)):
+        every = np.ones(x.shape)
+        for variant, axis, op_mask in (("last", -1, every), ("mid", -2, every),
+                                       ("masked_last", -1, last_mask),
+                                       ("masked_mid", -2, mid_mask)):
+            case(f"{op.__name__}:{variant}", 1e-6, [x.copy()],
+                 lambda ts, op=op, axis=axis, op_mask=op_mask, wts=wts:
+                 weighted_sum_loss(op(ts[0], axis, op_mask), wts))
     gain = rng.standard_normal(4)
     bias = rng.standard_normal(4)
     case("layernorm", 1e-6, [a.copy(), gain, bias],
@@ -481,9 +474,9 @@ def test_02_normalization_invariants():
             M = [Tensor(rng.standard_normal((1, n, dm))) for _ in range(3)]
             head = SpanHeadParams(w1=Tensor(rng.standard_normal(2 * dm)),
                                   w2=Tensor(rng.standard_normal(2 * dm)))
-            dist = span_distributions(M[0], M[1], M[2], head.w1, head.w2,
-                                      mask=c_mask[None, :])
-            for p in (dist.p1.data, dist.p2.data):
+            for p in span_distributions(span_logits(M[0], M[1], M[2], head.w1, head.w2,
+                                                    c_mask[None, :])):
+                p = p.data
                 assert abs(p[0, :c_real].sum() - 1.0) < 1e-9
                 assert np.all(p[0, c_real:] == 0.0)
     _verdict(2, "row/column/probability normalization with exact masking",

@@ -252,10 +252,15 @@ def param_leaves(obj):
             yield from param_leaves(getattr(obj, f.name))
 
 
+def relu(x):
+    """An unfused relu: ``x`` times the constant indicator of ``x > 0``."""
+    return T.multiply(x, Tensor(x.data > 0.0))
+
+
 def unfused_stack(x, config, params, mask, train_mode, rng):
     """The stack as separate ops: a sublayer draws its dropout mask after its
     output exists, applies it with ``dropout_apply`` and adds the residual
-    with ``add``; the feed-forward relu is a ``clamp_min`` at 0."""
+    with ``add``; the feed-forward relu is a :func:`relu` of its own."""
     index = 0
 
     def sublayer(x, body, ln_gain, ln_bias):
@@ -276,7 +281,7 @@ def unfused_stack(x, config, params, mask, train_mode, rng):
         a, f = block.attention, block.feed_forward
         x = sublayer(x, lambda xn: attend(xn, a.attention, config.num_heads, mask),
                      a.ln_gain, a.ln_bias)
-        x = sublayer(x, lambda xn: T.dense(T.clamp_min(T.dense(xn, f.inner_w, f.inner_b), 0.0),
+        x = sublayer(x, lambda xn: T.dense(relu(T.dense(xn, f.inner_w, f.inner_b)),
                                            f.outer_w, f.outer_b), f.ln_gain, f.ln_bias)
     return x
 

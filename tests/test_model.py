@@ -10,6 +10,7 @@ from qanet.model import (
     ModelConfig, init_model_params, model_forward, model_loss,
     named_parameters, named_tensors, predict_spans, span_text,
 )
+from qanet.span import span_distributions
 from qanet.tensor import backward
 
 from gradcheck import relative_error
@@ -51,12 +52,11 @@ def toy_setup(seed=0, n_examples=3, first_question=None):
 class TestShapes:
     def test_forward_shapes(self):
         config, params, batch = toy_setup()
-        dist = model_forward(params, config, batch)
+        logits = model_forward(params, config, batch)
         n = batch.context_ids.shape[1]
-        assert dist.p1.shape == (batch.size, n)
-        assert dist.p2.shape == (batch.size, n)
-        np.testing.assert_allclose(dist.p1.data.sum(axis=-1),
-                                   np.ones(batch.size), atol=1e-9)
+        assert logits.start.shape == logits.end.shape == (batch.size, n)
+        for p in span_distributions(logits):
+            np.testing.assert_allclose(p.data.sum(axis=-1), np.ones(batch.size), atol=1e-9)
 
     def test_loss_scalar_and_finite(self):
         config, params, batch = toy_setup()

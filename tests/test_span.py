@@ -1,12 +1,14 @@
 """Span head: distribution shapes, loss closed forms, DP vs enumeration."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qanet.span import (
-    EmptyDistribution, SpanDistributions, SpanPrediction,
-    dp_span_inference, init_span_head, span_distributions, span_loss,
+    EmptyDistribution, SpanLogits, SpanPrediction, dp_span_inference,
+    init_span_head, span_distributions, span_logits, span_loss,
 )
 from qanet.tensor import DimensionMismatch, Tensor, backward
 
@@ -31,22 +33,29 @@ def brute_force_span(p1, p2, max_len=30):
     return SpanPrediction(start=best[1], end=best[2], score=-best[0])
 
 
+def distributions(M0, M1, M2, w1, w2, mask):
+    return span_distributions(span_logits(Tensor(M0), Tensor(M1), Tensor(M2), w1, w2, mask))
+
+
+def loss_of(start, end, starts, ends, mask=None):
+    """span_loss over plain start and end logits, every position usable by default."""
+    mask = np.ones(np.shape(start)) if mask is None else mask
+    return span_loss(SpanLogits(Tensor(start), Tensor(end), mask), starts, ends)
+
+
 class TestDistributions:
     def test_zero_weights_uniform(self):
         (M0, M1, M2), _ = head_inputs()
-        dist = span_distributions(Tensor(M0), Tensor(M1), Tensor(M2),
-                                  Tensor(np.zeros(8)), Tensor(np.zeros(8)), np.ones(6))
-        np.testing.assert_allclose(dist.p1.data, np.full(6, 1 / 6), atol=1e-12)
-        np.testing.assert_allclose(dist.p2.data, np.full(6, 1 / 6), atol=1e-12)
+        p1, p2 = distributions(M0, M1, M2, Tensor(np.zeros(8)), Tensor(np.zeros(8)), np.ones(6))
+        np.testing.assert_allclose(p1.data, np.full(6, 1 / 6), atol=1e-12)
+        np.testing.assert_allclose(p2.data, np.full(6, 1 / 6), atol=1e-12)
 
     def test_single_unmasked_position(self):
         (M0, M1, M2), rng = head_inputs(n=4)
         mask = np.array([0.0, 0.0, 1.0, 0.0])
         params = init_span_head(4, rng)
-        dist = span_distributions(Tensor(M0), Tensor(M1), Tensor(M2),
-                                  params.w1, params.w2, mask)
-        np.testing.assert_array_equal(dist.p1.data, mask)
-        np.testing.assert_array_equal(dist.p2.data, mask)
+        for p in distributions(M0, M1, M2, params.w1, params.w2, mask):
+            np.testing.assert_array_equal(p.data, mask)
 
     def test_normalization_and_masking(self):
         (M0, M1, M2), rng = head_inputs(n=17, batch=3, seed=5)
@@ -54,9 +63,8 @@ class TestDistributions:
         mask[0, 10:] = 0.0
         mask[2, 5:] = 0.0
         params = init_span_head(4, rng)
-        dist = span_distributions(Tensor(M0), Tensor(M1), Tensor(M2),
-                                  params.w1, params.w2, mask)
-        for p in (dist.p1.data, dist.p2.data):
+        for p in distributions(M0, M1, M2, params.w1, params.w2, mask):
+            p = p.data
             np.testing.assert_allclose(p.sum(axis=-1), np.ones(3), atol=1e-9)
             np.testing.assert_array_equal(p[0, 10:], np.zeros(7))
             np.testing.assert_array_equal(p[2, 5:], np.zeros(12))
@@ -64,46 +72,70 @@ class TestDistributions:
     def test_shape_mismatches_rejected(self):
         (M0, M1, M2), _ = head_inputs()
         with pytest.raises(DimensionMismatch):
-            span_distributions(Tensor(M0), Tensor(M1[:4]), Tensor(M2),
-                               Tensor(np.zeros(8)), Tensor(np.zeros(8)), np.ones(6))
+            span_logits(Tensor(M0), Tensor(M1[:4]), Tensor(M2),
+                        Tensor(np.zeros(8)), Tensor(np.zeros(8)), np.ones(6))
         with pytest.raises(DimensionMismatch):
-            span_distributions(Tensor(M0), Tensor(M1), Tensor(M2),
-                               Tensor(np.zeros(7)), Tensor(np.zeros(8)), np.ones(6))
+            span_logits(Tensor(M0), Tensor(M1), Tensor(M2),
+                        Tensor(np.zeros(7)), Tensor(np.zeros(8)), np.ones(6))
 
 
 class TestLoss:
     def test_perfect_prediction_zero_loss(self):
-        dist = SpanDistributions(p1=Tensor([0.0, 1.0, 0.0]),
-                                 p2=Tensor([0.0, 0.0, 1.0]))
-        loss = span_loss(dist, 1, 2)
-        assert loss.data == pytest.approx(0.0, abs=1e-12)
+        loss = loss_of([-800.0, 0.0, -800.0], [-800.0, -800.0, 0.0], 1, 2)
+        assert loss.data == 0.0
 
     def test_uniform_closed_form(self):
-        quarter = np.full(4, 0.25)
-        dist = SpanDistributions(p1=Tensor(quarter), p2=Tensor(quarter))
-        loss = span_loss(dist, 0, 3)
+        loss = loss_of(np.zeros(4), np.zeros(4), 0, 3)
         assert loss.data == pytest.approx(2 * np.log(4), abs=1e-12)
 
     def test_batch_mean(self):
         p = np.array([[0.5, 0.5], [0.25, 0.75]])
-        dist = SpanDistributions(p1=Tensor(p), p2=Tensor(p))
-        loss = span_loss(dist, np.array([0, 1]), np.array([1, 1]))
+        loss = loss_of(np.log(p), np.log(p), np.array([0, 1]), np.array([1, 1]))
         expect = -(np.log(0.5) + np.log(0.5) + np.log(0.75) + np.log(0.75)) / 2
         assert loss.data == pytest.approx(expect, abs=1e-12)
 
-    def test_floor_keeps_loss_finite(self):
-        dist = SpanDistributions(p1=Tensor([1.0, 0.0]), p2=Tensor([0.0, 1.0]))
-        loss = span_loss(dist, 1, 1)
-        assert np.isfinite(loss.data)
-        assert loss.data == pytest.approx(-np.log(1e-30), abs=1e-6)
+    def test_padding_takes_no_probability(self):
+        """Masked positions leave the loss as if they were cut off, whatever
+        their logits, and get exactly zero gradient."""
+        rng = np.random.default_rng(4)
+        start, end = rng.standard_normal((2, 2, 6)) * 3.0
+        start[:, 4:] = 50.0
+        mask = np.ones((2, 6))
+        mask[:, 4:] = 0.0
+        logits = SpanLogits(Tensor(start, requires_grad=True), Tensor(end, requires_grad=True),
+                            mask)
+        loss = span_loss(logits, np.array([0, 3]), np.array([2, 3]))
+        cut = loss_of(start[:, :4], end[:, :4], np.array([0, 3]), np.array([2, 3]))
+        assert loss.data == pytest.approx(cut.data, rel=1e-12)
+        backward(loss)
+        for t in (logits.start, logits.end):
+            assert not np.any(t.grad[:, 4:])
+
+    def test_gold_far_below_max_keeps_exact_loss_and_gradient(self):
+        """A gold start 80 logits below the max has probability e^-80, below
+        1e-30: its loss term is -(logit - logsumexp) to 1e-12 relative, and
+        its gradient is finite and non-zero. The gold end is certain, so its
+        term is exactly 0."""
+        start = Tensor([[0.0, -80.0, -3.0, 9.0]], requires_grad=True)
+        end = Tensor([[0.0, -800.0, -800.0, 9.0]], requires_grad=True)
+        mask = np.array([[1.0, 1.0, 1.0, 0.0]])  # the largest logit is padding
+        loss = span_loss(SpanLogits(start, end, mask), np.array([1]), np.array([0]))
+        logsumexp = math.log1p(math.exp(-3.0) + math.exp(-80.0))
+        assert math.exp(-80.0 - logsumexp) < 1e-30
+        assert loss.data == pytest.approx(-(-80.0 - logsumexp), rel=1e-12)
+        backward(loss)
+        grad = start.grad[0]
+        assert np.all(np.isfinite(grad)) and grad[1] != 0.0
+        # d/dz of -(z_gold - logsumexp) is p - onehot over the usable slots.
+        p = np.exp(np.array([0.0, -80.0, -3.0]) - logsumexp)
+        np.testing.assert_allclose(grad[:3], p - [0.0, 1.0, 0.0], rtol=1e-12)
+        assert grad[3] == 0.0
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             logits = rng.standard_normal((2, 5))
-            p = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
-            dist = SpanDistributions(p1=Tensor(p), p2=Tensor(p))
-            loss = span_loss(dist, np.array([0, 4]), np.array([2, 4]))
+            loss = loss_of(logits, logits, np.array([0, 4]), np.array([2, 4]))
             assert loss.data >= 0.0
 
     def test_gradient_through_head(self):
@@ -115,9 +147,7 @@ class TestLoss:
         ends = np.array([3, 2])
 
         def make_loss(tensors):
-            m0, m1, m2, w1, w2 = tensors
-            dist = span_distributions(m0, m1, m2, w1, w2, mask)
-            return span_loss(dist, starts, ends)
+            return span_loss(span_logits(*tensors, mask), starts, ends)
 
         check_gradients(make_loss, [M0, M1, M2, params.w1.data, params.w2.data],
                         tol=1e-5)

@@ -66,6 +66,30 @@ class TestForwardValues:
         with pytest.raises(T.AxisOutOfRange):
             T.softmax(Tensor(np.ones((2, 2))), axis=2, mask=np.ones((2, 2)))
 
+    def test_log_softmax_is_log_of_softmax(self):
+        x = rand(4, 5, scale=3.0, rng=np.random.default_rng(11))
+        mask = np.ones((4, 5))
+        mask[1, 3:] = 0.0
+        got = T.log_softmax(Tensor(x), axis=-1, mask=mask).data
+        want = T.softmax(Tensor(x), axis=-1, mask=mask).data
+        np.testing.assert_allclose(got[mask == 1.0], np.log(want[mask == 1.0]), rtol=1e-12)
+
+    def test_log_softmax_exact_where_softmax_underflows(self):
+        out = T.log_softmax(Tensor([0.0, -800.0, np.log(3.0)]), axis=0, mask=np.ones(3))
+        np.testing.assert_allclose(out.data, [-np.log(4.0), -800.0 - np.log(4.0),
+                                              np.log(0.75)], rtol=1e-15)
+
+    def test_log_softmax_masked_slots_and_empty_slice_are_zero(self):
+        """Masked slots come out 0 and, like a slice with no usable slot, get
+        exactly zero gradient."""
+        rng = np.random.default_rng(12)
+        x = Tensor(rand(2, 3, rng=rng), requires_grad=True)
+        mask = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        out = T.log_softmax(x, axis=-1, mask=mask)
+        assert np.all(out.data[mask == 0.0] == 0.0) and np.all(out.data[0, [0, 2]] < 0.0)
+        backward(T.reduce_sum(T.multiply(out, Tensor(rand(2, 3, rng=rng)))))
+        assert np.all(x.grad[mask == 0.0] == 0.0) and np.all(x.grad[0, [0, 2]] != 0.0)
+
     def test_layernorm_hand_value(self):
         out = T.layernorm(Tensor([1.0, 3.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
         np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-5)
@@ -190,7 +214,6 @@ REFUSALS = {
                         r"subtract: \(2, 3\) vs \(2, 2\)"),
     "matmul:rank": (lambda: T.matmul(ones(3), ones(3, 2)), T.DimensionMismatch,
                     r"\(3,\) @ \(3, 2\)"),
-    "log:not_positive": (lambda: T.log(Tensor([1.0, -2.0])), ValueError, "got min -2.0"),
     "layernorm:gain": (lambda: T.layernorm(ones(2, 4), ones(3), ones(4)),
                        T.DimensionMismatch, r"gain \(3,\) / bias \(4,\) vs feature dim 4"),
     "layernorm:bias": (lambda: T.layernorm(ones(2, 4), ones(4), ones(4, 1)),
@@ -236,6 +259,10 @@ REFUSALS = {
         ValueError, "activation='sigmoid' takes no residual or dropout"),
     "softmax:mask_none": (lambda: T.softmax(ones(2, 3), -1, None), TypeError,
                           "softmax: mask is None"),
+    "log_softmax:mask_none": (lambda: T.log_softmax(ones(2, 3), -1, None), TypeError,
+                              "log_softmax: mask is None"),
+    "log_softmax:mask_shape": (lambda: T.log_softmax(ones(2, 3), -1, np.ones((3, 3))),
+                               T.DimensionMismatch, r"mask \(3, 3\) vs \(2, 3\)"),
     "attention:mask_none": (lambda: T.scaled_dot_attention(ones(1, 4, 6), ones(1, 4, 6),
                                                            ones(1, 4, 6), 2, None),
                             TypeError, "attention: key_mask is None"),
@@ -468,7 +495,7 @@ class TestTape:
         # consumer's contribution before it passes y's adjoint on.
         def diamond(ts):
             x, = ts
-            y = T.clamp_min(T.matmul(x, x), 0.0)
+            y = T.log_softmax(T.matmul(x, x), -1, np.ones((3, 3)))
             return T.reduce_sum(T.multiply(y, T.add(y, x)))
         check_gradients(diamond, [rand(3, 3, rng=np.random.default_rng(3))])
 
@@ -588,8 +615,8 @@ class TestTape:
 
     def test_release_keeps_an_output_nothing_rebuilds(self):
         x = Tensor(rand(2, 3), requires_grad=True)
-        for t in (x, T.clamp_min(x, 0.0), T.layernorm(Tensor(rand(2, 3)), Tensor(np.ones(3)),
-                                          Tensor(np.zeros(3)))):
+        normed = T.layernorm(Tensor(rand(2, 3)), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        for t in (x, T.log_softmax(x, -1, np.ones(3)), normed):
             data = t.data
             T.release(t)
             assert t.data is data

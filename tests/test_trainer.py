@@ -458,15 +458,15 @@ class TestTrainLoop:
     def test_step_graph_freed_before_next_forward(self, tmp_path,
                                                   monkeypatch):
         real_loss = qanet.trainer.model_loss
-        first_p1, alive = [], []
+        first_start, alive = [], []
 
         def spy(*args, **kwargs):
-            if first_p1:
-                alive.append(first_p1[0]() is not None)
-            loss, dist = real_loss(*args, **kwargs)
-            if not first_p1:
-                first_p1.append(weakref.ref(dist.p1.data))
-            return loss, dist
+            if first_start:
+                alive.append(first_start[0]() is not None)
+            loss, logits = real_loss(*args, **kwargs)
+            if not first_start:
+                first_start.append(weakref.ref(logits.start.data))
+            return loss, logits
 
         monkeypatch.setattr(qanet.trainer, "model_loss", spy)
         self.run(tmp_path, "spy", opt=short_opt(total_steps=2))
