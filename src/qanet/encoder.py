@@ -6,6 +6,8 @@ output dropped out before the residual add. Each sublayer's last op, a
 ``dense`` or the conv, forms that sum in its own result buffer, and the
 feed-forward's first ``dense`` applies its relu there, so neither ``f``'s
 output before the add nor a pre-activation becomes a tensor the tape keeps.
+Nor does the block input plus the position signal: once the block has run,
+its buffer is released, and backward rebuilds it from the block input.
 During training a sublayer is skipped entirely with probability ``1 - p_l``
 (stochastic depth), where ``p_l`` decays linearly with global sublayer
 index down to the configured final survival rate.
@@ -47,6 +49,7 @@ def _position_signal(length: int, dim: int) -> np.ndarray:
     out = np.empty((length, dim), dtype=np.float64)
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
+    out.flags.writeable = False  # cached and shared by every forward and rebuild
     return out
 
 
@@ -75,9 +78,9 @@ def residual_sublayer(x: Tensor, f, ln_gain: Tensor, ln_bias: Tensor,
     either way). Otherwise, with a positive ``dropout`` rate, the mask is
     drawn next, before ``f`` runs; ``f`` draws nothing.
 
-    As soon as ``f`` returns, the layernorm output's buffer is released:
-    the tape keeps ``x`` as the residual anyway, and backward rebuilds the
-    normalized input from it and layernorm's row statistics.
+    As soon as ``f`` returns, the layernorm output's buffer is released;
+    backward rebuilds the normalized input from ``x``, which the tape keeps
+    as the residual (or rebuilds, for a block's position-signal sum).
     """
     mask = None
     if train_mode:
@@ -225,7 +228,7 @@ def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
                                  config.dropout)
 
     for block in params.blocks:
-        x = add(x, signal)
+        x = summed = add(x, signal)
         for conv in block.convs:
             def conv_f(xn, residual, drop, conv=conv):
                 return depthwise_separable_conv1d(
@@ -247,4 +250,6 @@ def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
             return dense(h, ffn.outer_w, ffn.outer_b, residual, drop)
 
         x = sublayer(x, ffn_f, ffn.ln_gain, ffn.ln_bias)
+        if x is not summed:  # it is when every sublayer was skipped
+            release(summed)
     return x

@@ -36,10 +36,10 @@ reads. ``softmax`` and ``log_softmax`` keep their output. Beyond that:
 - :func:`layernorm` keeps the per-row ``mean`` and ``inv`` beside its
   input and rebuilds the normalized input in backward.
 - :func:`release` drops an output its record can rebuild, once its
-  consumers have run: ``dense``, ``matmul`` and the conv read their inputs'
-  ``.data`` in backward, not an array captured in forward. ``layernorm``
-  rebuilds once per backward pass, ``embedding_lookup`` from the ids and
-  the table array forward read, ``dropout_apply`` from its input and mask.
+  consumers have run; ``dense``, ``matmul``, ``layernorm`` and the conv
+  read their inputs' ``.data`` when backward runs. ``add`` rebuilds as
+  ``a.data + b.data``, ``layernorm`` once per backward pass, and
+  ``embedding_lookup`` and ``dropout_apply`` from what forward read.
 - :func:`scaled_dot_attention` runs every head at once over (batch, n, d)
   inputs, and refuses any other rank.
 
@@ -261,7 +261,8 @@ def add(a, b) -> Tensor:
     sa, sb = a.shape, b.shape
     ra, rb = a.requires_grad, b.requires_grad
     return _result("add", (a, b), out, lambda g: (
-        _reduce_to(g, sa) if ra else None, _reduce_to(g, sb) if rb else None))
+        _reduce_to(g, sa) if ra else None, _reduce_to(g, sb) if rb else None),
+        lambda: a.data + b.data)
 
 
 def subtract(a, b) -> Tensor:
@@ -412,14 +413,13 @@ def layernorm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     The tape keeps the per-row ``mean`` and ``inv`` (..., 1) beside the
-    inputs and the forward's ``gain`` and ``bias`` arrays. Backward
-    rebuilds ``xhat = (x - mean) * inv``, and the record rebuilds the output
-    ``xhat * gain + bias``, with the forward's operations in its order, so
-    both hold the forward's bits. Once :func:`release` drops the output,
-    the first ``.data`` read in a backward pass rebuilds it; later readers
-    and this op's own backward share that rebuild and its ``xhat``, which
-    go when this op's backward has run. A read outside backward rebuilds
-    the output afresh and keeps nothing.
+    inputs and the forward's ``gain`` and ``bias`` arrays, not ``x``'s: each
+    rebuild reads ``x.data``. Backward rebuilds ``xhat = (x - mean) * inv``
+    and the record the output ``xhat * gain + bias``, in the forward's order
+    of operations, so both hold the forward's bits. Once :func:`release`
+    drops the output, the first ``.data`` read in a backward pass rebuilds
+    it; later readers and this op's backward share it and its ``xhat``
+    until that backward has run. Other reads rebuild afresh, keeping nothing.
     """
     dim = x.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
@@ -436,7 +436,7 @@ def layernorm(x, gain, bias) -> Tensor:
     shared = []  # [xhat, output] from a backward pass's first read
 
     def normalized():
-        xhat = xd - mean
+        xhat = x.data - mean
         xhat *= inv
         return xhat
 

@@ -61,10 +61,12 @@ def _verdict(num: int, label: str, body) -> None:
 _NOT_DIFFERENTIABLE = {"backward", "no_grad", "dropout_mask"}
 
 # Graphs whose backward rebuilds what the tape dropped: a released output
-# with three readers, a released lookup and dropout under a pooling conv,
-# and one set of conv kernels over two inputs.
+# with three readers, a released lookup and dropout under a pooling conv, a
+# released sum under a released layernorm, and one set of conv kernels over
+# two inputs.
 _REQUIRED_CASES = {"release:layernorm_into_dense_matmul_conv",
                    "release:lookup_dropout_into_pooled_conv",
+                   "release:add_into_layernorm_conv",
                    "depthwise_separable_conv1d:shared_kernels_two_inputs"}
 
 # Every max pooled in the sweep leads its runner-up by more than this, so no
@@ -328,6 +330,29 @@ def _sweep_cases(rng):
              lambda ts, act=act, wts=wts: weighted_sum_loss(dense(*ts, activation=act), wts))
         case(f"dense:{act}_single", 1e-6, [ax[0].copy(), aw.copy(), ab.copy()],
              lambda ts, act=act, wts=wts: weighted_sum_loss(dense(*ts, activation=act), wts[0]))
+    # An encoder block's first sublayer: x plus a constant signal feeds a
+    # layernorm and is the conv's residual. The sum and the layernorm output
+    # are both dropped before backward, which rebuilds the sum from x, then
+    # the layernorm output from the sum. Drawn last, so no other draw moves.
+    bx = rng.standard_normal((2, 5, 4))
+    signal = Tensor(rng.standard_normal((5, 4)))
+    block_ln = [rng.standard_normal(4), rng.standard_normal(4)]
+    block_kernels = [rng.standard_normal((3, 4)), rng.standard_normal((4, 4)) * 0.5,
+                     rng.standard_normal(4) * 0.1]
+    block_drop = dropout_mask(rng, (2, 5, 4), 0.3)
+    wbl = rng.standard_normal((2, 5, 4))
+
+    def block_start(ts):
+        summed = add(ts[0], signal)
+        normed = layernorm(summed, *ts[1:3])
+        out = depthwise_separable_conv1d(normed, *ts[3:], mask=rows[1:, :5],
+                                         residual=summed, dropout=block_drop)
+        release(normed)
+        release(summed)
+        return weighted_sum_loss(out, wbl)
+
+    case("release:add_into_layernorm_conv", 1e-6, [bx] + block_ln + block_kernels,
+         block_start)
     return cases
 
 

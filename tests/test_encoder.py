@@ -29,6 +29,14 @@ class TestPositionalEncoding:
         pe = E.positional_encoding(400, 128).data
         assert np.all(np.abs(pe) <= 1.0)
 
+    def test_cached_signal_is_read_only(self):
+        """Every forward shares the cached array, and backward reads it again
+        to rebuild each released block sum, so a stray write must fail."""
+        pe = E.positional_encoding(5, 8).data
+        with pytest.raises(ValueError, match="read-only"):
+            pe[0, 0] = 2.0
+        assert pe[0, 0] == 0.0
+
 
 class TestSurvivalSchedule:
     def test_endpoints(self):
@@ -42,6 +50,13 @@ class TestSurvivalSchedule:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             E.survival_probability(0, 10, 0.9)
+
+
+class AlwaysSkip:
+    """An rng stub whose every draw lies above any survival probability."""
+
+    def random(self):
+        return 0.999999
 
 
 class TestResidualSublayer:
@@ -67,10 +82,6 @@ class TestResidualSublayer:
             assert abs(survived / 10_000 - p) < 0.02, f"p={p}"
 
     def test_skip_returns_input_unchanged(self):
-        class AlwaysSkip:
-            def random(self):
-                return 0.999999
-
         x = Tensor(np.arange(6.0).reshape(2, 3))
         out = E.residual_sublayer(x, lambda *args: 1 / 0, Tensor(np.ones(3)),
                                   Tensor(np.zeros(3)), 0.5, True, AlwaysSkip())
@@ -358,9 +369,10 @@ class TestEncoderStack:
 
     def test_train_mode_tape_keeps_only_what_backward_reads(self, monkeypatch):
         """No record keeps a normalized input or a layernorm output's buffer,
-        a padded buffer or a depthwise output, attention weights, a float
-        dropout mask or a pre-activation, and the block's tape bytes are
-        pinned."""
+        the block input plus the position signal, a padded buffer or a
+        depthwise output, attention weights, a float dropout mask or a
+        pre-activation, and the block's tape bytes are pinned: 11,600, from
+        12,240 while the position-signal sum, 2·5·8 floats, stayed on it."""
         drawn, normed = [], []
 
         def spy(*args):
@@ -378,6 +390,8 @@ class TestEncoderStack:
         assert len(normed) == 4
         for t, buffer in normed:  # released once its sublayer ran, held by nothing
             assert kept_data(t) is None and buffer() is None
+        (summed,) = [t for t, op in records(out) if op.name == "add"]
+        assert kept_data(summed) is None  # released once the block ran
         n, width = out.shape[-2], config.kernel_size
         held = {}
         for t, op in records(out):
@@ -410,7 +424,22 @@ class TestEncoderStack:
         kept = [kept_data(t) for t in hidden.op.inputs] + held_arrays(hidden.op)
         assert not any(a is not None and a.dtype.kind == "f" and a.shape == hidden.shape
                        and owner(a) is not owner(hidden.data) for a in kept), hidden.op.name
-        assert tape_bytes(out) == 12_240
+        assert tape_bytes(out) == 11_600
+
+    def test_every_sublayer_skipped_keeps_the_sum(self):
+        """A block whose sublayers all skip outputs its position-signal sum,
+        which is then not released: the stack's output keeps its buffer,
+        equals the input plus one signal per block, and backpropagates."""
+        config, params, x = stack_setup(num_blocks=2, n=5)
+        leaf = Tensor(np.stack([x, -x]), requires_grad=True)
+        out = E.encoder_stack_forward(leaf, config, params, PADDED,
+                                      train_mode=True, rng=AlwaysSkip())
+        assert op_counts(out) == {"add": 2}
+        assert all(kept_data(t) is not None for t, _ in records(out))
+        signal = E.positional_encoding(5, 8).data
+        assert out.data.tobytes() == (leaf.data + signal + signal).tobytes()
+        backward(T.reduce_sum(T.multiply(out, out)))
+        assert leaf.grad.tobytes() == (2.0 * out.data).tobytes()
 
     def test_bytes_by_op_rows_sum_to_tape_bytes(self):
         """Each buffer is charged to one op, so the rows add up to the total."""

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qanet.tensor as T
 from qanet.tensor import Tensor, backward
 from gradcheck import check_gradients, weighted_sum_loss
-from tapebytes import bytes_by_op, kept_data, tape_bytes
+from tapebytes import bytes_by_op, held_arrays, kept_data, tape_bytes
 
 RNG = np.random.default_rng(20240817)
 
@@ -612,6 +612,28 @@ class TestTape:
         T.release(looked)
         assert kept_data(looked) is None
         assert looked.data.tobytes() == forward_bits
+
+    def test_released_add_reads_back_forward_bits(self):
+        """A released sum is rebuilt by forward's own op on the same
+        operands, so it reads back byte-equal, and a second release
+        changes nothing."""
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        summed = T.add(x, Tensor(rng.standard_normal((3, 4))))
+        forward_bits = summed.data.tobytes()
+        for _ in range(2):
+            T.release(summed)
+            assert kept_data(summed) is None
+            assert summed.data.tobytes() == forward_bits
+
+    def test_layernorm_record_holds_no_input_array(self):
+        """The record keeps row statistics and the gain and bias, not its
+        input's array: backward reads ``x.data``, so a released input is
+        rebuilt rather than pinned by the closure."""
+        x = Tensor(rand(2, 3, 4), requires_grad=True)
+        normed = T.layernorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        held = held_arrays(normed.op)
+        assert held and not any(a.shape == x.shape for a in held), [a.shape for a in held]
 
     def test_release_keeps_an_output_nothing_rebuilds(self):
         x = Tensor(rand(2, 3), requires_grad=True)
