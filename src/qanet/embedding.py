@@ -88,13 +88,12 @@ def highway(x: Tensor, layers: list[HighwayLayerParams]) -> Tensor:
 
 
 def embed(params: EmbeddingParams, word_ids: np.ndarray, char_ids: np.ndarray,
-          word_dropout: float = 0.0, char_dropout: float = 0.0,
-          train_mode: bool = False, rng=None) -> Tensor:
+          word_dropout: float = 0.0, char_dropout: float = 0.0, rng=None) -> Tensor:
     """Map id arrays to fused features.
 
     ``word_ids`` is (..., n); ``char_ids`` is (..., n, char_limit). Output is
     (..., n, hidden). Dropout rates apply to the two lookup results before
-    any mixing.
+    any mixing, and only given ``rng``, which draws the masks; None is eval mode.
     """
     word_ids = np.asarray(word_ids)
     char_ids = np.asarray(char_ids)
@@ -102,13 +101,13 @@ def embed(params: EmbeddingParams, word_ids: np.ndarray, char_ids: np.ndarray,
     words = embedding_lookup(params.word_table, word_ids)
     unk_slots = Tensor((word_ids == UNK_ID).astype(np.float64)[..., None])
     words = add(words, multiply(unk_slots, params.unk_vector))
-    if train_mode and word_dropout > 0.0:
+    if rng is not None and word_dropout > 0.0:
         words = dropout_apply(words, dropout_mask(rng, words.shape, word_dropout))
 
     # One row per token; reshaping the ids leaves no record a float view.
     looked = embedding_lookup(params.char_table, char_ids.reshape(-1, char_ids.shape[-1]))
     chars = looked
-    if train_mode and char_dropout > 0.0:
+    if rng is not None and char_dropout > 0.0:
         chars = dropout_apply(looked, dropout_mask(rng, looked.shape, char_dropout))
     pooled = depthwise_separable_conv1d(
         chars, params.char_depth_kernel, params.char_point_kernel, params.char_bias,

@@ -1,16 +1,19 @@
 """Recurrence-free encoder blocks: convolutions, self-attention, feed-forward.
 
-Each block adds sinusoidal position information, then runs its sublayers
-inside pre-norm residual wrappers: ``x + f(layernorm(x))``, with ``f``'s
+A stack is a list of blocks, and a block a list of sublayers: its
+convolutions, one self-attention and one feed-forward, each one flat record
+of its weights and its layernorm's gain and bias. Each block adds
+sinusoidal position information, then runs its sublayers in one loop, each
+inside a pre-norm residual wrapper: ``x + f(layernorm(x))``, with ``f``'s
 output dropped out before the residual add. Each sublayer's last op, a
 ``dense`` or the conv, forms that sum in its own result buffer, and the
 feed-forward's first ``dense`` applies its relu there, so neither ``f``'s
 output before the add nor a pre-activation becomes a tensor the tape keeps.
 Nor does the block input plus the position signal: once the block has run,
 its buffer is released, and backward rebuilds it from the block input.
-During training a sublayer is skipped entirely with probability ``1 - p_l``
-(stochastic depth), where ``p_l`` decays linearly with global sublayer
-index down to the configured final survival rate.
+Given an rng, which is train mode, a sublayer is skipped entirely with
+probability ``1 - p_l`` (stochastic depth), where ``p_l`` decays linearly
+with global sublayer index down to the configured final survival rate.
 """
 from __future__ import annotations
 
@@ -65,48 +68,39 @@ def survival_probability(index: int, total: int, final: float) -> float:
     return 1.0 - (index / total) * (1.0 - final)
 
 
-def residual_sublayer(x: Tensor, f, ln_gain: Tensor, ln_bias: Tensor,
-                      survival_prob: float, train_mode: bool, rng,
+def residual_sublayer(x: Tensor, f, params, survival_prob: float, rng,
                       dropout: float = 0.0) -> Tensor:
     """Pre-norm residual with stochastic depth and dropout.
 
-    Returns ``f(layernorm(x), x, mask)``, where ``f`` must compute ``x +
-    mask ⊙ h`` for its output ``h`` (its last op's ``residual`` and
-    ``dropout`` arguments do). Eval mode always applies the sublayer, with
-    mask None. Train mode draws one uniform sample; on failure the
-    sublayer is skipped and ``x`` passes through untouched (no rescaling
-    either way). Otherwise, with a positive ``dropout`` rate, the mask is
-    drawn next, before ``f`` runs; ``f`` draws nothing.
+    Returns ``f(layernorm(x), params, x, mask)``, the layernorm's gain and
+    bias read from ``params.ln_gain`` and ``params.ln_bias``; ``f`` must
+    compute ``x + mask ⊙ h`` for its output ``h`` (its last op's
+    ``residual`` and ``dropout`` arguments do). ``rng`` None is eval mode:
+    the sublayer always applies, with mask None. Given a generator, one
+    uniform sample is drawn; on failure the sublayer is skipped and ``x``
+    passes through untouched (no rescaling either way). Otherwise, with a
+    positive ``dropout`` rate, the mask is drawn next, before ``f`` runs;
+    ``f`` draws nothing.
 
     As soon as ``f`` returns, the layernorm output's buffer is released;
     backward rebuilds the normalized input from ``x``, which the tape keeps
     as the residual (or rebuilds, for a block's position-signal sum).
     """
     mask = None
-    if train_mode:
+    if rng is not None:
         if rng.random() >= survival_prob:
             return x
         if dropout > 0.0:
             mask = dropout_mask(rng, x.shape, dropout)
-    normed = layernorm(x, ln_gain, ln_bias)
-    out = f(normed, x, mask)
+    normed = layernorm(x, params.ln_gain, params.ln_bias)
+    out = f(normed, params, x, mask)
     release(normed)
     return out
 
 
-@dataclass
-class AttentionParams:
-    query_w: Tensor
-    query_b: Tensor
-    key_w: Tensor
-    value_w: Tensor
-    value_b: Tensor
-    out_w: Tensor
-    out_b: Tensor
-
-
-def multi_head_self_attention(x: Tensor, params: AttentionParams, num_heads: int,
-                              mask: np.ndarray, residual: Tensor | None,
+def multi_head_self_attention(x: Tensor, params: AttentionSublayerParams,
+                              num_heads: int, mask: np.ndarray,
+                              residual: Tensor | None,
                               dropout: DropoutMask | None) -> Tensor:
     """Multi-head scaled dot-product self-attention over positions.
 
@@ -141,7 +135,13 @@ class ConvSublayerParams:
 class AttentionSublayerParams:
     ln_gain: Tensor
     ln_bias: Tensor
-    attention: AttentionParams
+    query_w: Tensor
+    query_b: Tensor
+    key_w: Tensor
+    value_w: Tensor
+    value_b: Tensor
+    out_w: Tensor
+    out_b: Tensor
 
 
 @dataclass
@@ -161,11 +161,6 @@ class EncoderBlockParams:
     feed_forward: FeedForwardSublayerParams
 
 
-@dataclass
-class EncoderStackParams:
-    blocks: list[EncoderBlockParams]
-
-
 def glorot(rng, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
@@ -182,74 +177,59 @@ def _dense_pair(rng, dim: int) -> tuple[Tensor, Tensor]:
             Tensor(np.zeros(dim), requires_grad=True))
 
 
-def init_encoder_stack(config: EncoderBlockConfig, rng) -> EncoderStackParams:
+def init_encoder_stack(config: EncoderBlockConfig, rng) -> list[EncoderBlockParams]:
     d, k = config.hidden_dim, config.kernel_size
     blocks = []
     for _ in range(config.num_blocks):
-        convs = []
-        for _ in range(config.num_conv_layers):
-            g, b = _ln_pair(d)
-            convs.append(ConvSublayerParams(
-                ln_gain=g, ln_bias=b,
-                depth_kernel=Tensor(glorot(rng, k, 1, (k, d)), requires_grad=True),
-                point_kernel=Tensor(glorot(rng, d, d), requires_grad=True),
-                bias=Tensor(np.zeros(d), requires_grad=True)))
+        convs = [ConvSublayerParams(
+            *_ln_pair(d),
+            depth_kernel=Tensor(glorot(rng, k, 1, (k, d)), requires_grad=True),
+            point_kernel=Tensor(glorot(rng, d, d), requires_grad=True),
+            bias=Tensor(np.zeros(d), requires_grad=True))
+            for _ in range(config.num_conv_layers)]
         # Query, key, value and output weights, drawn in that order; no key bias.
         (qw, qb), (kw, _), (vw, vb), (ow, ob) = (_dense_pair(rng, d) for _ in range(4))
-        attn = AttentionParams(qw, qb, kw, vw, vb, ow, ob)
-        attention = AttentionSublayerParams(*_ln_pair(d), attention=attn)
+        attention = AttentionSublayerParams(*_ln_pair(d), qw, qb, kw, vw, vb, ow, ob)
         ffn = FeedForwardSublayerParams(*_ln_pair(d), *_dense_pair(rng, d),
                                         *_dense_pair(rng, d))
-        blocks.append(EncoderBlockParams(convs=convs, attention=attention,
-                                         feed_forward=ffn))
-    return EncoderStackParams(blocks=blocks)
+        blocks.append(EncoderBlockParams(convs, attention, ffn))
+    return blocks
 
 
 def encoder_stack_forward(x: Tensor, config: EncoderBlockConfig,
-                          params: EncoderStackParams, mask: np.ndarray,
-                          train_mode: bool = False, rng=None) -> Tensor:
+                          blocks: list[EncoderBlockParams], mask: np.ndarray,
+                          rng=None) -> Tensor:
     """Run the full stack over ``x`` (batch, n, d). ``mask`` is the required
-    (batch, n) array with 1.0 on real tokens and 0.0 on padding.
+    (batch, n) array with 1.0 on real tokens and 0.0 on padding. ``rng``
+    None is eval mode; a generator draws stochastic depth and dropout, in
+    sublayer order.
 
-    Convolution inputs and outputs are zeroed on padded positions so no
-    information bleeds through the receptive field; attention masks its
-    keys, and the remaining sublayers act per position.
+    Each block's sublayers, its convolutions, self-attention and
+    feed-forward, run in one loop, each as a :func:`residual_sublayer`
+    over its own record. Convolution inputs and outputs are zeroed on
+    padded positions so no information bleeds through the receptive field;
+    attention masks its keys, and the feed-forward acts per position.
     """
-    length, d = x.shape[-2], x.shape[-1]
-    signal = positional_encoding(length, d)
-    total = config.total_sublayers
+    def conv(xn, p, residual, drop):
+        return depthwise_separable_conv1d(xn, p.depth_kernel, p.point_kernel, p.bias,
+                                          mask, residual, drop)
+
+    def attend(xn, p, residual, drop):
+        return multi_head_self_attention(xn, p, config.num_heads, mask, residual, drop)
+
+    def feed_forward(xn, p, residual, drop):
+        h = dense(xn, p.inner_w, p.inner_b, activation="relu")
+        return dense(h, p.outer_w, p.outer_b, residual, drop)
+
+    signal = positional_encoding(x.shape[-2], x.shape[-1])
     index = 0
-
-    def sublayer(x, f, ln_gain, ln_bias):
-        nonlocal index
-        index += 1
-        p = survival_probability(index, total, config.survival_end)
-        return residual_sublayer(x, f, ln_gain, ln_bias, p, train_mode, rng,
-                                 config.dropout)
-
-    for block in params.blocks:
+    for block in blocks:
         x = summed = add(x, signal)
-        for conv in block.convs:
-            def conv_f(xn, residual, drop, conv=conv):
-                return depthwise_separable_conv1d(
-                    xn, conv.depth_kernel, conv.point_kernel, conv.bias, mask,
-                    residual, drop)
-
-            x = sublayer(x, conv_f, conv.ln_gain, conv.ln_bias)
-        attn = block.attention
-
-        def attn_f(xn, residual, drop, attn=attn):
-            return multi_head_self_attention(xn, attn.attention, config.num_heads,
-                                             mask, residual, drop)
-
-        x = sublayer(x, attn_f, attn.ln_gain, attn.ln_bias)
-        ffn = block.feed_forward
-
-        def ffn_f(xn, residual, drop, ffn=ffn):
-            h = dense(xn, ffn.inner_w, ffn.inner_b, activation="relu")
-            return dense(h, ffn.outer_w, ffn.outer_b, residual, drop)
-
-        x = sublayer(x, ffn_f, ffn.ln_gain, ffn.ln_bias)
+        for params, f in ([(c, conv) for c in block.convs] +
+                          [(block.attention, attend), (block.feed_forward, feed_forward)]):
+            index += 1
+            keep = survival_probability(index, config.total_sublayers, config.survival_end)
+            x = residual_sublayer(x, f, params, keep, rng, config.dropout)
         if x is not summed:  # it is when every sublayer was skipped
             release(summed)
     return x

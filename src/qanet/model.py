@@ -15,7 +15,7 @@ import numpy as np
 from .attention import CqAttentionParams, cq_attention_forward, init_cq_attention
 from .data import Batch, QaExample, Vocabulary, build_batch
 from .embedding import EmbeddingParams, embed, init_embedding_params
-from .encoder import EncoderBlockConfig, EncoderStackParams, encoder_stack_forward, init_encoder_stack
+from .encoder import EncoderBlockConfig, EncoderBlockParams, encoder_stack_forward, init_encoder_stack
 from .span import (
     SpanHeadParams, SpanLogits, SpanPrediction, dp_span_inference,
     init_span_head, span_distributions, span_logits, span_loss,
@@ -82,9 +82,9 @@ class ModelConfig:
 @dataclass
 class ModelParams:
     embedding: EmbeddingParams
-    emb_encoder: EncoderStackParams
+    emb_encoder: list[EncoderBlockParams]
     cq: CqAttentionParams
-    model_encoder: EncoderStackParams
+    model_encoder: list[EncoderBlockParams]
     span: SpanHeadParams
 
 
@@ -129,17 +129,16 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 
 
 def model_forward(params: ModelParams, config: ModelConfig, batch: Batch,
-                  train_mode: bool = False, rng=None) -> SpanLogits:
+                  rng=None) -> SpanLogits:
+    """Span logits; ``rng`` None is eval mode, a generator draws every dropout and skip."""
     emb_cfg = config.embedding_encoder()
     model_cfg = config.model_encoder()
 
     def side(word_ids, char_ids, mask):
         x = embed(params.embedding, word_ids, char_ids,
                   word_dropout=config.word_dropout,
-                  char_dropout=config.char_dropout,
-                  train_mode=train_mode, rng=rng)
-        return encoder_stack_forward(x, emb_cfg, params.emb_encoder, mask,
-                                     train_mode=train_mode, rng=rng)
+                  char_dropout=config.char_dropout, rng=rng)
+        return encoder_stack_forward(x, emb_cfg, params.emb_encoder, mask, rng)
 
     context = side(batch.context_ids, batch.context_chars, batch.context_mask)
     question = side(batch.question_ids, batch.question_chars, batch.question_mask)
@@ -148,8 +147,7 @@ def model_forward(params: ModelParams, config: ModelConfig, batch: Batch,
     stacked = [x]
     for _ in range(3):
         stacked.append(encoder_stack_forward(
-            stacked[-1], model_cfg, params.model_encoder, batch.context_mask,
-            train_mode=train_mode, rng=rng))
+            stacked[-1], model_cfg, params.model_encoder, batch.context_mask, rng))
     M0, M1, M2 = stacked[1], stacked[2], stacked[3]
     return span_logits(M0, M1, M2, params.span.w1, params.span.w2,
                        batch.context_mask)
@@ -157,7 +155,11 @@ def model_forward(params: ModelParams, config: ModelConfig, batch: Batch,
 
 def model_loss(params: ModelParams, config: ModelConfig, batch: Batch,
                train_mode: bool = False, rng=None) -> tuple[Tensor, SpanLogits]:
-    logits = model_forward(params, config, batch, train_mode=train_mode, rng=rng)
+    """Mean span loss and the logits; ``train_mode`` must equal ``rng is not None``."""
+    if train_mode != (rng is not None):
+        raise ValueError(f"model_loss: train_mode={train_mode} needs "
+                         f"{'an rng' if train_mode else 'rng=None'}, got {rng!r}")
+    logits = model_forward(params, config, batch, rng)
     return span_loss(logits, batch.spans[:, 0], batch.spans[:, 1]), logits
 
 

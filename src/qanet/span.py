@@ -17,7 +17,7 @@ import numpy as np
 from .encoder import glorot
 from .tensor import (
     DimensionMismatch, Tensor, add, concat, gather_last, log_softmax, matmul,
-    reduce_sum, reshape, scalar_scale, softmax,
+    multiply, reduce_sum, reshape, softmax,
 )
 
 
@@ -72,7 +72,7 @@ def span_loss(logits: SpanLogits, starts, ends) -> Tensor:
     Labels index real positions, as ``QaExample.validate`` ensures."""
     gold_terms = add(gather_last(log_softmax(logits.start, -1, logits.mask), starts),
                      gather_last(log_softmax(logits.end, -1, logits.mask), ends))
-    return scalar_scale(reduce_sum(gold_terms), -1.0 / np.size(starts))
+    return multiply(reduce_sum(gold_terms), Tensor(-1.0 / np.size(starts)))
 
 
 def dp_span_inference(p1: np.ndarray, p2: np.ndarray,

@@ -73,7 +73,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor", "backward", "no_grad",
-    "add", "subtract", "multiply", "scalar_scale", "matmul", "dense",
+    "add", "subtract", "multiply", "matmul", "dense",
     "softmax", "log_softmax", "layernorm",
     "concat", "reshape", "swap_last_axes", "reduce_sum",
     "embedding_lookup", "gather_last", "dropout_apply",
@@ -288,11 +288,6 @@ def multiply(a, b) -> Tensor:
     return _result("multiply", (a, b), out, lambda g: (
         None if bd is None else _reduce_to(g * bd, sa),
         None if ad is None else _reduce_to(g * ad, sb)))
-
-
-def scalar_scale(x, c: float) -> Tensor:
-    c = float(c)
-    return _result("scalar_scale", (x,), x.data * c, lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:

@@ -25,7 +25,7 @@ from .model import (
 )
 from .tensor import backward
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # SeedSequence lanes; distinct constants keep the streams independent.
 _LANE_INIT = 11

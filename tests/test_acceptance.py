@@ -5,6 +5,7 @@ internals; runtimes are bounded so the whole file stays desk-scale.
 """
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from qanet.tensor import (Tensor, add, backward, concat, dense,
                           depthwise_separable_conv1d, dropout_apply,
                           dropout_mask, embedding_lookup, gather_last,
                           layernorm, log_softmax, matmul, multiply,
-                          reduce_sum, release, reshape, scalar_scale,
+                          reduce_sum, release, reshape,
                           scaled_dot_attention, softmax, subtract,
                           swap_last_axes)
 from qanet.trainer import (adam_step, ema_update, init_train_state,
@@ -115,8 +116,8 @@ def _sweep_cases(rng):
     case("multiply:of_add_and_subtract", 1e-6, [c.copy(), d.copy(), b.copy()],
          lambda ts: weighted_sum_loss(
              multiply(add(ts[0], ts[2]), subtract(ts[0], ts[1])), w2))
-    case("scalar_scale", 1e-7, [c.copy()],
-         lambda ts: weighted_sum_loss(scalar_scale(ts[0], -1.7), w2))
+    case("multiply:by_constant", 1e-7, [c.copy()],
+         lambda ts: weighted_sum_loss(multiply(ts[0], Tensor(-1.7)), w2))
     m1 = rng.standard_normal((3, 4))
     m2 = rng.standard_normal((4, 5))
     wm = rng.standard_normal((3, 5))
@@ -637,18 +638,16 @@ def test_07_stochastic_depth():
         assert survival_probability(L, L, 0.9) == 0.9
         assert survival_probability(1, L, 0.9) == 1.0 - 0.1 / L
         x = Tensor(np.ones((2, 3)))
-        gain = Tensor(np.ones(3))
-        bias = Tensor(np.zeros(3))
+        norm = SimpleNamespace(ln_gain=Tensor(np.ones(3)), ln_bias=Tensor(np.zeros(3)))
         for p in (0.9, 0.95, 1.0):
             rng = np.random.default_rng(int(p * 1000))
             kept = 0
             for _ in range(10_000):
                 calls = []
-                def f(y, residual, mask):
+                def f(y, params, residual, mask):
                     calls.append(1)
                     return y
-                residual_sublayer(x, f, gain, bias, survival_prob=p,
-                                  train_mode=True, rng=rng)
+                residual_sublayer(x, f, norm, survival_prob=p, rng=rng)
                 kept += len(calls)
             rate = kept / 10_000
             assert abs(rate - p) <= 0.02, (p, rate)

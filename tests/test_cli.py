@@ -554,7 +554,7 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg]) == 0
         names = ("model.ckpt", "metrics.jsonl", "config.json")
         before = {name: (out / name).read_bytes() for name in names}
-        for version in (1, CHECKPOINT_VERSION + 1):
+        for version in (1, 2, CHECKPOINT_VERSION + 1):
             other = _as_version(out / "model.ckpt", tmp_path / "other.ckpt",
                                 version)
             capsys.readouterr()
@@ -563,7 +563,7 @@ class TestTrainCommand:
             assert code == 1
             err = capsys.readouterr().err
             assert f"unsupported checkpoint version {version} in" in err
-            assert "this build reads version 2" in err
+            assert "this build reads version 3" in err
             assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_env_var_config_fallback(self, trained, tmp_path, capsys,
@@ -614,15 +614,16 @@ class TestPredictEvaluateCommands:
 
     def test_predict_refuses_version_1_checkpoint(self, trained, tmp_path,
                                                  capsys):
-        old = _as_version(trained["checkpoint"], tmp_path / "v1.ckpt", 1)
         out = tmp_path / "preds.json"
-        code = main(["predict", "--checkpoint", old, "--data", trained["data"],
-                     "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "unsupported checkpoint version 1 in" in err
-        assert "this build reads version 2" in err
-        assert not out.exists()
+        for version in (1, 2):
+            old = _as_version(trained["checkpoint"], tmp_path / "old.ckpt", version)
+            code = main(["predict", "--checkpoint", old, "--data", trained["data"],
+                         "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"unsupported checkpoint version {version} in" in err
+            assert "this build reads version 3" in err
+            assert not out.exists()
 
     def test_predict_refuses_unknown_config_key(self, trained, tmp_path,
                                                 capsys):

@@ -83,9 +83,9 @@ class TestForward:
         params = make_params()
         words, chars = make_ids()
         a = embed(params, words, chars, word_dropout=0.1, char_dropout=0.05,
-                  train_mode=True, rng=np.random.default_rng(7)).data
+                  rng=np.random.default_rng(7)).data
         b = embed(params, words, chars, word_dropout=0.1, char_dropout=0.05,
-                  train_mode=True, rng=np.random.default_rng(7)).data
+                  rng=np.random.default_rng(7)).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -161,7 +161,7 @@ def embed_train(char_dropout):
     params = make_params()
     words, chars = make_ids()
     out = embed(params, words, chars, word_dropout=0.1, char_dropout=char_dropout,
-                train_mode=True, rng=np.random.default_rng(7))
+                rng=np.random.default_rng(7))
     # The frozen word lookup records nothing.
     looked = next(t for t, op in records(out) if op.name == "embedding_lookup")
     dropped = [t for t, op in records(out)

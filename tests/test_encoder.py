@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,32 +60,49 @@ class AlwaysSkip:
         return 0.999999
 
 
+def ln_pair(d):
+    """A layernorm's identity gain and zero bias."""
+    return Tensor(np.ones(d)), Tensor(np.zeros(d))
+
+
+def ln_record(d):
+    """A sublayer record holding only its layernorm's gain and bias."""
+    gain, bias = ln_pair(d)
+    return SimpleNamespace(ln_gain=gain, ln_bias=bias)
+
+
 class TestResidualSublayer:
     def test_eval_mode_always_applies(self):
+        """Without an rng the sublayer runs, on its own record, mask None."""
         x = Tensor(np.ones((3, 4)))
-        gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
-        out = E.residual_sublayer(x, lambda h, res, mask: T.add(res, h),
-                                  gain, bias, 0.0, False, None)
+        record, seen = ln_record(4), []
+
+        def f(h, params, res, mask):
+            seen.append((params, res, mask))
+            return T.add(res, h)
+
+        out = E.residual_sublayer(x, f, record, 0.0, None)
         assert out is not x
+        ((params, res, mask),) = seen
+        assert params is record and res is x and mask is None
 
     def test_monte_carlo_survival(self):
         """Empirical survival over 10k seeded draws within ±2pp of p."""
-        gain, bias = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        record = ln_record(2)
         for p in (0.9, 0.95, 1.0):
             rng = np.random.default_rng(1234)
             x = Tensor(np.zeros((1, 2)))
             marker = Tensor(np.ones((1, 2)))
             survived = 0
             for _ in range(10_000):
-                out = E.residual_sublayer(x, lambda h, res, mask: marker, gain, bias,
-                                          p, True, rng)
+                out = E.residual_sublayer(x, lambda *args: marker, record, p, rng)
                 survived += int(out.data[0, 0] != 0.0)
             assert abs(survived / 10_000 - p) < 0.02, f"p={p}"
 
     def test_skip_returns_input_unchanged(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = E.residual_sublayer(x, lambda *args: 1 / 0, Tensor(np.ones(3)),
-                                  Tensor(np.zeros(3)), 0.5, True, AlwaysSkip())
+        out = E.residual_sublayer(x, lambda *args: 1 / 0, ln_record(3), 0.5,
+                                  AlwaysSkip())
         assert out is x
 
 
@@ -97,7 +115,7 @@ def tiny_attention_params(d, rng):
     kw, _ = proj()  # the key bias draw stays, so the later draws keep their values
     vw, vb = proj()
     ow, ob = proj()
-    return E.AttentionParams(qw, qb, kw, vw, vb, ow, ob)
+    return E.AttentionSublayerParams(*ln_pair(d), qw, qb, kw, vw, vb, ow, ob)
 
 
 def attend(x, params, num_heads, mask):
@@ -162,8 +180,8 @@ class TestSelfAttention:
         w = rng.standard_normal((1, n, d))
 
         def loss(ts):
-            params = E.AttentionParams(ts[1], ts[5], ts[2], ts[3], ts[6],
-                                       ts[4], ts[7])
+            params = E.AttentionSublayerParams(*ln_pair(d), ts[1], ts[5], ts[2],
+                                               ts[3], ts[6], ts[4], ts[7])
             return weighted_sum_loss(attend(ts[0], params, 2, np.ones((1, n))), w)
 
         check_gradients(loss, [x] + mats + vecs, tol=1e-5)
@@ -188,7 +206,7 @@ def reference_self_attention(x, params, num_heads, mask):
     for h in range(num_heads):
         pick = Tensor(np.eye(d)[:, h * head_dim:(h + 1) * head_dim])
         qh, kh, vh = (T.matmul(t, pick) for t in (q, k, v))
-        logits = T.scalar_scale(T.matmul(qh, T.swap_last_axes(kh)), scale)
+        logits = T.multiply(T.matmul(qh, T.swap_last_axes(kh)), Tensor(scale))
         heads.append(T.matmul(T.softmax(logits, axis=-1, mask=rows), vh))
     merged = T.concat(heads, axis=-1)
     return T.add(T.matmul(merged, params.out_w), params.out_b)
@@ -233,7 +251,7 @@ class TestFusedAttentionMatchesLoop:
 
         fused = run(attend)
         looped = run(reference_self_attention)
-        names = ["output", "x"] + [f.name for f in fields(E.AttentionParams)]
+        names = ["output", "x"] + [f.name for f in fields(E.AttentionSublayerParams)][2:]
         for name, a, b in zip(names, fused, looped):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
         if mask is NO_USABLE_KEY:
@@ -268,7 +286,7 @@ def relu(x):
     return T.multiply(x, Tensor(x.data > 0.0))
 
 
-def unfused_stack(x, config, params, mask, train_mode, rng):
+def unfused_stack(x, config, blocks, mask, rng):
     """The stack as separate ops: a sublayer draws its dropout mask after its
     output exists, applies it with ``dropout_apply`` and adds the residual
     with ``add``; the feed-forward relu is a :func:`relu` of its own."""
@@ -284,13 +302,13 @@ def unfused_stack(x, config, params, mask, train_mode, rng):
         h = T.dropout_apply(h, T.dropout_mask(rng, h.shape, config.dropout))
         return T.add(x, h)
 
-    for block in params.blocks:
+    for block in blocks:
         x = T.add(x, E.positional_encoding(x.shape[-2], x.shape[-1]))
         for c in block.convs:
             x = sublayer(x, lambda xn, c=c: T.depthwise_separable_conv1d(
                 xn, c.depth_kernel, c.point_kernel, c.bias, mask), c.ln_gain, c.ln_bias)
         a, f = block.attention, block.feed_forward
-        x = sublayer(x, lambda xn: attend(xn, a.attention, config.num_heads, mask),
+        x = sublayer(x, lambda xn: attend(xn, a, config.num_heads, mask),
                      a.ln_gain, a.ln_bias)
         x = sublayer(x, lambda xn: T.dense(relu(T.dense(xn, f.inner_w, f.inner_b)),
                                            f.outer_w, f.outer_b), f.ln_gain, f.ln_bias)
@@ -314,7 +332,7 @@ def train_block():
     every sublayer surviving and dropout 0.1: its output, input leaf, config."""
     config, params, x = stack_setup(n=5, survival=1.0)
     leaf = Tensor(np.stack([x, x]), requires_grad=True)
-    out = E.encoder_stack_forward(leaf, config, params, PADDED, train_mode=True,
+    out = E.encoder_stack_forward(leaf, config, params, PADDED,
                                   rng=np.random.default_rng(5))
     return out, leaf, config
 
@@ -358,7 +376,7 @@ class TestEncoderStack:
                 t.grad[...] = 0.0
             rng = np.random.default_rng(seed)
             leaf = Tensor(np.stack([x, -x]), requires_grad=True)
-            out = stack(leaf, config, params, PADDED, train_mode=True, rng=rng)
+            out = stack(leaf, config, params, PADDED, rng=rng)
             backward(T.reduce_sum(T.multiply(out, out)))
             return [out.data, leaf.grad] + [t.grad.copy() for t in leaves], rng.random()
 
@@ -432,8 +450,7 @@ class TestEncoderStack:
         equals the input plus one signal per block, and backpropagates."""
         config, params, x = stack_setup(num_blocks=2, n=5)
         leaf = Tensor(np.stack([x, -x]), requires_grad=True)
-        out = E.encoder_stack_forward(leaf, config, params, PADDED,
-                                      train_mode=True, rng=AlwaysSkip())
+        out = E.encoder_stack_forward(leaf, config, params, PADDED, rng=AlwaysSkip())
         assert op_counts(out) == {"add": 2}
         assert all(kept_data(t) is not None for t, _ in records(out))
         signal = E.positional_encoding(5, 8).data
@@ -465,12 +482,12 @@ class TestEncoderStack:
 
     def test_zeroed_weights_leave_input_plus_position_signal(self):
         config, params, x = stack_setup(num_blocks=2, convs=1)
-        for block in params.blocks:
+        for block in params:
             for conv in block.convs:
                 conv.depth_kernel.data[...] = 0.0
                 conv.point_kernel.data[...] = 0.0
                 conv.bias.data[...] = 0.0
-            a = block.attention.attention
+            a = block.attention
             for t in (a.query_w, a.query_b, a.key_w,
                       a.value_w, a.value_b, a.out_w, a.out_b):
                 t.data[...] = 0.0
@@ -498,7 +515,7 @@ class TestEncoderStack:
         def run():
             rng = np.random.default_rng(99)
             return E.encoder_stack_forward(Tensor(x[None]), config, params, mask,
-                                           train_mode=True, rng=rng).data
+                                           rng=rng).data
 
         assert np.array_equal(run(), run())
 
@@ -512,26 +529,25 @@ class TestEncoderStack:
         params = E.init_encoder_stack(config, rng)
         x = rng.standard_normal((1, 6, 16)) * 0.5
         w = rng.standard_normal((1, 6, 16))
-        block = params.blocks[0]
+        block = params[0]
         conv = block.convs[0]
         attn = block.attention
         ffn = block.feed_forward
         arrays = [x,
                   conv.depth_kernel.data, conv.point_kernel.data, conv.bias.data,
-                  attn.attention.query_w.data, attn.attention.key_w.data,
-                  attn.attention.value_w.data, attn.attention.out_w.data,
+                  attn.query_w.data, attn.key_w.data,
+                  attn.value_w.data, attn.out_w.data,
                   ffn.inner_w.data, ffn.outer_w.data,
                   conv.ln_gain.data, attn.ln_gain.data, ffn.ln_gain.data]
 
         def loss(ts):
-            p = E.EncoderStackParams(blocks=[E.EncoderBlockParams(
+            p = [E.EncoderBlockParams(
                 convs=[E.ConvSublayerParams(ts[10], conv.ln_bias, ts[1], ts[2], ts[3])],
-                attention=E.AttentionSublayerParams(ts[11], attn.ln_bias,
-                    E.AttentionParams(ts[4], attn.attention.query_b, ts[5],
-                                      ts[6], attn.attention.value_b,
-                                      ts[7], attn.attention.out_b)),
+                attention=E.AttentionSublayerParams(
+                    ts[11], attn.ln_bias, ts[4], attn.query_b, ts[5], ts[6],
+                    attn.value_b, ts[7], attn.out_b),
                 feed_forward=E.FeedForwardSublayerParams(
-                    ts[12], ffn.ln_bias, ts[8], ffn.inner_b, ts[9], ffn.outer_b))])
+                    ts[12], ffn.ln_bias, ts[8], ffn.inner_b, ts[9], ffn.outer_b))]
             out = E.encoder_stack_forward(ts[0], config, p, np.ones((1, 6)))
             return weighted_sum_loss(out, w)
 

@@ -101,14 +101,23 @@ class TestParameterTree:
         names = [n for n, _ in named_tensors(params)]
         assert "embedding.word_table" in names
 
-    def test_expected_structure_present(self):
+    def test_flat_encoder_names(self):
+        """A stack is a list of blocks and each sublayer one flat record, so
+        an encoder name is stack, block, sublayer and field; the tensors and
+        their count are those of the nested layout before it."""
         config, params, _ = toy_setup()
-        names = [n for n, _ in named_parameters(params)]
-        assert "embedding.unk_vector" in names
-        assert "cq.weights.w_qc" in names
-        assert "span.w1" in names
-        assert any(n.startswith("emb_encoder.blocks.0.convs.1") for n in names)
-        assert any(n.startswith("model_encoder.blocks.1.attention") for n in names)
+        pairs = named_parameters(params)
+        names = [n for n, _ in pairs]
+        for name in ("embedding.unk_vector", "cq.weights.w_qc", "span.w1",
+                     "emb_encoder.0.convs.1.depth_kernel",
+                     "model_encoder.1.feed_forward.outer_b"):
+            assert name in names
+        assert [n for n in names if n.startswith("model_encoder.1.attention.")] == [
+            f"model_encoder.1.attention.{f}" for f in (
+                "ln_gain", "ln_bias", "query_w", "query_b", "key_w",
+                "value_w", "value_b", "out_w", "out_b")]
+        assert not [n for n in names if ".blocks." in n or "attention.attention" in n]
+        assert (len(pairs), sum(t.data.size for _, t in pairs)) == (87, 9202)
 
     def test_shared_stack_listed_once(self):
         # The model encoder runs three times but its tensors appear once.
@@ -187,6 +196,15 @@ class TestTrainMode:
         b, _ = model_loss(params, config, batch, train_mode=True,
                           rng=np.random.default_rng(42))
         assert a.data == b.data
+
+    def test_train_mode_must_agree_with_rng(self):
+        """Train mode without an rng, or an rng outside train mode, is
+        refused by name before the model runs."""
+        config, params, batch = toy_setup()
+        with pytest.raises(ValueError, match=r"train_mode=True needs an rng, got None"):
+            model_loss(params, config, batch, train_mode=True)
+        with pytest.raises(ValueError, match=r"train_mode=False needs rng=None, got Generator"):
+            model_loss(params, config, batch, rng=np.random.default_rng(0))
 
     def test_different_seed_usually_differs(self):
         config = ModelConfig(**{**TOY, "dropout": 0.2, "survival_end": 0.8})

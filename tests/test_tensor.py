@@ -502,7 +502,7 @@ class TestTape:
     def test_backward_requires_scalar(self):
         x = Tensor(rand(2, 2), requires_grad=True)
         with pytest.raises(T.NotScalar):
-            backward(T.scalar_scale(x, 2.0))
+            backward(T.multiply(x, Tensor(2.0)))
 
     @pytest.mark.parametrize("requires_grad", [False, True])
     def test_backward_detached(self, requires_grad):

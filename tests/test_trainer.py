@@ -345,11 +345,12 @@ class TestCheckpoint:
                                 for _, a in _checkpoint_entries(params, state))
 
     def test_unsupported_version_rejected_by_both_readers(self, tmp_path):
-        """A later format, and format 1 with its attention key biases, are
-        refused, not migrated; the message names both versions."""
-        assert CHECKPOINT_VERSION == 2
+        """A later format, format 1 with its attention key biases and format
+        2 with its nested encoder names, are refused, not migrated; the
+        message names both versions."""
+        assert CHECKPOINT_VERSION == 3
         *_, path = self.roundtrip(tmp_path)
-        for version in (1, CHECKPOINT_VERSION + 1):
+        for version in (1, 2, CHECKPOINT_VERSION + 1):
             def bump(header, body):
                 header["version"] = version
                 return body
