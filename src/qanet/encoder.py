@@ -11,6 +11,8 @@ feed-forward's first ``dense`` applies its relu there, so neither ``f``'s
 output before the add nor a pre-activation becomes a tensor the tape keeps.
 Nor does the block input plus the position signal: once the block has run,
 its buffer is released, and backward rebuilds it from the block input.
+Attention's q, k and v are released once attention has read them, and
+its backward rebuilds them from the normalized input.
 Given an rng, which is train mode, a sublayer is skipped entirely with
 probability ``1 - p_l`` (stochastic depth), where ``p_l`` decays linearly
 with global sublayer index down to the configured final survival rate.
@@ -112,6 +114,9 @@ def multi_head_self_attention(x: Tensor, params: AttentionSublayerParams,
     zero attention weight. ``residual`` and ``dropout`` (None when the
     sublayer draws no mask) pass to the output projection's epilogue.
 
+    Once attention has run, q, k and v are released; its backward rebuilds
+    each once from ``x``, which the layernorm rebuilds once per pass.
+
     The key projection has no bias: a key bias ``b`` would add ``q·b`` to
     every logit of a query's softmax row, a shift softmax ignores.
     """
@@ -119,6 +124,8 @@ def multi_head_self_attention(x: Tensor, params: AttentionSublayerParams,
     k = matmul(x, params.key_w)
     v = dense(x, params.value_w, params.value_b)
     merged = scaled_dot_attention(q, k, v, num_heads, mask)
+    for t in (q, k, v):
+        release(t)
     return dense(merged, params.out_w, params.out_b, residual, dropout)
 
 

@@ -20,7 +20,8 @@ reads. ``softmax`` and ``log_softmax`` keep their output. Beyond that:
 
 - :func:`dense` is ``x @ w + b`` in one record, the bias and any relu or
   sigmoid ``activation`` applied in place; it keeps ``x`` and ``w``, and
-  backward reads the activation's derivative from the output.
+  backward reads the activation's derivative from the output, which only
+  an activation's record holds.
 - :func:`depthwise_separable_conv1d` takes (batch, length, channels)
   input and an optional 0/1 position ``mask``, and zeroes padded positions
   of its input and output itself. It keeps its inputs and the mask, and
@@ -38,8 +39,13 @@ reads. ``softmax`` and ``log_softmax`` keep their output. Beyond that:
 - :func:`release` drops an output its record can rebuild, once its
   consumers have run; ``dense``, ``matmul``, ``layernorm`` and the conv
   read their inputs' ``.data`` when backward runs. ``add`` rebuilds as
-  ``a.data + b.data``, ``layernorm`` once per backward pass, and
-  ``embedding_lookup`` and ``dropout_apply`` from what forward read.
+  ``a.data + b.data``, ``matmul`` as ``a.data @ b.data``, a plain
+  ``dense`` as ``x.data @ w`` then ``+= b.data``, ``layernorm`` once per
+  backward pass, and ``embedding_lookup`` and ``dropout_apply`` from what
+  forward read. Each rule repeats forward's operations in forward's
+  order, so the rebuilt array has forward's bits. Reading ``.shape`` or
+  ``.ndim`` of a released tensor rebuilds its buffer, so backward rules
+  take their operands' shapes at forward time.
 - :func:`scaled_dot_attention` runs every head at once over (batch, n, d)
   inputs, and refuses any other rank.
 
@@ -304,7 +310,7 @@ def matmul(a, b) -> Tensor:
         gb = _reduce_to(np.swapaxes(a.data, -1, -2) @ g, sb)
         return ga, gb
 
-    return _result("matmul", (a, b), out, bwd)
+    return _result("matmul", (a, b), out, bwd, lambda: a.data @ b.data)
 
 
 def dense(x, w, b, residual=None, dropout=None, activation=None) -> Tensor:
@@ -316,7 +322,8 @@ def dense(x, w, b, residual=None, dropout=None, activation=None) -> Tensor:
     With a ``residual`` tensor and/or a :class:`DropoutMask` ``dropout`` of
     the output's shape, the result is ``residual + dropout ⊙ (x @ w + b)``,
     formed in place in the same buffer (see :func:`_epilogue`); an
-    ``activation``, "relu" or "sigmoid", is applied there instead.
+    ``activation``, "relu" or "sigmoid", is applied there instead. A plain
+    ``dense``, with neither, can be :func:`release`-d and rebuilt.
     """
     if activation not in (None, "relu", "sigmoid"):
         raise ValueError(f"dense: unknown activation {activation!r}; use 'relu' or 'sigmoid'")
@@ -325,27 +332,34 @@ def dense(x, w, b, residual=None, dropout=None, activation=None) -> Tensor:
     if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
     wd = w.data
-    out = x.data @ wd
-    out += b.data
+
+    def affine():  # forward's operations in forward's order, so forward's bits
+        h = x.data @ wd
+        h += b.data
+        return h
+
+    out = affine()
     inputs = _epilogue("dense", out, (x, w, b), residual, dropout)
     if activation == "relu":
         np.maximum(out, 0.0, out=out)
     elif activation == "sigmoid":  # 1 / (1 + e^-z) for z >= 0, else e^z / (1 + e^z)
         ex = np.exp(-np.abs(out))
         np.divide(np.where(out >= 0, 1.0, ex), 1.0 + ex, out=out)
+    act = out if activation else None  # only an activation's derivative reads the output
 
     def bwd(g):
         gh = g if dropout is None else _dropped(g, dropout)
         if activation == "relu":
-            gh = gh * (out > 0.0)
+            gh = gh * (act > 0.0)
         elif activation == "sigmoid":
-            gh = gh * out * (1.0 - out)
+            gh = gh * act * (1.0 - act)
         gx = gh @ wd.T
         gw = _reduce_to(np.swapaxes(x.data, -1, -2) @ gh, wd.shape)
         gb = gh.reshape(-1, gh.shape[-1]).sum(axis=0)
         return gx, gw, gb, g  # zip drops g when there is no residual
 
-    return _result("dense", inputs, out, bwd)
+    plain = activation is None and residual is None and dropout is None
+    return _result("dense", inputs, out, bwd, affine if plain else None)
 
 
 _MASK_PENALTY = 1e30  # added to masked logits; their exp underflows to exactly 0
@@ -811,7 +825,8 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask) -> Tensor:
         # extra column it leaves the matmul already subtracted from dP.
         rowsum = np.einsum("...nd,...nd->...n", gh, split(out))
         gw = _with_columns(gh, -rowsum)
-        g_q, g_k, g_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        # Shapes from forward: a released operand's .shape would rebuild it.
+        g_q, g_k, g_v = np.empty((batch, n, d)), np.empty((batch, m, d)), np.empty((batch, m, d))
         g_qh, g_kh, g_vh = split(g_q), split(g_k), split(g_v)
         buffer, scores = np.empty(buffer_size), np.empty(buffer_size)
         for blk in blocks:

@@ -63,11 +63,12 @@ _NOT_DIFFERENTIABLE = {"backward", "no_grad", "dropout_mask"}
 
 # Graphs whose backward rebuilds what the tape dropped: a released output
 # with three readers, a released lookup and dropout under a pooling conv, a
-# released sum under a released layernorm, and one set of conv kernels over
-# two inputs.
+# released sum under a released layernorm, released attention projections
+# of a released layernorm, and one set of conv kernels over two inputs.
 _REQUIRED_CASES = {"release:layernorm_into_dense_matmul_conv",
                    "release:lookup_dropout_into_pooled_conv",
                    "release:add_into_layernorm_conv",
+                   "release:layernorm_into_qkv_attention",
                    "depthwise_separable_conv1d:shared_kernels_two_inputs"}
 
 # Every max pooled in the sweep leads its runner-up by more than this, so no
@@ -334,7 +335,8 @@ def _sweep_cases(rng):
     # An encoder block's first sublayer: x plus a constant signal feeds a
     # layernorm and is the conv's residual. The sum and the layernorm output
     # are both dropped before backward, which rebuilds the sum from x, then
-    # the layernorm output from the sum. Drawn last, so no other draw moves.
+    # the layernorm output from the sum. Drawn after every case above, so no
+    # other draw moves.
     bx = rng.standard_normal((2, 5, 4))
     signal = Tensor(rng.standard_normal((5, 4)))
     block_ln = [rng.standard_normal(4), rng.standard_normal(4)]
@@ -354,6 +356,24 @@ def _sweep_cases(rng):
 
     case("release:add_into_layernorm_conv", 1e-6, [bx] + block_ln + block_kernels,
          block_start)
+    # The attention sublayer's projections: one layernorm output feeds dense
+    # q, matmul k and dense v, which meet in attention under a key mask with
+    # padded keys. All four are dropped before backward, which rebuilds q, k
+    # and v from the layernorm output it rebuilds. Drawn after the block
+    # case, so no other draw moves.
+    proj = [rng.standard_normal(shape) for shape in
+            ((2, 5, 4), (4,), (4,), (4, 4), (4,), (4, 4), (4, 4), (4,))]
+    wpr = rng.standard_normal((2, 5, 4))
+
+    def projections(ts):
+        normed = layernorm(*ts[:3])
+        q, k, v = dense(normed, *ts[3:5]), matmul(normed, ts[5]), dense(normed, *ts[6:])
+        out = scaled_dot_attention(q, k, v, 2, rows[1:, :5])
+        for t in (normed, q, k, v):
+            release(t)
+        return weighted_sum_loss(out, wpr)
+
+    case("release:layernorm_into_qkv_attention", 1e-6, proj, projections)
     return cases
 
 

@@ -387,11 +387,12 @@ class TestEncoderStack:
 
     def test_train_mode_tape_keeps_only_what_backward_reads(self, monkeypatch):
         """No record keeps a normalized input or a layernorm output's buffer,
-        the block input plus the position signal, a padded buffer or a
-        depthwise output, attention weights, a float dropout mask or a
-        pre-activation, and the block's tape bytes are pinned: 11,600, from
-        12,240 while the position-signal sum, 2·5·8 floats, stayed on it."""
-        drawn, normed = [], []
+        the block input plus the position signal, attention's q, k and v, a
+        padded buffer or a depthwise output, attention weights, a float
+        dropout mask or a pre-activation, and the block's tape bytes are
+        pinned: 9,680, from 11,600 while q, k and v, 3 × (2·5·8) floats,
+        stayed on it."""
+        drawn, normed, projections = [], [], []
 
         def spy(*args):
             drawn.append(T.dropout_mask(*args))
@@ -402,11 +403,16 @@ class TestEncoderStack:
             normed.append((out, weakref.ref(out.data)))
             return out
 
+        def attention_spy(q, k, v, *args):
+            projections.extend((t, weakref.ref(t.data)) for t in (q, k, v))
+            return T.scaled_dot_attention(q, k, v, *args)
+
         monkeypatch.setattr(E, "dropout_mask", spy)
         monkeypatch.setattr(E, "layernorm", layernorm_spy)
+        monkeypatch.setattr(E, "scaled_dot_attention", attention_spy)
         out, _, config = train_block()
-        assert len(normed) == 4
-        for t, buffer in normed:  # released once its sublayer ran, held by nothing
+        assert len(normed) == 4 and len(projections) == 3
+        for t, buffer in normed + projections:  # released once read, held by nothing
             assert kept_data(t) is None and buffer() is None
         (summed,) = [t for t, op in records(out) if op.name == "add"]
         assert kept_data(summed) is None  # released once the block ran
@@ -442,7 +448,34 @@ class TestEncoderStack:
         kept = [kept_data(t) for t in hidden.op.inputs] + held_arrays(hidden.op)
         assert not any(a is not None and a.dtype.kind == "f" and a.shape == hidden.shape
                        and owner(a) is not owner(hidden.data) for a in kept), hidden.op.name
-        assert tape_bytes(out) == 11_600
+        assert tape_bytes(out) == 9_680
+
+    def test_attention_backward_rebuilds_each_projection_once(self):
+        """One backward through a train-mode attention sublayer calls the
+        rebuild rule of q, k and v once each: attention's backward takes the
+        operand shapes forward saw, since ``.shape`` on a released tensor
+        rebuilds its buffer."""
+        config, params, x = stack_setup(n=5)
+        leaf = Tensor(np.stack([x, x]), requires_grad=True)
+
+        def attend(xn, p, residual, drop):
+            return E.multi_head_self_attention(xn, p, config.num_heads, PADDED,
+                                               residual, drop)
+
+        out = E.residual_sublayer(leaf, attend, params[0].attention, 1.0,
+                                  np.random.default_rng(5), config.dropout)
+        (attention,) = [op for _, op in records(out) if op.name == "scaled_dot_attention"]
+        calls = []
+        for i, t in enumerate(attention.inputs):
+            assert kept_data(t) is None
+
+            def counted(rule=t.op.rebuild, i=i):
+                calls.append(i)
+                return rule()
+
+            t.op.rebuild = counted
+        backward(T.reduce_sum(T.multiply(out, out)))
+        assert sorted(calls) == [0, 1, 2]
 
     def test_every_sublayer_skipped_keeps_the_sum(self):
         """A block whose sublayers all skip outputs its position-signal sum,

@@ -626,6 +626,29 @@ class TestTape:
             assert kept_data(summed) is None
             assert summed.data.tobytes() == forward_bits
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 4)], ids=["batched", "single"])
+    def test_released_dense_and_matmul_read_back_forward_bits(self, shape):
+        """A plain ``dense`` and a ``matmul`` rebuild a released output with
+        forward's own operations, so it reads back byte-equal."""
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w, b = Tensor(rng.standard_normal((4, 5))), Tensor(rng.standard_normal(5))
+        for out in (T.dense(x, w, b), T.matmul(x, w)):
+            forward_bits = out.data.tobytes()
+            T.release(out)
+            assert kept_data(out) is None
+            assert out.data.tobytes() == forward_bits
+
+    def test_plain_dense_record_holds_no_output_array(self):
+        """Without an activation the backward rule reads no output, so the
+        record holds no float array of the output's shape: a released
+        output's buffer is freed, not pinned by the closure."""
+        x = Tensor(rand(2, 3, 4), requires_grad=True)
+        out = T.dense(x, Tensor(rand(4, 5)), Tensor(rand(5)))
+        held = held_arrays(out.op)
+        assert held and not any(a.dtype.kind == "f" and a.shape == out.shape
+                                for a in held), [a.shape for a in held]
+
     def test_layernorm_record_holds_no_input_array(self):
         """The record keeps row statistics and the gain and bias, not its
         input's array: backward reads ``x.data``, so a released input is
@@ -636,9 +659,16 @@ class TestTape:
         assert held and not any(a.shape == x.shape for a in held), [a.shape for a in held]
 
     def test_release_keeps_an_output_nothing_rebuilds(self):
+        """A leaf, an op without a rebuild rule, an unrecorded op, and a
+        ``dense`` whose activation or epilogue has none keep their buffer."""
         x = Tensor(rand(2, 3), requires_grad=True)
         normed = T.layernorm(Tensor(rand(2, 3)), Tensor(np.ones(3)), Tensor(np.zeros(3)))
-        for t in (x, T.log_softmax(x, -1, np.ones(3)), normed):
+        w, b, res = Tensor(rand(3, 4)), Tensor(rand(4)), Tensor(rand(2, 4))
+        drop = T.dropout_mask(RNG, (2, 4), 0.3)
+        dense = [T.dense(x, w, b, **kwargs) for kwargs in (
+            {"activation": "relu"}, {"activation": "sigmoid"}, {"residual": res},
+            {"dropout": drop}, {"residual": res, "dropout": drop})]
+        for t in [x, T.log_softmax(x, -1, np.ones(3)), normed] + dense:
             data = t.data
             T.release(t)
             assert t.data is data
