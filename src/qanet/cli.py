@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -142,8 +143,11 @@ def _parse_endpoint_flags(urls, mock: bool):
     endpoints = {}
     for entry in urls:
         tag, eq, url = entry.partition("=")
-        if not eq:
-            tag, url = "fr", entry
+        if not eq or "://" in tag:
+            tag, url = "fr", entry  # untagged; the URL may hold an "="
+        elif not re.fullmatch(r"[A-Za-z0-9_-]+", tag):
+            raise ValueError(f"translator tag in {entry!r} must be letters, "
+                             "digits, _ or -")
         if tag in endpoints:
             raise ValueError(f"duplicate translator tag {tag!r}")
         endpoints[tag] = HttpTranslator(url)
@@ -278,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--translator-url", action="append", metavar="[TAG=]URL",
                    help="translation service base URL (repeatable; "
-                        "optional tag names the pool, default fr)")
+                        "an optional tag of letters, digits, _ or - names "
+                        "the pool, default fr)")
     p.add_argument("--mock", action="store_true",
                    help="use the built-in deterministic translator")
     p.add_argument("--out", required=True)

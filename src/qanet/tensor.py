@@ -13,10 +13,11 @@ Ops take Tensors as operands and wrap nothing: a constant is made a
 mask is a :class:`DropoutMask`.
 
 A record holds its input tensors and, in its backward closure, only what
-the rule reads beyond them. ``add`` and ``subtract`` keep shapes;
-``multiply`` keeps each operand's values only for the other's gradient; and
-an operand that does not require grad gets None, not a gradient nobody
-reads. ``softmax`` and ``log_softmax`` keep their output. Beyond that:
+the rule reads beyond them; rules read their operands' shapes and
+``requires_grad`` when they run. ``multiply`` keeps each operand's values
+only for the other's gradient; an operand that does not require grad gets
+None, not a gradient nobody reads. ``softmax`` and ``log_softmax`` keep
+their output. Beyond that:
 
 - :func:`dense` is ``x @ w + b`` in one record, the bias and any relu or
   sigmoid ``activation`` applied in place; it keeps ``x`` and ``w``, and
@@ -27,7 +28,8 @@ reads. ``softmax`` and ``log_softmax`` keep their output. Beyond that:
   of its input and output itself. It keeps its inputs and the mask, and
   rebuilds the zero-padded input and the depthwise output in backward.
   With ``pool=True`` it returns the max over positions and keeps each
-  max's position as an integer, not the output it pooled.
+  max's position in the smallest unsigned integer type that holds it, not
+  the output it pooled.
 - Both take an epilogue: given a ``residual`` and a :class:`DropoutMask`
   ``dropout``, the result is ``residual + dropout ⊙ op(x)``, formed in
   place in the op's own result buffer, so a residual sublayer ends in one
@@ -43,9 +45,8 @@ reads. ``softmax`` and ``log_softmax`` keep their output. Beyond that:
   ``dense`` as ``x.data @ w`` then ``+= b.data``, ``layernorm`` once per
   backward pass, and ``embedding_lookup`` and ``dropout_apply`` from what
   forward read. Each rule repeats forward's operations in forward's
-  order, so the rebuilt array has forward's bits. Reading ``.shape`` or
-  ``.ndim`` of a released tensor rebuilds its buffer, so backward rules
-  take their operands' shapes at forward time.
+  order, so the rebuilt array has forward's bits. A released tensor keeps
+  its shape.
 - :func:`scaled_dot_attention` runs every head at once over (batch, n, d)
   inputs, and refuses any other rank.
 
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -133,9 +134,9 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array plus optional gradient buffer and tape linkage."""
+    """A float64 array, its shape, an optional gradient buffer and tape linkage."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op")
+    __slots__ = ("_data", "shape", "requires_grad", "grad", "op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64, order="C")
@@ -144,22 +145,22 @@ class Tensor:
         self.op = None  # TapeOp that produced this tensor, if any
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+    def data(self) -> np.ndarray:
+        """The array, or once :func:`release` dropped it, its record's rebuild."""
+        return self.op.rebuild() if self._data is None else self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data = value
+        self.shape = value.shape  # release() keeps it
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return len(self.shape)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __getattr__(self, name):
-        # Reached only for an unset slot: the ``data`` that release() dropped.
-        if name != "data":
-            raise AttributeError(name)
-        return self.op.rebuild()
 
 
 class TapeOp:
@@ -179,12 +180,11 @@ def release(t: Tensor) -> None:
     """Drop ``t``'s buffer when its record can rebuild it; a no-op otherwise.
 
     Afterwards each ``t.data`` read rebuilds the array, bitwise as forward
-    made it. Call it once every op that reads ``t`` in forward has run.
-    A second call changes nothing.
+    made it, and ``t.shape`` stays. Call it once every op that reads ``t``
+    in forward has run. A second call changes nothing.
     """
     if t.op is not None and t.op.rebuild is not None:
-        with suppress(AttributeError):  # already released
-            del t.data
+        t._data = None
 
 
 def backward(loss: Tensor) -> None:
@@ -264,10 +264,9 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise DimensionMismatch(f"add: {a.shape} vs {b.shape}") from None
-    sa, sb = a.shape, b.shape
-    ra, rb = a.requires_grad, b.requires_grad
     return _result("add", (a, b), out, lambda g: (
-        _reduce_to(g, sa) if ra else None, _reduce_to(g, sb) if rb else None),
+        _reduce_to(g, a.shape) if a.requires_grad else None,
+        _reduce_to(g, b.shape) if b.requires_grad else None),
         lambda: a.data + b.data)
 
 
@@ -276,10 +275,9 @@ def subtract(a, b) -> Tensor:
         out = a.data - b.data
     except ValueError:
         raise DimensionMismatch(f"subtract: {a.shape} vs {b.shape}") from None
-    sa, sb = a.shape, b.shape
-    ra, rb = a.requires_grad, b.requires_grad
     return _result("subtract", (a, b), out, lambda g: (
-        _reduce_to(g, sa) if ra else None, _reduce_to(-g, sb) if rb else None))
+        _reduce_to(g, a.shape) if a.requires_grad else None,
+        _reduce_to(-g, b.shape) if b.requires_grad else None))
 
 
 def multiply(a, b) -> Tensor:
@@ -290,10 +288,9 @@ def multiply(a, b) -> Tensor:
     # Each operand's gradient reads the other's values; a constant gets none.
     bd = b.data if a.requires_grad else None
     ad = a.data if b.requires_grad else None
-    sa, sb = a.shape, b.shape
     return _result("multiply", (a, b), out, lambda g: (
-        None if bd is None else _reduce_to(g * bd, sa),
-        None if ad is None else _reduce_to(g * ad, sb)))
+        None if bd is None else _reduce_to(g * bd, a.shape),
+        None if ad is None else _reduce_to(g * ad, b.shape)))
 
 
 def matmul(a, b) -> Tensor:
@@ -303,11 +300,10 @@ def matmul(a, b) -> Tensor:
         out = a.data @ b.data
     except ValueError:
         raise DimensionMismatch(f"matmul: {a.shape} @ {b.shape}") from None
-    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        ga = _reduce_to(g @ np.swapaxes(b.data, -1, -2), sa)
-        gb = _reduce_to(np.swapaxes(a.data, -1, -2) @ g, sb)
+        ga = _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        gb = _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _result("matmul", (a, b), out, bwd, lambda: a.data @ b.data)
@@ -499,8 +495,7 @@ def reshape(x, shape) -> Tensor:
         out = x.data.reshape(shape)
     except ValueError:
         raise DimensionMismatch(f"reshape: {x.shape} -> {shape}") from None
-    orig = x.shape
-    return _result("reshape", (x,), out, lambda g: (g.reshape(orig),))
+    return _result("reshape", (x,), out, lambda g: (g.reshape(x.shape),))
 
 
 def swap_last_axes(x) -> Tensor:
@@ -512,10 +507,8 @@ def swap_last_axes(x) -> Tensor:
 
 
 def reduce_sum(x) -> Tensor:
-    out = x.data.sum()
-    shape = x.shape
-    return _result("reduce_sum", (x,), out,
-                   lambda g: (np.full(shape, float(g)),))
+    return _result("reduce_sum", (x,), x.data.sum(),
+                   lambda g: (np.full(x.shape, float(g)),))
 
 
 def _check_ids(ids, limit: int) -> np.ndarray:
@@ -532,15 +525,13 @@ def embedding_lookup(table, ids) -> Tensor:
     released output is rebuilt from the ids and the table array forward read."""
     ids = _check_ids(ids, table.shape[0])
     td = table.data
-    out = td[ids]
-    tshape = table.shape
 
     def bwd(g):
-        gt = np.zeros(tshape)
-        np.add.at(gt, ids.reshape(-1), g.reshape((ids.size,) + tshape[1:]))
+        gt = np.zeros(table.shape)
+        np.add.at(gt, ids.reshape(-1), g.reshape((ids.size,) + table.shape[1:]))
         return (gt,)
 
-    return _result("embedding_lookup", (table,), out, bwd, lambda: td[ids])
+    return _result("embedding_lookup", (table,), td[ids], bwd, lambda: td[ids])
 
 
 def gather_last(x, ids) -> Tensor:
@@ -550,10 +541,9 @@ def gather_last(x, ids) -> Tensor:
         raise DimensionMismatch(f"gather_last: ids {ids.shape} vs {x.shape}")
     expanded = np.expand_dims(ids, -1)
     out = np.take_along_axis(x.data, expanded, -1)[..., 0]
-    xshape = x.shape
 
     def bwd(g):
-        gx = np.zeros(xshape)
+        gx = np.zeros(x.shape)
         np.put_along_axis(gx, expanded, np.expand_dims(g, -1), -1)
         return (gx,)
 
@@ -682,7 +672,8 @@ def depthwise_separable_conv1d(x, depth_kernel, point_kernel, bias,
     if pool:
         pooled = out.max(axis=1)
         if _recording(inputs):  # argmax's indices, first tie first, found faster
-            first_max = (out == pooled[:, None]).argmax(axis=1)[:, None]
+            first_max = (out == pooled[:, None]).argmax(axis=1)[:, None].astype(
+                np.min_scalar_type(length - 1))  # one byte for up to 256 positions
         out = pooled
 
     def bwd(g):
@@ -825,8 +816,7 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask) -> Tensor:
         # extra column it leaves the matmul already subtracted from dP.
         rowsum = np.einsum("...nd,...nd->...n", gh, split(out))
         gw = _with_columns(gh, -rowsum)
-        # Shapes from forward: a released operand's .shape would rebuild it.
-        g_q, g_k, g_v = np.empty((batch, n, d)), np.empty((batch, m, d)), np.empty((batch, m, d))
+        g_q, g_k, g_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         g_qh, g_kh, g_vh = split(g_q), split(g_k), split(g_v)
         buffer, scores = np.empty(buffer_size), np.empty(buffer_size)
         for blk in blocks:

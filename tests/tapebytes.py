@@ -6,7 +6,7 @@ many views of it the tape holds. Views made by ``sliding_window_view``
 array; :func:`owner` follows that link too. An output that
 ``qanet.tensor.release`` dropped costs nothing: reading its ``.data`` would
 rebuild a buffer the tape does not keep, so :func:`kept_data` reads the
-slot without rebuilding it.
+``_data`` slot behind that property, which ``release`` sets to None.
 """
 from __future__ import annotations
 
@@ -28,10 +28,7 @@ def owner(a: np.ndarray) -> np.ndarray:
 
 def kept_data(t) -> np.ndarray | None:
     """``t``'s buffer, or None when it was released (without rebuilding it)."""
-    try:
-        return object.__getattribute__(t, "data")
-    except AttributeError:
-        return None
+    return t._data
 
 
 def closure_arrays(fn) -> list[np.ndarray]:

@@ -1,6 +1,7 @@
 """Config plumbing and end-to-end command-line flows on tiny fixtures."""
 import json
 import os
+import re
 import shutil
 import socket
 import subprocess
@@ -821,6 +822,27 @@ class TestAugmentCommand:
                      "http://b", "--out", str(tmp_path / "a.json")])
         assert code == 1
         assert "duplicate translator tag 'fr'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry,tag,url", [
+        ("http://127.0.0.1:8000/pivot=fr", "fr", "http://127.0.0.1:8000/pivot=fr"),
+        ("de=http://127.0.0.1:8000/pivot=de", "de", "http://127.0.0.1:8000/pivot=de"),
+        ("back_2-x=http://a", "back_2-x", "http://a"),
+        ("http://a", "fr", "http://a"),
+    ])
+    def test_translator_url_tag_is_a_plain_word(self, entry, tag, url):
+        """Text before the first "=" tags the pool when it is letters,
+        digits, "_" and "-"; when it holds "://" the whole entry is an
+        untagged URL."""
+        (got,) = qanet.cli._parse_endpoint_flags([entry], mock=False).items()
+        assert (got[0], got[1].base_url) == (tag, url)
+
+    @pytest.mark.parametrize("entry", ["pt.br=http://h", "=http://h",
+                                       "localhost:8000/x=y"])
+    def test_translator_url_tag_neither_word_nor_url_refused(self, entry):
+        """Text before the first "=" that is neither a plain word nor holds
+        "://" is refused, naming the entry, not read as a URL."""
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            qanet.cli._parse_endpoint_flags([entry], mock=False)
 
     def test_neither_endpoint_choice(self, tmp_path, capsys):
         data = _dataset(tmp_path / "data.json", n=1)

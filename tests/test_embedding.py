@@ -176,8 +176,9 @@ class TestCharTape:
         chars, channels) stays on the tape as float64. The tape was 14,404
         bytes when the lookup output, a reshaped view of the dropout output
         and the conv's output stayed; it now holds the char table array the
-        lookup rebuilds from and the conv's integer max positions instead, and
-        the highway's relu and sigmoid keep no pre-activation or bool mask."""
+        lookup rebuilds from and the conv's one-byte max positions instead
+        (10,468 bytes when they were int64), and the highway's relu and
+        sigmoid keep no pre-activation or bool mask."""
         out, looked, dropped = embed_train(char_dropout=0.2)
         assert kept_data(looked) is None and kept_data(dropped) is None
         char_shapes = {(6, CHAR_LIMIT, CHAR_DIM), (2, 3, CHAR_LIMIT, CHAR_DIM)}
@@ -185,7 +186,7 @@ class TestCharTape:
             kept = [] if kept_data(t) is None else [kept_data(t)]
             for a in map(owner, kept + held_arrays(op)):
                 assert not (a.dtype.kind == "f" and a.shape in char_shapes), op.name
-        assert tape_bytes(out) == 10_468
+        assert tape_bytes(out) == 10_300
 
     @pytest.mark.parametrize("char_dropout", [0.0, 0.2])
     def test_released_char_outputs_read_as_forward_made_them(self, monkeypatch, char_dropout):

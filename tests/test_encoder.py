@@ -452,9 +452,8 @@ class TestEncoderStack:
 
     def test_attention_backward_rebuilds_each_projection_once(self):
         """One backward through a train-mode attention sublayer calls the
-        rebuild rule of q, k and v once each: attention's backward takes the
-        operand shapes forward saw, since ``.shape`` on a released tensor
-        rebuilds its buffer."""
+        rebuild rule of q, k and v once each: attention's backward reads
+        their shapes, which a released tensor keeps, and each array once."""
         config, params, x = stack_setup(n=5)
         leaf = Tensor(np.stack([x, x]), requires_grad=True)
 

@@ -548,8 +548,7 @@ class TestTape:
         loss, _, _, kept = self._layernorm_graph(release=False)
         backward(loss)
         loss, normed, _, leaves = self._layernorm_graph(release=True)
-        with pytest.raises(AttributeError):
-            object.__getattribute__(normed, "data")
+        assert kept_data(normed) is None
         backward(loss)
         for t, want in zip(leaves, kept):
             assert t.grad.tobytes() == want.grad.tobytes()
@@ -567,8 +566,7 @@ class TestTape:
         held = weakref.ref(rebuilt)
         del rebuilt
         assert held() is None
-        with pytest.raises(AttributeError):
-            object.__getattribute__(normed, "data")
+        assert kept_data(normed) is None
 
     @staticmethod
     def _conv_graph():
@@ -657,6 +655,36 @@ class TestTape:
         normed = T.layernorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         held = held_arrays(normed.op)
         assert held and not any(a.shape == x.shape for a in held), [a.shape for a in held]
+
+    def test_released_tensor_keeps_its_shape(self):
+        """A released tensor's ``.shape``, ``.ndim`` and ``repr`` read the
+        shape recorded when its data was set and never call its rebuild
+        rule; only a ``.data`` read does."""
+        x = Tensor(rand(2, 3, 4), requires_grad=True)
+        out = T.dense(x, Tensor(rand(4, 5)), Tensor(rand(5)))
+        T.release(out)
+        calls = []
+
+        def counted(rule=out.op.rebuild):
+            calls.append(rule)
+            return rule()
+
+        out.op.rebuild = counted
+        assert (out.shape, out.ndim) == ((2, 3, 5), 3)
+        assert repr(out) == "Tensor(shape=(2, 3, 5), requires_grad=True)"
+        assert calls == []
+        assert out.data.shape == (2, 3, 5) and len(calls) == 1
+
+    def test_shape_follows_each_data_assignment(self):
+        """Setting ``.data`` records the new array's shape, also on a
+        released tensor, which then keeps the array it was given."""
+        t = Tensor(rand(2, 3))
+        t.data = np.zeros((4, 1, 5))
+        assert (t.shape, t.ndim) == ((4, 1, 5), 3)
+        out = T.add(Tensor(rand(2, 3), requires_grad=True), Tensor(rand(3)))
+        T.release(out)
+        out.data = given = np.zeros(7)
+        assert (out.shape, out.ndim) == ((7,), 1) and kept_data(out) is given
 
     def test_release_keeps_an_output_nothing_rebuilds(self):
         """A leaf, an op without a rebuild rule, an unrecorded op, and a

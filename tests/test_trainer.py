@@ -204,6 +204,38 @@ class TestEma:
         assert gaps[2] == pytest.approx(gaps[1] * 0.9999, rel=1e-12)
 
 
+class TestShapeFollowsData:
+    """The trainer's writers of ``Tensor.data`` leave each tensor's recorded
+    ``.shape`` and ``.ndim`` equal to its array's."""
+
+    @staticmethod
+    def assert_shapes_follow(params):
+        from qanet.model import named_tensors
+        for name, t in named_tensors(params):
+            assert (t.shape, t.ndim) == (t.data.shape, t.data.ndim), name
+
+    def test_adam_step_and_load_checkpoint(self, tmp_path):
+        examples, vocab, matrix = tiny_dataset()
+        config, opt = ModelConfig(**TOY), short_opt()
+        params, state = new_run(config, vocab, matrix, seed=5)
+        before = {n: t.data for n, t in named_parameters(params)}
+        _train_step(params, state, config, opt,
+                    build_batch(examples[:4], vocab, char_limit=config.char_limit))
+        assert all(t.data is not before[n] for n, t in named_parameters(params))
+        self.assert_shapes_follow(params)
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_checkpoint(path, params, state, config, opt, vocab)
+        self.assert_shapes_follow(load_checkpoint(path)[0])
+
+    def test_use_ema_swaps_shapes_in_and_back(self):
+        box = scalar_box(1.0)
+        state = init_train_state(box, seed=0)
+        state.shadow["w"] = np.array([42.0, 43.0])
+        with use_ema(box, state):
+            assert (box.w.shape, box.w.ndim) == ((2,), 1)
+        assert (box.w.shape, box.w.ndim) == ((), 0)
+
+
 class TestCheckpoint:
     def roundtrip(self, tmp_path):
         examples, vocab, matrix = tiny_dataset()
