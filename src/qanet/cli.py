@@ -1,10 +1,10 @@
 """Command line for training, prediction, scoring, augmentation, benchmarks.
 
-train, augment and bench resolve their configuration the same way: --config
-path if given, else the QANET_CONFIG environment variable, else built-in
-defaults; --set key=value overrides apply on top, and the resolved result is
-echoed to stderr so runs are reproducible from their logs alone. predict
-takes its settings from the checkpoint, and evaluate needs none.
+train, augment and bench resolve their configuration the same way: the
+--config file if given, else built-in defaults, with --set key=value
+overrides on top (the seed too: --set seed=N). The resolved result is echoed
+to stderr so runs are reproducible from their logs alone. predict takes its
+settings from the checkpoint, and evaluate needs none.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .augmentation import (HttpTranslator, RuleTranslator, augment_examples,
                            check_pools, mixed_sampler, write_squad_json)
-from .config import RunConfig, from_flat, parse_override, resolve_config, to_flat
+from .config import RunConfig, from_flat, load_run_config, parse_override, to_flat
 from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
 from .evaluation import evaluate
@@ -28,16 +28,14 @@ from .trainer import (_train_step, check_eval_every, load_checkpoint, new_run,
 
 
 def _resolved_config(args) -> RunConfig:
-    config, source = resolve_config(args.config)
+    config = load_run_config(args.config) if args.config else RunConfig()
     overrides = {}
     for item in args.set or []:
         key, value = parse_override(item)
         overrides[key] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     config = from_flat(overrides, base=config)
     flat = json.dumps(to_flat(config), sort_keys=True)
-    print(f"[config] source={source} {flat}", file=sys.stderr)
+    print(f"[config] source={args.config or 'defaults'} {flat}", file=sys.stderr)
     return config
 
 
@@ -78,9 +76,9 @@ def _cmd_train(args) -> int:
         check_pools(pools, weights)
     check_eval_every(config, dev)  # like check_pools, before vectors or a checkpoint
 
-    # On resume the weights, vocabulary and seed come from the checkpoint,
-    # and differing settings fail here; train makes its own refusals before
-    # out_dir exists, then records the seed that trains in config.json.
+    # On resume the weights and vocabulary come from the checkpoint, and
+    # differing settings fail here; train makes its own refusals, a seed
+    # other than the checkpoint's among them, before out_dir exists.
     if args.resume:
         params, state, vocab = resume_run(args.resume, config.model,
                                           config.optimizer)
@@ -250,7 +248,6 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="path to a flat JSON config file")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
-    sub.add_argument("--seed", type=int, help="override the run seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

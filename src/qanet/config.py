@@ -8,13 +8,10 @@ against the schema; unknown keys are errors, not warnings.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
 from .augmentation import _mix_shares
 from .model import ModelConfig
-
-ENV_CONFIG_VAR = "QANET_CONFIG"
 
 
 class UnknownConfigKey(ValueError):
@@ -148,19 +145,6 @@ def load_run_config(path: str) -> RunConfig:
     if not isinstance(flat, dict):
         raise ValueError(f"config file {path}: expected a JSON object")
     return from_flat(flat)
-
-
-def resolve_config(explicit_path: str | None) -> tuple[RunConfig, str]:
-    """Pick the config source: explicit flag, then env var, then defaults.
-
-    Returns the config and a short description of where it came from.
-    """
-    if explicit_path:
-        return load_run_config(explicit_path), explicit_path
-    fallback = os.environ.get(ENV_CONFIG_VAR, "")
-    if fallback:
-        return load_run_config(fallback), f"{ENV_CONFIG_VAR}={fallback}"
-    return RunConfig(), "defaults"
 
 
 def parse_override(text: str) -> tuple[str, object]:

@@ -130,27 +130,52 @@ def _answer_span(offsets, answer_text: str, answer_start: int) -> tuple[int, int
             _covering_token(offsets, answer_start + len(answer_text) - 1))
 
 
-def example_from_raw(example_id: str, context: str, question: str,
-                     answer_text: str, answer_start: int,
-                     gold_answers: list[str] | None = None) -> QaExample:
-    """Build and validate an example from raw strings plus a char offset."""
-    if not answer_text:
-        raise MissingField("answer text")
-    ctx_tokens = tokenize(context)
-    offsets = [(t.start, t.end) for t in ctx_tokens]
+def _example(example_id, context, texts, offsets, question, answer_text,
+             answer_start, gold_answers, split="train",
+             max_answer_len=None) -> QaExample | None:
+    """Build and validate one example over a context's token texts and offsets.
+
+    Train split: an empty or unalignable answer raises, and one longer than
+    ``max_answer_len`` tokens, when given, drops the example (returns None).
+    Eval split: either leaves the span None.
+    """
+    span = None
+    if split == "train":
+        if not answer_text:
+            raise MissingField("answer text")
+        span = _answer_span(offsets, answer_text, answer_start)
+        if max_answer_len is not None and span[1] - span[0] + 1 > max_answer_len:
+            return None
+    elif answer_text:
+        try:
+            span = _answer_span(offsets, answer_text, answer_start)
+        except UnalignableAnswer:
+            pass
     ex = QaExample(
         id=example_id,
         context_text=context,
-        context_tokens=[t.text for t in ctx_tokens],
+        context_tokens=texts,
         char_offsets=offsets,
         question_text=question,
         question_tokens=[t.text for t in tokenize(question)],
         answer_text=answer_text,
-        answer_span=_answer_span(offsets, answer_text, answer_start),
-        gold_answers=list(gold_answers) if gold_answers else [answer_text],
+        answer_span=span,
+        gold_answers=gold_answers,
     )
     ex.validate()
     return ex
+
+
+def example_from_raw(example_id: str, context: str, question: str,
+                     answer_text: str, answer_start: int,
+                     gold_answers: list[str] | None = None) -> QaExample:
+    """Build and validate an example from raw strings plus a char offset;
+    an empty or unalignable answer raises, as on the train split."""
+    ctx_tokens = tokenize(context)
+    return _example(example_id, context, [t.text for t in ctx_tokens],
+                    [(t.start, t.end) for t in ctx_tokens], question,
+                    answer_text, answer_start,
+                    list(gold_answers) if gold_answers else [answer_text])
 
 
 def _get(record, key):
@@ -167,7 +192,8 @@ def parse_qa_json(path, split: str = "train",
 
     Training split: contexts longer than ``max_context_len`` tokens and
     answers longer than ``max_answer_len`` tokens are discarded; the first
-    listed answer becomes the label. Eval split: nothing is discarded;
+    listed answer becomes the label, and an empty or unalignable one raises
+    as in :func:`example_from_raw`. Eval split: nothing is discarded;
     contexts are truncated to ``max_context_len`` tokens, the label span is
     kept only if it survives truncation, and every answer string is kept
     for scoring. A question with no token is rejected, naming its id.
@@ -200,32 +226,11 @@ def parse_qa_json(path, split: str = "train",
                 answer_text = _get(first, "text")
                 answer_start = _get(first, "answer_start")
                 golds = [_get(a, "text") for a in answers]
-                span: tuple[int, int] | None
-                if split == "train":
-                    if not answer_text:
-                        raise MissingField("answer text")
-                    span = _answer_span(offsets, answer_text, answer_start)
-                    if span[1] - span[0] + 1 > max_answer_len:
-                        continue
-                else:
-                    try:
-                        span = (_answer_span(offsets, answer_text, answer_start)
-                                if answer_text else None)
-                    except UnalignableAnswer:
-                        span = None
-                ex = QaExample(
-                    id=qid,
-                    context_text=context,
-                    context_tokens=texts,
-                    char_offsets=offsets,
-                    question_text=question,
-                    question_tokens=[t.text for t in tokenize(question)],
-                    answer_text=answer_text,
-                    answer_span=span,
-                    gold_answers=golds,
-                )
-                ex.validate()
-                examples.append(ex)
+                ex = _example(qid, context, texts, offsets, question,
+                              answer_text, answer_start, golds, split,
+                              max_answer_len)
+                if ex is not None:
+                    examples.append(ex)
     return examples
 
 

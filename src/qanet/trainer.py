@@ -42,7 +42,7 @@ class CheckpointShapeMismatch(ValueError):
 
 
 class ConfigMismatch(ValueError):
-    """A resumed run's settings differ from those stored in its checkpoint."""
+    """A run's settings differ from those stored in its checkpoint or state."""
 
 
 class NonFiniteStep(FloatingPointError):
@@ -332,16 +332,20 @@ def train(examples, vocab: Vocabulary, params: ModelParams, state: TrainState,
     takes every other setting from ``config``. ``sampler`` (optional) is an
     infinite example stream that replaces the per-epoch shuffling; it is
     fast-forwarded past the steps already run so a resume stays
-    step-for-step deterministic. An empty training set without a sampler
-    and an ``eval_every`` without dev examples are refused before
-    ``paths.out_dir`` exists. Then ``config.json`` records the settings and
-    the seed that trains; when ``state.step`` is past 0 the metrics log is
-    cut back to that step. A non-finite loss or gradient stops the run
-    before that step's update, log record or checkpoint.
+    step-for-step deterministic. An empty training set without a sampler,
+    an ``eval_every`` without dev examples and a ``config.seed`` other than
+    ``state.seed`` (:class:`ConfigMismatch`) are refused before
+    ``paths.out_dir`` exists. Then ``config.json`` records the settings;
+    when ``state.step`` is past 0 the metrics log is cut back to that step.
+    A non-finite loss or gradient stops the run before that step's update,
+    log record or checkpoint.
     """
     if not examples and sampler is None:
         raise ValueError("empty training set")
     check_eval_every(config, dev_examples)
+    if config.seed != state.seed:
+        raise ConfigMismatch(f"settings differ from the run's state: seed "
+                             f"(state {state.seed}, config {config.seed})")
     model_config, opt_config = config.model, config.optimizer
     out_dir = config.paths.out_dir
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
@@ -352,8 +356,7 @@ def train(examples, vocab: Vocabulary, params: ModelParams, state: TrainState,
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w",
               encoding="utf-8") as fh:
-        json.dump({**to_flat(config), "seed": state.seed}, fh, indent=2,
-                  sort_keys=True)
+        json.dump(to_flat(config), fh, indent=2, sort_keys=True)
     kept = []
     if state.step > 0 and os.path.exists(metrics_path):
         # Records past the checkpoint (written before a crash, or by a run

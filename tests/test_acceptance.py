@@ -734,7 +734,7 @@ def test_10_determinism_and_resume(tmp_path):
             out = str(tmp_path / name)
             cfg = _config_file(tmp_path / f"{name}.json", data, out,
                                extra={"optimizer.total_steps": total_steps})
-            argv = ["train", "--config", cfg, "--seed", seed]
+            argv = ["train", "--config", cfg, "--set", f"seed={seed}"]
             if resume:
                 argv += ["--resume", resume]
             assert main(argv) == 0, name

@@ -21,7 +21,6 @@ from qanet.config import (
     from_flat,
     load_run_config,
     parse_override,
-    resolve_config,
     to_flat,
 )
 from qanet.data import Vocabulary, parse_qa_json
@@ -233,19 +232,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_run_config(str(garbled))
 
-    def test_resolution_order(self, tmp_path, monkeypatch):
+    def test_resolution_order(self, tmp_path, capsys):
         file_a = tmp_path / "a.json"
         file_a.write_text(json.dumps({"seed": 5}), encoding="utf-8")
-        file_b = tmp_path / "b.json"
-        file_b.write_text(json.dumps({"seed": 6}), encoding="utf-8")
-        monkeypatch.setenv("QANET_CONFIG", str(file_b))
-        cfg, source = resolve_config(str(file_a))
-        assert cfg.seed == 5 and source == str(file_a)
-        cfg, source = resolve_config(None)
-        assert cfg.seed == 6 and "QANET_CONFIG" in source
-        monkeypatch.delenv("QANET_CONFIG")
-        cfg, source = resolve_config(None)
-        assert cfg.seed == 0 and source == "defaults"
+
+        def resolved(*argv):
+            args = qanet.cli.build_parser().parse_args(["bench", *argv])
+            config = qanet.cli._resolved_config(args)
+            return config, capsys.readouterr().err
+
+        cfg, echo = resolved("--config", str(file_a))
+        assert cfg.seed == 5 and echo.startswith(f"[config] source={file_a} ")
+        cfg, echo = resolved()
+        assert cfg.seed == 0 and echo.startswith("[config] source=defaults ")
+
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["augment", "--data", "d.json", "--mock", "--out", "o.json"],
+        ["bench", "--set", "model.max_context_len=3", "--set",
+         "optimizer.batch_size=1", "--batches", "1"]],
+        ids=["train", "augment", "bench"])
+    def test_seed_flag_refused(self, argv, capsys):
+        """The seed is a config key like any other: --set seed=N."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--seed", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +374,7 @@ class TestTrainCommand:
         command's settings and seed records the same bytes."""
         out = tmp_path / "run"
         cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out))
-        assert main(["train", "--config", cfg, "--seed", "6"]) == 0
+        assert main(["train", "--config", cfg, "--set", "seed=6"]) == 0
         capsys.readouterr()
         written = (out / "config.json").read_bytes()
         shutil.rmtree(out)
@@ -406,37 +417,43 @@ class TestTrainCommand:
         for name in ("one", "two"):
             out = str(tmp_path / name)
             cfg = _config_file(tmp_path / f"{name}.json", trained["data"], out)
-            assert main(["train", "--config", cfg, "--seed", "11"]) == 0
+            assert main(["train", "--config", cfg, "--set", "seed=11"]) == 0
             with open(f"{out}/metrics.jsonl", "rb") as fh:
                 logs.append(fh.read())
         capsys.readouterr()
         assert logs[0] == logs[1]
 
-    def test_resume_with_pools_ignores_new_seed(self, trained, tmp_path,
-                                                capsys):
-        """The sampler on resume draws from the checkpoint's seed."""
+    def test_resume_with_pools_and_new_seed_fails_untouched(self, trained,
+                                                            tmp_path, capsys):
+        """A resume with pools under another seed is refused and leaves the
+        run as it was; under the checkpoint's seed it replays the full run."""
         pools = {"paths.augmented_fr": _dataset(tmp_path / "fr.json", n=4),
                  "paths.augmented_de": _dataset(tmp_path / "de.json", n=3),
                  "checkpoint_every": 1}
+        split = tmp_path / "split"
+        names = ("model.ckpt", "metrics.jsonl", "config.json")
 
         def run(name, steps, seed, resume=None):
             out = str(tmp_path / name)
             cfg = _config_file(tmp_path / f"{name}-{steps}.json",
                                trained["data"], out,
                                extra=dict(pools, **{"optimizer.total_steps": steps}))
-            argv = ["train", "--config", cfg, "--seed", seed]
+            argv = ["train", "--config", cfg, "--set", f"seed={seed}"]
             if resume:
                 argv += ["--resume", resume]
-            assert main(argv) == 0
-            with open(f"{out}/metrics.jsonl", "rb") as fh:
-                return fh.read()
+            return main(argv)
 
-        full = run("full", 4, "7")
-        run("split", 2, "7")
-        resumed = run("split", 4, "8",
-                      resume=str(tmp_path / "split" / "model.ckpt"))
+        assert run("full", 4, 7) == 0
+        assert run("split", 2, 7) == 0
+        before = {name: (split / name).read_bytes() for name in names}
         capsys.readouterr()
-        assert resumed == full
+        assert run("split", 4, 8, resume=str(split / "model.ckpt")) == 1
+        assert "seed (state 7, config 8)" in capsys.readouterr().err
+        assert {name: (split / name).read_bytes() for name in names} == before
+        assert run("split", 4, 7, resume=str(split / "model.ckpt")) == 0
+        capsys.readouterr()
+        assert ((split / "metrics.jsonl").read_bytes()
+                == (tmp_path / "full" / "metrics.jsonl").read_bytes())
 
     def test_resume_drops_records_past_checkpoint(self, trained, tmp_path,
                                                   capsys):
@@ -513,21 +530,24 @@ class TestTrainCommand:
         capsys.readouterr()
         assert reads == [ckpt]
 
-    def test_resume_records_checkpoint_seed(self, trained, tmp_path, capsys):
-        """config.json records the seed that trains, the checkpoint's, not
-        the one on the command line."""
+    def test_resume_with_other_seed_fails_untouched(self, trained, tmp_path,
+                                                    capsys):
+        """A seed other than the checkpoint's is refused like any other
+        changed setting, not ignored."""
         out = tmp_path / "run"
         cfg = _config_file(tmp_path / "cfg.json", trained["data"], str(out),
                            extra={"optimizer.total_steps": 2})
-        assert main(["train", "--config", cfg, "--seed", "7"]) == 0
-        assert main(["train", "--config", cfg, "--seed", "8", "--set",
-                     "optimizer.total_steps=3",
-                     "--resume", str(out / "model.ckpt")]) == 0
+        assert main(["train", "--config", cfg, "--set", "seed=7"]) == 0
+        names = ("model.ckpt", "metrics.jsonl", "config.json")
+        before = {name: (out / name).read_bytes() for name in names}
         capsys.readouterr()
-        with open(out / "model.ckpt", "rb") as fh:
-            header = json.loads(fh.readline())
-        stored = json.loads((out / "config.json").read_text(encoding="utf-8"))
-        assert stored["seed"] == header["seed"] == 7
+        code = main(["train", "--config", cfg, "--set", "seed=8", "--set",
+                     "optimizer.total_steps=3",
+                     "--resume", str(out / "model.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "seed (state 7, config 8)" in err
+        assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_resume_with_other_model_config_fails_untouched(self, trained,
                                                            tmp_path, capsys):
@@ -567,16 +587,21 @@ class TestTrainCommand:
             assert "this build reads version 3" in err
             assert {name: (out / name).read_bytes() for name in names} == before
 
-    def test_env_var_config_fallback(self, trained, tmp_path, capsys,
-                                     monkeypatch):
+    def test_env_var_config_is_ignored(self, trained, tmp_path, capsys,
+                                       monkeypatch):
+        """Settings come from --config and --set alone; QANET_CONFIG is not
+        read."""
         out = str(tmp_path / "env-run")
         cfg = _config_file(tmp_path / "env.json", trained["data"], out,
                            extra={"optimizer.total_steps": 1})
         monkeypatch.setenv("QANET_CONFIG", cfg)
         code = main(["train"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "QANET_CONFIG" in captured.err
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "[config] source=defaults " in err
+        assert err.splitlines()[-1] == (
+            "error: paths.train_data is required for training")
+        assert not os.path.exists(out)
 
 
 class TestPredictEvaluateCommands:
@@ -734,7 +759,7 @@ class TestAugmentCommand:
         data = _dataset(tmp_path / "data.json", n=3)
         out = tmp_path / "aug.json"
         code = main(["augment", "--data", data, "--mock",
-                     "--out", str(out), "--seed", "4"])
+                     "--out", str(out), "--set", "seed=4"])
         captured = capsys.readouterr()
         assert code == 0
         summary = json.loads(captured.out)

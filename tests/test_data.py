@@ -171,6 +171,47 @@ class TestParse:
         with pytest.raises(D.MalformedJson):
             D.parse_qa_json(path)
 
+    @pytest.mark.parametrize("context, question, text, start, extra", [
+        ("the cat sat", "what sat?", "cat", 4, ()),
+        ("many cats sleep.", "who sleeps?", "ats", 6, ()),
+        ("Paris, in France, is big.", "where?", "France", 10,
+         (("in France", 7),)),
+    ], ids=["plain", "snapped", "more-golds"])
+    def test_parse_equals_example_from_raw(self, tmp_path, context, question,
+                                           text, start, extra):
+        """A training record and the same strings given to example_from_raw
+        make equal examples, since both go through one builder."""
+        path = write_squad(tmp_path, [simple_paragraph(
+            context, [qa("q1", question, text, start, extra_answers=extra)])])
+        (parsed,) = D.parse_qa_json(path, split="train")
+        golds = [text] + [t for t, _ in extra] if extra else None
+        assert parsed == D.example_from_raw("q1", context, question, text,
+                                            start, gold_answers=golds)
+
+    @pytest.mark.parametrize("record, field", [
+        ({"answers": []}, "id"),
+        ({"id": "q1"}, "question"),
+        ({"id": "q1", "question": "?"}, "answers"),
+        ({"id": "q1", "question": "?", "answers": [{}]}, "text"),
+        ({"id": "q1", "question": "?", "answers": [{"text": "a"}]},
+         "answer_start"),
+    ])
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    def test_first_missing_field_is_named(self, tmp_path, record, field,
+                                          split):
+        path = write_squad(tmp_path, [simple_paragraph("a b", [record])])
+        with pytest.raises(D.MissingField) as err:
+            D.parse_qa_json(path, split=split)
+        assert err.value.args == (field,)
+
+    def test_eval_keeps_empty_or_unalignable_answer_without_span(self,
+                                                                  tmp_path):
+        path = write_squad(tmp_path, [simple_paragraph(
+            "a b", [qa("q1", "?", "", 0), qa("q2", "?", "zzz", 1)])])
+        examples = D.parse_qa_json(path, split="eval")
+        assert [(ex.id, ex.answer_span) for ex in examples] == [
+            ("q1", None), ("q2", None)]
+
     def test_multiple_golds_kept(self, tmp_path):
         path = write_squad(tmp_path, [simple_paragraph(
             "the cat sat",

@@ -598,6 +598,21 @@ class TestTrainLoop:
                       eval_every=2)
         assert not os.path.exists(out)
 
+    def test_seed_other_than_the_state_refused_before_out_dir(self, tmp_path):
+        """A config paired with another run's state may not train silently
+        on the state's seed."""
+        examples, vocab, matrix = tiny_dataset(n=8)
+        config = ModelConfig(**TOY)
+        params, state = new_run(config, vocab, matrix, 5)
+        out = os.path.join(tmp_path, "s")
+        run = RunConfig(model=config, optimizer=short_opt(total_steps=2),
+                        paths=PathsConfig(out_dir=out), seed=6)
+        with pytest.raises(ConfigMismatch,
+                           match=r"seed \(state 5, config 6\)"):
+            train(examples, vocab, params, state, run)
+        assert not os.path.exists(out)
+        assert state.step == 0
+
     def test_empty_dataset_rejected(self, tmp_path):
         _, vocab, matrix = tiny_dataset()
         out = os.path.join(tmp_path, "e")
