@@ -1,12 +1,13 @@
 """Round-trip paraphrase augmentation with answer realignment.
 
-A paragraph is split into sentences; each sentence goes out to a
-translator (forward into a pivot language, back again, beam ``k`` both
-ways) yielding up to k*k paraphrase candidates. The answer-bearing
-sentence only accepts candidates in which the answer can be re-located by
-character-bigram alignment; everything else samples uniformly. Rebuilt
-documents keep the question verbatim and are written back out in the same
-JSON schema they were read from.
+A paragraph is split into sentences, and the sentences an example's answer
+overlaps are merged into one unit. Each distinct unit of a paragraph's
+examples goes out to a translator once per pivot (forward into the pivot
+language, back again, beam ``k`` both ways), yielding up to k*k paraphrase
+candidates. The answer's unit only accepts candidates in which the answer
+can be re-located by character-bigram alignment; every other unit samples
+uniformly. Rebuilt documents keep the question verbatim and are written
+back out in the same JSON schema they were read from.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import urllib.error
 import urllib.request
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -259,14 +261,14 @@ def _dice(a: str, ga: Counter, b: str, gb: Counter) -> float:
 
 
 def extract_answer(words: list[str], answer_words: list[str],
-                   threshold: float) -> tuple[int, int, str] | None:
+                   threshold: float) -> tuple[int, int] | None:
     """Re-locate an answer inside a paraphrase by bigram alignment.
 
     Start candidates are the words scoring highest against the answer's
     first word, end candidates likewise for the last word; the (start, end)
-    pair whose joined span best matches the whole answer string wins. A
-    best score under ``threshold`` eliminates the paraphrase. Ties prefer
-    the shortest span, then the leftmost.
+    word indices, both inclusive, whose joined span best matches the whole
+    answer string win. A best score under ``threshold`` eliminates the
+    paraphrase. Ties prefer the shortest span, then the leftmost.
     """
     if not answer_words:
         raise ValueError("empty answer")
@@ -293,30 +295,25 @@ def extract_answer(words: list[str], answer_words: list[str],
             key = (-_dice(span, _bigrams(span), answer_text, answer_grams),
                    e - s, s)
             if best is None or key < best[0]:
-                best = (key, s, e, span)
+                best = (key, s, e)
     if best is None or -best[0][0] < threshold:
         return None
-    return best[1], best[2], best[3]
+    return best[1], best[2]
 
 
 # ---------------------------------------------------------------------------
 # Sentence and document paraphrasing
 
 
-def _one_per_text(out, texts: list[str]) -> list:
-    """``out`` if it holds one reply per text, matched to texts by position."""
-    if not isinstance(out, list) or len(out) != len(texts):
-        got = len(out) if isinstance(out, list) else type(out).__name__
-        raise TranslatorProtocolError(
-            f"expected {len(texts)} translation lists, got {got}")
-    return out
-
-
 def _translate(endpoint, texts: list[str], k: int,
                direction: str) -> list[list[str]]:
     """One request, refused unless the reply is one list per text of at most
     ``k`` strings each."""
-    out = _one_per_text(endpoint.translate(texts, k, direction), texts)
+    out = endpoint.translate(texts, k, direction)
+    if not isinstance(out, list) or len(out) != len(texts):
+        got = len(out) if isinstance(out, list) else type(out).__name__
+        raise TranslatorProtocolError(
+            f"expected {len(texts)} translation lists, got {got}")
     for inner in out:
         if not isinstance(inner, list) or len(inner) > k \
                 or not all(isinstance(s, str) for s in inner):
@@ -330,17 +327,18 @@ def paraphrase_sentences(sentences: list[str], endpoint,
     excluded.
 
     One forward request carries every sentence and one back request every
-    forward output, so the endpoint must translate each text of a request
-    independently of the others.
+    distinct forward output, so the endpoint must translate each text of a
+    request independently of the others.
     """
     forwards = _translate(endpoint, sentences, k, "forward")
-    flat = [text for inner in forwards for text in inner]
-    backs = iter(_translate(endpoint, flat, k, "back") if flat else [])
+    flat = list(dict.fromkeys(text for inner in forwards for text in inner))
+    backs = dict(zip(flat, _translate(endpoint, flat, k, "back")
+                     if flat else []))
     out = []
     for sentence, inner in zip(sentences, forwards):
         seen = {}
-        for _ in inner:
-            for candidate in next(backs):
+        for forward in inner:
+            for candidate in backs[forward]:
                 if candidate != sentence and candidate not in seen:
                     seen[candidate] = None
         out.append(list(seen))
@@ -352,18 +350,8 @@ def _word_spans(text: str) -> list[tuple[int, int]]:
     return [(t.start, t.end) for t in tokenize(text)]
 
 
-def paraphrase_document(example: QaExample, endpoint, k: int, rng,
-                        threshold: float, new_id: str) -> QaExample | None:
-    """Rebuild a document from per-sentence paraphrases, realigning the answer.
-
-    The sentences the answer overlaps are paraphrased together, as one unit.
-    Sentences with no surviving candidate stay as they are; the answer's
-    unit additionally requires a realigned answer in any replacement. The
-    rebuilt example takes ``new_id``; an unchanged document comes back as
-    ``example`` itself, and an unlabeled one as None.
-    """
-    if example.answer_span is None:
-        return None
+def _units(example: QaExample) -> list[Sentence]:
+    """The context's sentences, those the answer overlaps merged into one."""
     ans_lo, ans_hi = example.answer_char_range()
     sentences = split_sentences(example.context_text)
     overlap = [i for i, s in enumerate(sentences)
@@ -372,34 +360,48 @@ def paraphrase_document(example: QaExample, endpoint, k: int, rng,
     sentences[overlap[0]:overlap[-1] + 1] = [Sentence(
         text=example.context_text[first.start:last.end],
         start=first.start, end=last.end)]
-    answer_words = [t.text for t in tokenize(example.answer_text)]
+    return sentences
 
-    per_sentence = paraphrase_sentences([s.text for s in sentences],
-                                        endpoint, k)
+
+def paraphrase_document(example: QaExample, units: list[Sentence],
+                        candidates: dict[str, list[str]], rng,
+                        threshold: float, new_id: str) -> QaExample:
+    """Rebuild a labelled document from its units' paraphrases, realigning
+    the answer.
+
+    ``units`` are the example's ``_units`` and ``candidates`` maps each
+    unit's text to its round-trip candidates. Units with no surviving
+    candidate stay as they are; the answer's unit additionally requires a
+    realigned answer in any replacement. The rebuilt example takes
+    ``new_id``; an unchanged document comes back as ``example`` itself.
+    """
+    ans_lo, ans_hi = example.answer_char_range()
+    answer_words = [t.text for t in tokenize(example.answer_text)]
     pieces = []          # (text, answer_lo, answer_hi) with offsets local to text
     changed = False
-    for sent, candidates in zip(sentences, per_sentence):
-        if sent.start == first.start:
+    for unit in units:
+        options = candidates[unit.text]
+        if unit.start < ans_hi and ans_lo < unit.end:
             survivors = []
-            for cand in candidates:
+            for cand in options:
                 spans = _word_spans(cand)
                 found = extract_answer([cand[a:b] for a, b in spans],
                                        answer_words, threshold)
                 if found is not None:
-                    s, e, _ = found
+                    s, e = found
                     survivors.append((cand, spans[s][0], spans[e][1]))
             if survivors:
                 pieces.append(survivors[int(rng.integers(len(survivors)))])
                 changed = True
             else:
-                pieces.append((sent.text, ans_lo - sent.start,
-                               ans_hi - sent.start))
-        elif candidates:
-            pick = candidates[int(rng.integers(len(candidates)))]
+                pieces.append((unit.text, ans_lo - unit.start,
+                               ans_hi - unit.start))
+        elif options:
+            pick = options[int(rng.integers(len(options)))]
             pieces.append((pick, None, None))
             changed = True
         else:
-            pieces.append((sent.text, None, None))
+            pieces.append((unit.text, None, None))
 
     if not changed:
         return example
@@ -466,55 +468,40 @@ def mixed_sampler(pools, weights, seed: int):
     return stream()
 
 
-class _ParagraphMemo:
-    """Translator wrapper that sends each (direction, beam, text) once.
-
-    A request forwards only the texts not yet answered, each once.
-    ``augment_examples`` makes a fresh memo whenever the context changes,
-    so it holds at most one paragraph's round trips. It checks only a
-    reply's count; the caller's ``_translate`` checks the lists.
-    """
-
-    def __init__(self, endpoint):
-        self.endpoint = endpoint
-        self.replies = {}
-
-    def translate(self, texts, beam, direction):
-        missing = list(dict.fromkeys(
-            t for t in texts if (direction, beam, t) not in self.replies))
-        if missing:
-            replies = _one_per_text(
-                self.endpoint.translate(missing, beam, direction), missing)
-            for text, reply in zip(missing, replies):
-                self.replies[direction, beam, text] = reply
-        return [self.replies[direction, beam, t] for t in texts]
-
-
 def augment_examples(examples, endpoints: dict, k: int, threshold: float,
                      seed: int, copies: int):
-    """Paraphrase every example through every endpoint.
+    """Paraphrase every labelled example through every endpoint.
 
     ``endpoints`` maps a language tag (e.g. "fr") to a translator; emitted
-    ids take the suffix "-{tag}-{i}" with i counting copies from 1. No-op
-    paraphrases (document unchanged) are skipped. Consecutive examples on
-    the same context (a paragraph's questions, and every copy) share one
-    forward and one back request per endpoint.
+    ids take the suffix "-{tag}-{i}" with i counting copies from 1.
+    Unlabeled examples and no-op paraphrases (document unchanged) are
+    skipped. Consecutive labelled examples on the same context form a
+    paragraph run, read in one pass so that memory holds one run: its
+    questions and every copy share one forward and one back request per
+    endpoint, which carry each distinct unit of the run once.
     """
     out = {tag: [] for tag in endpoints}
-    for tag_index, (tag, endpoint) in enumerate(sorted(endpoints.items())):
-        context = memo = None
-        for ex_index, example in enumerate(examples):
-            if example.context_text != context:
-                context = example.context_text
-                memo = _ParagraphMemo(endpoint)
-            for copy in range(1, copies + 1):
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    [seed, 0xA06, tag_index, ex_index, copy]))
-                got = paraphrase_document(example, memo, k, rng,
-                                          threshold=threshold,
-                                          new_id=f"{example.id}-{tag}-{copy}")
-                if got is not None and got is not example:
-                    out[tag].append(got)
+    tags = sorted(endpoints)
+    labelled = ((ex_index, example)
+                for ex_index, example in enumerate(examples)
+                if example.answer_span is not None)
+    for _, run in groupby(labelled, key=lambda pair: pair[1].context_text):
+        planned = [(ex_index, example, _units(example))
+                   for ex_index, example in run]
+        texts = list(dict.fromkeys(unit.text for _, _, units in planned
+                                   for unit in units))
+        for tag_index, tag in enumerate(tags):
+            candidates = dict(zip(texts, paraphrase_sentences(
+                texts, endpoints[tag], k)))
+            for ex_index, example, units in planned:
+                for copy in range(1, copies + 1):
+                    rng = np.random.default_rng(np.random.SeedSequence(
+                        [seed, 0xA06, tag_index, ex_index, copy]))
+                    got = paraphrase_document(
+                        example, units, candidates, rng, threshold=threshold,
+                        new_id=f"{example.id}-{tag}-{copy}")
+                    if got is not example:
+                        out[tag].append(got)
     return out
 
 

@@ -578,7 +578,9 @@ def test_04_paraphrased_answer_recovery():
                   tokenize("Department of Pre-Professional Studies")]
         got = extract_answer(words, answer, threshold=0.5)
         assert got is not None
-        assert got[2] == "Department of Preparatory Studies", got
+        s, e = got
+        assert " ".join(words[s:e + 1]) == \
+            "Department of Preparatory Studies", got
     _verdict(4, "documented paraphrase answer recovered by alignment", body)
 
 

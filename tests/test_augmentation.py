@@ -20,6 +20,7 @@ from qanet.augmentation import (
     augment_examples,
     _bigrams,
     _dice,
+    _units,
     extract_answer,
     mixed_sampler,
     paraphrase_document,
@@ -155,15 +156,13 @@ class TestExtractAnswer:
         words = sentence.split()
         answer = "Department of Pre-Professional Studies".split()
         got = extract_answer(words, answer, threshold=0.5)
-        assert got is not None
-        s, e, text = got
-        assert text == "Department of Preparatory Studies"
-        assert (s, e) == (15, 18)
+        assert got == (15, 18)
+        assert " ".join(words[15:19]) == "Department of Preparatory Studies"
 
     def test_verbatim_answer_scores_one(self):
         words = "the winner was Ada Lovelace according to them".split()
         got = extract_answer(words, ["Ada", "Lovelace"], threshold=0.5)
-        assert got == (3, 4, "Ada Lovelace")
+        assert got == (3, 4)
 
     def test_unrelated_words_eliminated(self):
         assert extract_answer("xxq zzp rrw".split(), ["university"],
@@ -176,11 +175,11 @@ class TestExtractAnswer:
 
     def test_leftmost_tie(self):
         got = extract_answer(["aa", "zz", "aa"], ["aa"], threshold=0.5)
-        assert got == (0, 0, "aa")
+        assert got == (0, 0)
 
     def test_single_char_answer(self):
         got = extract_answer(["a", "b", "a"], ["a"], threshold=0.5)
-        assert got == (0, 0, "a")
+        assert got == (0, 0)
 
     def test_crossed_candidates_skipped(self):
         # best start occurs after best end; only ordered pairs count
@@ -200,10 +199,8 @@ class TestExtractAnswer:
         answer = ["alpha", "bravo", "canyon"][:width]
         words = filler[:left] + answer + filler[:right]
         got = extract_answer(words, answer, threshold=0.5)
-        assert got is not None
-        s, e, text = got
-        assert text == " ".join(answer)
-        assert (s, e) == (left, left + width - 1)
+        assert got == (left, left + width - 1)
+        assert words[left:left + width] == answer
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +306,9 @@ class TestRuleTranslator:
             "t1", context, "Which department lacks a PhD program?",
             "Department of Pre-Professional Studies",
             context.index("Department of Pre-Professional"))
-        got = paraphrase_document(ex, RuleTranslator("fr"), k=5,
+        units = _units(ex)
+        got = paraphrase_document(ex, units,
+                                  _candidates(units, RuleTranslator("fr"), 5),
                                   rng=np.random.default_rng(0), threshold=0.5,
                                   new_id="t1-fr-1")
         assert got is not None and got is not ex
@@ -506,6 +505,13 @@ class TestHttpTranslator:
 # Document paraphrasing
 
 
+def _candidates(units, endpoint, k):
+    """Each unit's text mapped to its round-trip candidates, from one
+    ``paraphrase_sentences`` call as ``augment_examples`` makes it."""
+    texts = list(dict.fromkeys(unit.text for unit in units))
+    return dict(zip(texts, paraphrase_sentences(texts, endpoint, k)))
+
+
 def _doc_example(example_id="q1"):
     context = ("The big house stood on a hill. Its roof was red. "
                "Many people visited the house every year.")
@@ -527,8 +533,9 @@ class TestParaphraseDocument:
         ex = _doc_example()
         endpoint = ScriptedTranslator(_doc_script())
         rng = np.random.default_rng(0)
-        got = paraphrase_document(ex, endpoint, k=5, rng=rng, threshold=0.5,
-                                  new_id="q1-fr-1")
+        units = _units(ex)
+        got = paraphrase_document(ex, units, _candidates(units, endpoint, 5),
+                                  rng=rng, threshold=0.5, new_id="q1-fr-1")
         assert got is not None and got is not ex
         assert got.id == "q1-fr-1"
         assert got.question_text == ex.question_text
@@ -543,7 +550,9 @@ class TestParaphraseDocument:
         script = dict(_doc_script())
         script[("back", "F1")] = ["The roof was blue."]
         ex = _doc_example()
-        got = paraphrase_document(ex, ScriptedTranslator(script), k=5,
+        units = _units(ex)
+        candidates = _candidates(units, ScriptedTranslator(script), 5)
+        got = paraphrase_document(ex, units, candidates,
                                   rng=np.random.default_rng(0), threshold=0.5,
                                   new_id="q1-fr-1")
         assert got is not None
@@ -553,17 +562,12 @@ class TestParaphraseDocument:
 
     def test_identity_endpoint_is_noop(self):
         ex = _doc_example()
-        got = paraphrase_document(ex, ScriptedTranslator(), k=5,
+        units = _units(ex)
+        got = paraphrase_document(ex, units,
+                                  _candidates(units, ScriptedTranslator(), 5),
                                   rng=np.random.default_rng(0), threshold=0.5,
                                   new_id="q1-fr-1")
         assert got is ex
-
-    def test_unlabeled_example_skipped(self):
-        ex = _doc_example()
-        ex.answer_span = None
-        assert paraphrase_document(ex, ScriptedTranslator(_doc_script()), k=5,
-                                   rng=np.random.default_rng(0),
-                                   threshold=0.5, new_id="q1-fr-1") is None
 
     def test_cross_sentence_answer(self):
         """The sentences an answer spans travel as one unit, whole answer
@@ -572,7 +576,8 @@ class TestParaphraseDocument:
         ex = example_from_raw("x", context, "q?", "hill. Its roof",
                               context.index("hill"))
         endpoint = CountingTranslator("fr")
-        got = paraphrase_document(ex, endpoint, k=2,
+        units = _units(ex)
+        got = paraphrase_document(ex, units, _candidates(units, endpoint, 2),
                                   rng=np.random.default_rng(0), threshold=0.5,
                                   new_id="x-fr-1")
         assert endpoint.requests[0] == (
@@ -587,9 +592,11 @@ class TestParaphraseDocument:
         script = dict(_doc_script())
         script[("back", "F1")] = ["The roof was red.", "Red was the roof."]
         ex = _doc_example()
+        units = _units(ex)
+        candidates = _candidates(units, ScriptedTranslator(script), 5)
         seen = set()
         for seed in range(40):
-            got = paraphrase_document(ex, ScriptedTranslator(script), k=5,
+            got = paraphrase_document(ex, units, candidates,
                                       rng=np.random.default_rng(seed),
                                       threshold=0.5, new_id="q1-fr-1")
             for option in script[("back", "F1")]:
@@ -599,7 +606,9 @@ class TestParaphraseDocument:
 
     def test_validates_on_construction(self):
         ex = _doc_example()
-        got = paraphrase_document(ex, ScriptedTranslator(_doc_script()), k=5,
+        units = _units(ex)
+        candidates = _candidates(units, ScriptedTranslator(_doc_script()), 5)
+        got = paraphrase_document(ex, units, candidates,
                                   rng=np.random.default_rng(3), threshold=0.5,
                                   new_id="q1-fr-1")
         got.validate()
@@ -713,6 +722,15 @@ class TestAugmentExamples:
                                threshold=0.5, seed=0, copies=1)
         assert got == {"fr": []}
 
+    def test_unlabeled_example_skipped(self):
+        ex = _doc_example()
+        ex.answer_span = None
+        endpoint = CountingTranslator()
+        got = augment_examples([ex], {"fr": endpoint}, k=5, threshold=0.5,
+                               seed=0, copies=1)
+        assert got == {"fr": []}
+        assert endpoint.requests == []
+
     def test_deterministic(self):
         examples = [_single_sentence_example("a")]
         endpoints = {"fr": RuleTranslator("fr")}
@@ -767,9 +785,10 @@ _FIXTURE = [
                 ("What spans two sentences?", "March. The new")]),
     (_HOUSE, [("What was famous?", "The big house")]),
 ]
-# sha256 of _write_fixture_augmented's output. Batching and the memo change
-# only the traffic, never these bytes. The p2q2 records answer "March. The
-# new" whole, because an answer's sentences are paraphrased as one unit.
+# sha256 of _write_fixture_augmented's output. Sending each paragraph run's
+# units in one round trip per pivot changes only the traffic, never these
+# bytes. The p2q2 records answer "March. The new" whole, because an
+# answer's sentences are paraphrased as one unit.
 _FIXTURE_SHA256 = (
     "539a64bbf83fe2c5e08c83aee39f335c368c6bba4c03650a392b86e3b7c754d8")
 
@@ -797,10 +816,11 @@ def _write_fixture_augmented(tmp_path, endpoints):
 
 
 class CountingTranslator:
-    """RuleTranslator that records every request it answers."""
+    """Endpoint, a RuleTranslator by default, that records every request it
+    answers."""
 
-    def __init__(self, language="fr"):
-        self.inner = RuleTranslator(language)
+    def __init__(self, language="fr", inner=None):
+        self.inner = inner or RuleTranslator(language)
         self.requests = []  # (direction, texts) per call
 
     def translate(self, texts, beam, direction):
@@ -845,7 +865,30 @@ class TestRequestTraffic:
                          threshold=0.5, seed=0, copies=2)
         assert endpoint.directions() == ["forward", "back"]
 
-    def test_memo_holds_one_paragraph(self):
+    def test_cross_sentence_answer_shares_the_round_trip(self):
+        """An answer spanning two sentences travels in the same forward
+        request as the sentences of its paragraph's other questions."""
+        sentences = [s.text for s in split_sentences(_STADIUM)]
+        examples = [example_from_raw(f"s{i}", _STADIUM, "q?", answer,
+                                     _STADIUM.index(answer))
+                    for i, answer in enumerate(["March. The new",
+                                                "forty thousand"])]
+        endpoints = {"fr": CountingTranslator("fr"),
+                     "de": CountingTranslator("de")}
+        augment_examples(examples, endpoints, k=3, threshold=0.5, seed=0,
+                         copies=1)
+        for endpoint in endpoints.values():
+            assert endpoint.directions() == ["forward", "back"]
+            assert endpoint.requests[0][1] == [_STADIUM] + sentences
+
+    def test_fixture_costs_two_requests_per_paragraph_run(self, tmp_path):
+        endpoints = {"fr": CountingTranslator("fr"),
+                     "de": CountingTranslator("de")}
+        assert _write_fixture_augmented(tmp_path, endpoints) == _FIXTURE_SHA256
+        for endpoint in endpoints.values():
+            assert endpoint.directions() == ["forward", "back"] * 4
+
+    def test_returning_context_is_translated_again(self):
         endpoint = CountingTranslator()
         examples = (_questions(_HOUSE, 1, "a") + _questions(_STADIUM, 1, "b")
                     + _questions(_HOUSE, 1, "c"))
@@ -864,6 +907,14 @@ class TestRequestTraffic:
         assert len(forward) == 2
         assert len(back) == len(set(back))
         assert sum(text.endswith(repeated) for text in back) == 3
+
+    def test_shared_forward_output_sent_back_once(self):
+        script = {("forward", "s"): ["p", "q"], ("forward", "t"): ["p"],
+                  ("back", "p"): ["x"], ("back", "q"): ["y"]}
+        endpoint = CountingTranslator(inner=ScriptedTranslator(script))
+        assert paraphrase_sentences(["s", "t"], endpoint, k=2) == [
+            ["x", "y"], ["x"]]
+        assert endpoint.requests[1] == ("back", ["p", "q"])
 
     def test_fixture_bytes_pinned(self, tmp_path):
         endpoints = {"fr": RuleTranslator("fr"), "de": RuleTranslator("de")}
@@ -927,9 +978,9 @@ def test_in_process_reply_checked_like_http(reply):
 
 @pytest.mark.parametrize("reply", [["a", "b", "c", "d", "e", "f"], ["a", 3]],
                          ids=["beam-plus-3", "non-string"])
-def test_memo_passes_malformed_lists_to_the_one_check(reply):
-    """Behind the paragraph memo, which checks only the count, the same
-    replies are refused by the check every reply goes through."""
+def test_augment_refuses_malformed_lists(reply):
+    """Through ``augment_examples`` the same replies are refused by the
+    check every reply goes through."""
     with pytest.raises(TranslatorProtocolError, match="malformed"):
         augment_examples(_questions(_HOUSE, 2, "a"), {"fr": _SameReply(reply)},
                          k=3, threshold=0.5, seed=0, copies=1)
