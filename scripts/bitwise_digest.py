@@ -9,12 +9,17 @@ script in both and comparing the lines. It digests:
   stochastic depth on);
 - the same two files of a run that stops at N // 2 steps and is resumed
   to N;
+- the same two files of a fresh N-step desk run over padded batches:
+  contexts of 40 to 61 tokens, one length bucket, and questions of 3 to
+  12 words;
 - the spans and scores ``predict_spans`` gives on a desk batch, with the
   fresh run's weights, and on a two-row batch at the paper shape (d=128,
   n=400), with fresh weights.
 
-The data are ``qanet bench``'s synthetic examples. Only public training
-and prediction calls run, so the digest sees what a user's run writes.
+The other data are ``qanet bench``'s synthetic examples, whose contexts
+all have the model's full length and whose questions are all 8 words, so
+their batches do not pad. Only public training and prediction calls run,
+so the digest sees what a user's run writes.
 
 Usage: python scripts/bitwise_digest.py [--steps 20]
 """
@@ -28,7 +33,7 @@ import numpy as np
 
 from qanet.cli import _bench_examples, _random_word_matrix
 from qanet.config import OptimizerConfig, PathsConfig, RunConfig
-from qanet.data import build_batch
+from qanet.data import build_batch, example_from_raw
 from qanet.model import ModelConfig, predict_spans
 from qanet.trainer import new_run, resume_run, train
 
@@ -36,6 +41,24 @@ SEED = 0
 DESK = ModelConfig(hidden_dim=64, word_dim=50, char_dim=32, max_context_len=100)
 DESK_BATCH = 8
 DESK_EXAMPLES = 24  # three batches an epoch, so later epochs reshuffle
+
+
+def padded_examples(vocab, count):
+    """Examples over ``vocab``'s words of varied context and question
+    lengths, each with a two-token answer that ends before the last token."""
+    rng = np.random.default_rng(np.random.SeedSequence([SEED, 0x9AD]))
+    words = vocab.words[2:]  # past the padding and unknown entries
+    examples = []
+    for i in range(count):
+        length = int(rng.integers(40, 62))
+        toks = [words[int(rng.integers(len(words)))] for _ in range(length)]
+        a = int(rng.integers(len(toks) - 2))
+        start = sum(len(t) + 1 for t in toks[:a])
+        question = " ".join(words[int(rng.integers(len(words)))]
+                            for _ in range(int(rng.integers(3, 13))))
+        examples.append(example_from_raw(f"padded-{i}", " ".join(toks), question,
+                                         " ".join(toks[a:a + 2]), start))
+    return examples
 
 
 def file_digest(path):
@@ -70,7 +93,7 @@ def main():
     desk = RunConfig(model=DESK, seed=SEED)
     examples, vocab = _bench_examples(desk, DESK_EXAMPLES)
 
-    def run(out_dir, steps, resume=None):
+    def run(out_dir, steps, resume=None, examples=examples):
         opt = OptimizerConfig(batch_size=DESK_BATCH, total_steps=steps)
         if resume:
             params, state, _ = resume_run(resume, DESK, opt)
@@ -89,6 +112,9 @@ def main():
         _, halfway = run(resumed, args.steps // 2)
         run(resumed, args.steps, resume=halfway)
         digests.update({f"resumed.{k}": v for k, v in run_digests(resumed).items()})
+        padded = os.path.join(tmp, "padded")
+        run(padded, args.steps, examples=padded_examples(vocab, DESK_EXAMPLES))
+        digests.update({f"padded.{k}": v for k, v in run_digests(padded).items()})
 
     batch = build_batch(examples[:DESK_BATCH], vocab, char_limit=DESK.char_limit)
     digests["predict.desk"] = predict_digest(params, DESK, batch)

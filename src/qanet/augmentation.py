@@ -440,24 +440,18 @@ def _mix_shares(weights) -> np.ndarray:
     return raw / raw.sum()
 
 
-def check_pools(pools, weights) -> np.ndarray:
-    """The mixing shares of the original, fr and de ``pools``; refuses a
-    pool count other than three and, by name, an empty pool with weight."""
+def mixed_sampler(pools, weights, seed: int):
+    """Infinite stream drawing a pool by its share of ``weights``, then a
+    uniform example. It refuses up front, not on the first draw, a pool
+    count other than three and, by name, an empty pool with weight.
+    """
+    pools = [list(p) for p in pools]
     if len(pools) != 3:
         raise ValueError(f"want 3 pools, got {len(pools)}")
     probs = _mix_shares(weights)
     for name, pool, w in zip(("original", "fr", "de"), pools, probs):
         if w > 0 and not pool:
             raise EmptyWeightedPool(f"the {name} pool is empty but has mixing weight {w:.3f}")
-    return probs
-
-
-def mixed_sampler(pools, weights, seed: int):
-    """Infinite stream drawing a pool by its share of ``weights``, then a
-    uniform example. :func:`check_pools` runs up front, not on the first draw.
-    """
-    pools = [list(p) for p in pools]
-    probs = check_pools(pools, weights)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3A3]))
 
     def stream():

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .augmentation import (HttpTranslator, RuleTranslator, augment_examples,
-                           check_pools, mixed_sampler, write_squad_json)
+                           mixed_sampler, write_squad_json)
 from .config import RunConfig, from_flat, load_run_config, parse_override, to_flat
 from .data import (PAD_ID, Vocabulary, build_batch, example_from_raw,
                    load_word_vectors, parse_qa_json)
@@ -67,14 +67,14 @@ def _cmd_train(args) -> int:
     dev = None
     if paths.dev_data:
         dev = _parse_qa(paths.dev_data, "eval", config.model)
-    pools = None
+    sampler = None
     if paths.augmented_fr or paths.augmented_de:
         pools = [examples] + [_parse_qa(path, "train", config.model) if path else []
                               for path in (paths.augmented_fr, paths.augmented_de)]
         mix = config.augment
-        weights = (mix.mix_orig, mix.mix_fr, mix.mix_de)
-        check_pools(pools, weights)
-    check_eval_every(config, dev)  # like check_pools, before vectors or a checkpoint
+        # train refuses a seed other than the checkpoint's before any draw.
+        sampler = mixed_sampler(pools, (mix.mix_orig, mix.mix_fr, mix.mix_de), seed=config.seed)
+    check_eval_every(config, dev)  # like the pools, before vectors or a checkpoint
 
     # On resume the weights and vocabulary come from the checkpoint, and
     # differing settings fail here; train makes its own refusals, a seed
@@ -96,8 +96,6 @@ def _cmd_train(args) -> int:
             matrix = _random_word_matrix(vocab, config.model.word_dim,
                                          config.seed)
         params, state = new_run(config.model, vocab, matrix, config.seed)
-
-    sampler = None if pools is None else mixed_sampler(pools, weights, seed=state.seed)
 
     result = train(examples, vocab, params, state, config, dev_examples=dev,
                    sampler=sampler)

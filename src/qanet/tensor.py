@@ -53,10 +53,10 @@ their output. Beyond that:
 :func:`softmax`, :func:`log_softmax` and attention require a mask; the
 model always has one, and an all-ones mask leaves every slot usable. A
 masked slot comes out exactly 0, and so does a slice with no usable slot.
-Attention keeps no (batch, heads, n, m) array: it walks cache-sized blocks
-of whole heads, and its record keeps two (batch, heads, n, 1) row
-statistics, the max shift and the inverse row sum, beside the inputs, the
-key mask and the output.
+Attention keeps no (batch, heads, n, m) array: it walks one example at a
+time, in equal cache-sized blocks of its heads, and its record keeps two
+(batch, heads, n, 1) row statistics, the max shift and the inverse row sum,
+beside the inputs, the key mask and the output.
 Backward recomputes each block's weights from them, bitwise as forward made
 them (FlashAttention, arXiv 2205.14135), and uses
 ``rowsum(dP * P) == rowsum(dO * O)`` (FlashAttention-2, arXiv 2307.08691),
@@ -717,19 +717,15 @@ _BLOCK_BYTES = 1 << 20  # (n, m) weights one attention block forms at a time
 
 
 def _attention_blocks(batch: int, heads: int, rows: int, cols: int):
-    """Tile a (batch, heads) grid of (rows, cols) weight matrices in blocks
-    of at most ``_BLOCK_BYTES``: as many whole examples as fit, or head
-    slices of one example when a single example's weights are larger. A
-    block holds at least one head. Returns the (examples, heads) index
-    pairs and the largest block's element count.
+    """Tile a (batch, heads) grid of (rows, cols) weight matrices one example
+    at a time, in equal blocks of that example's heads: as many as divide
+    ``heads`` and fit in ``_BLOCK_BYTES``, and at least one. Returns the
+    (example, heads) index pairs and the heads per block.
     """
-    fit = max(_BLOCK_BYTES // max(rows * cols * 8, 1), 1)  # heads per block
-    if fit >= heads:
-        step = fit // heads
-        return ([(slice(b, b + step), slice(None)) for b in range(0, batch, step)],
-                min(step, batch) * heads * rows * cols)
-    return ([(slice(b, b + 1), slice(h, h + fit))
-             for b in range(batch) for h in range(0, heads, fit)], fit * rows * cols)
+    fit = next((f for f in range(heads, 1, -1)
+                if heads % f == 0 and f * rows * cols * 8 <= _BLOCK_BYTES), 1)
+    return [(slice(b, b + 1), slice(h, h + fit))
+            for b in range(batch) for h in range(0, heads, fit)], fit
 
 
 def _logit_operands(qh: np.ndarray, kh: np.ndarray, scale: float, mask):
@@ -751,9 +747,10 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask) -> Tensor:
     a query with no usable key attends to nothing and outputs zeros.
 
     No (batch, heads, n, m) array outlives the block that formed it. Forward
-    walks blocks of whole heads, each within ``_BLOCK_BYTES`` of weights:
-    it forms the logits, shifts them by their row max, exponentiates them to
-    ``E`` and takes ``E @ [v, 1]``, whose last column is the row sum, so
+    walks one example at a time, in equal blocks of its heads, each within
+    ``_BLOCK_BYTES`` of weights unless a single head is larger: it forms the
+    logits, shifts them by their row max, exponentiates them to ``E`` and
+    takes ``E @ [v, 1]``, whose last column is the row sum, so
     ``P = E * inv`` is never formed either. The tape keeps only the row max
     ``shift`` and ``inv``, both (batch, heads, n, 1), beside the inputs, the
     key mask and the output ``O``. Backward recomputes each block's ``E``
@@ -780,15 +777,10 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask) -> Tensor:
     except ValueError:
         raise DimensionMismatch(f"key mask {np.shape(key_mask)} vs keys {(batch, m)}") from None
     key_mask = key_mask.reshape(batch, 1, m, 1)
-    blocks, buffer_size = _attention_blocks(batch, num_heads, n, m)
+    blocks, fit = _attention_blocks(batch, num_heads, n, m)
 
     def split(a):  # (batch, rows, d) -> (batch, h, rows, dh), a view when a is contiguous
         return np.swapaxes(a.reshape(batch, a.shape[1], num_heads, head_dim), 1, 2)
-
-    def logits(buffer, blk, qa, ka_t):  # a block's scaled, masked logits, in buffer
-        a, b = qa[blk], ka_t[blk]
-        shape = a.shape[:-1] + b.shape[-1:]
-        return np.matmul(a, b, out=buffer[:math.prod(shape)].reshape(shape))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     qa, ka = _logit_operands(qh, kh, scale, key_mask)
@@ -796,13 +788,16 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask) -> Tensor:
     shift, inv = np.empty((batch, num_heads, n, 1)), np.empty((batch, num_heads, n, 1))
     has_key = np.any(key_mask, axis=-2, keepdims=True)
     out = np.empty(q.shape)
-    out_h, buffer = split(out), np.empty(buffer_size)
+    # Every block is (1, fit, n, m), so the logit buffer, and backward's score
+    # buffer, is made once per call: a fresh array per block measured slower
+    # from n = 63 up (B=8, d=64, forward plus backward).
+    out_h, e = split(out), np.empty((1, fit, n, m))
     for blk in blocks:
-        e = logits(buffer, blk, qa, ka_t)
+        np.matmul(qa[blk], ka_t[blk], out=e)  # the block's scaled, masked logits
         np.max(e, axis=-1, keepdims=True, out=shift[blk])
         e -= shift[blk]
         np.exp(e, out=e)
-        mixed = e @ vw[blk]  # (b, h, n, dh + 1); each row sum is at least 1
+        mixed = e @ vw[blk]  # (1, fit, n, dh + 1); each row sum is at least 1
         np.divide(1.0, mixed[..., -1:], out=inv[blk])
         inv[blk] *= has_key[blk[0]]  # a row with no usable key gets inv 0
         np.multiply(mixed[..., :-1], inv[blk], out=out_h[blk])
@@ -818,13 +813,13 @@ def scaled_dot_attention(q, k, v, num_heads: int, key_mask) -> Tensor:
         gw = _with_columns(gh, -rowsum)
         g_q, g_k, g_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         g_qh, g_kh, g_vh = split(g_q), split(g_k), split(g_v)
-        buffer, scores = np.empty(buffer_size), np.empty(buffer_size)
+        e, g_s = np.empty((1, fit, n, m)), np.empty((1, fit, n, m))
         for blk in blocks:
-            e = logits(buffer, blk, qa, ka_t)
+            np.matmul(qa[blk], ka_t[blk], out=e)
             e -= shift[blk]
             np.exp(e, out=e)
             np.matmul(np.swapaxes(e, -1, -2), gh[blk], out=g_vh[blk])
-            g_s = np.matmul(gw[blk], vw_t[blk], out=scores[:e.size].reshape(e.shape))
+            np.matmul(gw[blk], vw_t[blk], out=g_s)
             g_s *= e
             np.matmul(g_s, kh[blk], out=g_qh[blk])
             np.matmul(np.swapaxes(g_s, -1, -2), qh[blk], out=g_kh[blk])

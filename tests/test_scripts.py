@@ -28,10 +28,10 @@ def test_demo_script_exits_zero(script, args, tmp_path):
 
 
 def test_bitwise_digest_prints_one_json_line():
-    """Seven digests on one line; the resumed run's files equal the fresh one's."""
+    """Nine digests on one line; the resumed run's files equal the fresh one's."""
     (line,) = run_script("bitwise_digest.py", ["--steps", "2"]).splitlines()
     digests = json.loads(line)
-    assert len(digests) == 7 and digests.pop("steps") == 2
+    assert len(digests) == 9 and digests.pop("steps") == 2
     assert all(len(v) == 64 for v in digests.values())
     for name in ("model.ckpt", "metrics.jsonl"):
         assert digests[f"resumed.{name}"] == digests[f"fresh.{name}"]

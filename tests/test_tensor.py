@@ -448,23 +448,24 @@ class TestAttentionBlocks:
 
     @pytest.mark.parametrize("batch,heads,rows,cols,budget", [
         (3, 4, 5, 7, 1), (3, 4, 5, 7, 4 * 5 * 7 * 8), (3, 4, 5, 7, 2 * 5 * 7 * 8),
-        (5, 2, 3, 3, 1 << 20), (2, 8, 400, 400, 1 << 20), (1, 3, 2, 2, 3 * 2 * 2 * 8 - 1)])
+        (5, 2, 3, 3, 1 << 20), (2, 8, 400, 400, 1 << 20), (1, 3, 2, 2, 3 * 2 * 2 * 8 - 1),
+        (2, 6, 4, 4, 4 * 4 * 4 * 8)])
     def test_blocks_tile_the_grid(self, monkeypatch, batch, heads, rows, cols, budget):
         monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
-        blocks, elements = T._attention_blocks(batch, heads, rows, cols)
-        whole = heads * rows * cols * 8 <= budget
+        blocks, fit = T._attention_blocks(batch, heads, rows, cols)
+        # fit is the largest divisor of heads that fits the budget, else 1.
+        fits = [f for f in range(1, heads + 1)
+                if heads % f == 0 and f * rows * cols * 8 <= budget]
+        assert fit == max(fits, default=1)
         covered = np.zeros((batch, heads), dtype=int)
         for examples, head_slice in blocks:
             covered[examples, head_slice] += 1
-            size = covered[examples, head_slice].size
-            assert size * rows * cols <= elements
-            assert size * rows * cols * 8 <= budget or size == 1
-            assert (head_slice == slice(None)) == whole  # whole examples while one fits
+            assert covered[examples, head_slice].shape == (1, fit)  # one example, equal blocks
         assert np.all(covered == 1)
 
     @pytest.mark.parametrize("case", ["padded", "all_real", "no_real_key"])
     def test_any_tiling_gives_the_same_bits(self, monkeypatch, case):
-        batch, n, m, d, heads = 3, 5, 7, 12, 3
+        batch, n, m, d, heads = 3, 5, 7, 12, 4
         rng = np.random.default_rng(31)
         q, w = rng.standard_normal((batch, n, d)), rng.standard_normal((batch, n, d))
         k, v = rng.standard_normal((batch, m, d)), rng.standard_normal((batch, m, d))
@@ -475,8 +476,9 @@ class TestAttentionBlocks:
             if case == "no_real_key":
                 mask[1] = 0.0
         runs = []
-        # One head per block, one example per block, the whole call in one.
-        for budget, count in ((1, batch * heads), (heads * n * m * 8, batch), (1 << 30, 1)):
+        # One head per block, two heads per block, one example per block.
+        for budget, count in ((1, batch * heads), (2 * n * m * 8, batch * heads // 2),
+                              (1 << 30, batch)):
             monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
             assert len(T._attention_blocks(batch, heads, n, m)[0]) == count
             runs.append(TestFusedOpsMatchComposites.run(
